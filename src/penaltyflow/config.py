@@ -1,6 +1,8 @@
 """Experiment configuration: JSON schema, parsing and validation.
 
-Schema (all fields except "instance", "mode" and "schedule" optional):
+Schema (all fields except "instance", "mode" and "schedule" optional; any
+other top-level key is rejected, and so is "safety_factor" with "SFBP", whose
+only step bound h <= 1 it would not scale):
 
 {
   "instance": "scalar" | {"deblur": {"image": "checkerboard", "size": 32,
@@ -24,7 +26,7 @@ Schema (all fields except "instance", "mode" and "schedule" optional):
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -53,6 +55,9 @@ class ExperimentConfig:
 
     def schedule_obj(self):
         return schedule_from_dict(self.schedule)
+
+
+_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def schedule_from_dict(d):
@@ -91,6 +96,9 @@ def parse_config(data):
     """Validate a decoded JSON object into an ExperimentConfig."""
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object", field="$")
+    for key in data:
+        if key not in _FIELDS:
+            raise ConfigError("unknown field", field=f"$.{key}")
     instance = _require(data, "instance", (str, dict), "$")
     if isinstance(instance, dict):
         if set(instance.keys()) != {"deblur"}:
@@ -107,6 +115,9 @@ def parse_config(data):
     mode = _require(data, "mode", str, "$")
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}", field="$.mode")
+    if mode == "SFBP" and "safety_factor" in data:
+        raise ConfigError("SFBP steps are bounded only by h <= 1, which "
+                          "safety_factor does not scale", field="$.safety_factor")
     schedule = _require(data, "schedule", dict, "$")
     schedule_from_dict(schedule)  # validates now, rebuilt by the runner
     grid = data.get("grid", {"kind": "uniform", "h": 0.2, "T": 1e3})

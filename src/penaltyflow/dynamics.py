@@ -6,9 +6,13 @@ The discrete schemes are
   FBF   P  = J_{lam A}(X - lam V(X));  X+ = X + h (P - X + lam (V(X) - V(P)))
   SFBP  X+ = (1 - h) X + h * J_{lam (A + beta B2)}(X - lam V(X))
 
-with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. Step sizes
-are capped by the local Lipschitz bound of the vector field unless the caller
-disables it (needed when a test pins an exact recursion).
+with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. All three
+share one marching loop, ``_march``; a mode only supplies its step cap
+``cap(t)`` and its step map ``step``, which returns the update direction dx of
+X+ = X + h*dx. FB and FBF steps are capped by the local Lipschitz bound of the
+vector field unless the caller disables it (needed when a test pins an exact
+recursion); FB keeps gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that
+X+ stays a convex combination.
 """
 
 import math
@@ -19,6 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, PreconditionError
 from .operators import as_vector
+from .schedules import _eval_grid
 
 _BLOWUP = 1e12
 
@@ -40,8 +45,9 @@ class GeometricGrid:
 class IntegratorSpec:
     """How to march: grid request, stability cap, storage thinning.
 
-    safety_factor scales the Lipschitz step cap; cap_steps=False keeps the
-    requested steps untouched (relaxation bounds gamma*h <= 1 still apply).
+    safety_factor scales the Lipschitz step cap of FB and FBF; cap_steps=False
+    keeps the requested steps untouched (the relaxation bounds gamma*h <= 1 of
+    FB and h <= 1 of SFBP still apply).
     max_steps, when set, truncates the run after that many steps.
     """
 
@@ -71,9 +77,10 @@ class IntegratorSpec:
 class Trajectory:
     """Stored samples of one integration run.
 
-    States are kept every ``store_every`` steps plus the final one; parallel
-    arrays hold schedule values, the step vector field (xdots) and per-step
-    diagnostics at those samples.
+    States are kept every ``store_every`` steps plus the last two (the state
+    before the final step and the final state); ``step_indices`` holds the
+    step number of each sample and parallel arrays hold schedule values, the
+    step vector field (xdots) and per-step diagnostics at those samples.
     """
 
     mode: str
@@ -90,7 +97,7 @@ class Trajectory:
     gamma: np.ndarray
     lips: np.ndarray
     n_steps_total: int
-    store_every: int
+    step_indices: np.ndarray
 
     @property
     def xdot_norms(self):
@@ -124,11 +131,7 @@ def _build_grid(spec, cap_fn):
     hs = []
     t = 0.0
     while t < T - 1e-12 and len(hs) < max_steps:
-        h = h_req(t)
-        cap = cap_fn(t)
-        if cap is not None:
-            h = min(h, cap)
-        h = min(h, T - t)
+        h = min(h_req(t), cap_fn(t), T - t)
         if h <= 0:
             raise ParameterError("step size collapsed to zero")
         hs.append(h)
@@ -137,76 +140,6 @@ def _build_grid(spec, cap_fn):
     if not hs:
         raise ParameterError("empty time grid")
     return np.asarray(ts), np.asarray(hs)
-
-
-def _schedule_arrays(sch, times):
-    t = times
-    try:
-        eps = np.asarray(sch.eps(t), dtype=float)
-        beta = np.asarray(sch.beta(t), dtype=float)
-        lam = np.asarray(sch.lam(t), dtype=float)
-        gam = np.asarray(sch.gamma(t), dtype=float)
-        if eps.shape != t.shape or gam.shape != t.shape:
-            raise ValueError
-    except Exception:
-        eps = np.array([float(sch.eps(x)) for x in t])
-        beta = np.array([float(sch.beta(x)) for x in t])
-        lam = np.array([float(sch.lam(x)) for x in t])
-        gam = np.array([float(sch.gamma(x)) for x in t])
-    return eps, beta, lam, gam
-
-
-class _Recorder:
-    def __init__(self, n_steps, dim, store_every, with_aux, with_psi):
-        n_slots = (n_steps + store_every - 1) // store_every + 2
-        self.every = store_every
-        self.times = np.empty(n_slots)
-        self.states = np.empty((n_slots, dim))
-        self.hs = np.empty(n_slots)
-        self.xdots = np.empty((n_slots, dim))
-        self.b1n = np.empty(n_slots)
-        self.psi = np.empty(n_slots) if with_psi else None
-        self.aux = np.empty((n_slots, dim)) if with_aux else None
-        self.lam = np.empty(n_slots)
-        self.eps = np.empty(n_slots)
-        self.beta = np.empty(n_slots)
-        self.gam = np.empty(n_slots)
-        self.lips = np.empty(n_slots)
-        self.n = 0
-
-    def want(self, k, last):
-        return k % self.every == 0 or k == last
-
-    def push(self, t, x, h, xdot, b1_norm, psi, p, lam, eps, beta, gam, lips):
-        i = self.n
-        self.times[i] = t
-        self.states[i] = x
-        self.hs[i] = h
-        self.xdots[i] = xdot
-        self.b1n[i] = b1_norm
-        if self.psi is not None:
-            self.psi[i] = psi
-        if self.aux is not None:
-            self.aux[i] = p
-        self.lam[i] = lam
-        self.eps[i] = eps
-        self.beta[i] = beta
-        self.gam[i] = gam
-        self.lips[i] = lips
-        self.n += 1
-
-    def build(self, mode, n_total, store_every):
-        n = self.n
-        return Trajectory(
-            mode=mode, times=self.times[:n].copy(), states=self.states[:n].copy(),
-            step_sizes=self.hs[:n].copy(), xdots=self.xdots[:n].copy(),
-            b1_norms=self.b1n[:n].copy(),
-            psi_sums=None if self.psi is None else self.psi[:n].copy(),
-            aux_points=None if self.aux is None else self.aux[:n].copy(),
-            lam=self.lam[:n].copy(), eps=self.eps[:n].copy(),
-            beta=self.beta[:n].copy(), gamma=self.gam[:n].copy(),
-            lips=self.lips[:n].copy(), n_steps_total=n_total,
-            store_every=store_every)
 
 
 def _check_state(x, k):
@@ -222,89 +155,128 @@ def _psi_at(prob, point):
     return prob.psi1(point) + prob.psi2(point)
 
 
-def integrate_fb(prob, sch, x0, spec):
-    """Relaxed forward-backward marching; requires a cocoercive smooth part."""
-    if not prob.d.cocoercive:
-        raise PreconditionError("forward-backward flow needs a cocoercive D "
-                                "(the 'cocoercive' certificate fails on this instance)")
-    if prob.b2 is not None:
-        raise PreconditionError("forward-backward flow handles a single penalty; "
-                                "use the full-splitting integrator")
-    x = as_vector(x0, prob.dim).copy()
-    eta, mu = prob.d.eta, prob.b1.mu
+def check_mode(mode, prob):
+    """Raise PreconditionError unless ``mode`` can integrate ``prob``."""
+    if mode == "FB" and not prob.d.cocoercive:
+        raise PreconditionError("FB mode needs a cocoercive smooth part; "
+                                f"instance '{prob.name}' is not")
+    if mode == "SFBP" and prob.b2 is None:
+        raise PreconditionError("SFBP mode needs a two-penalty instance")
+    if mode != "SFBP" and prob.b2 is not None:
+        raise PreconditionError(f"{mode} mode cannot handle a second penalty; "
+                                "use SFBP")
 
-    def cap(t):
-        gam = float(sch.gamma(t))
-        h_relax = 1.0 / gam  # keeps the relaxation a convex combination
-        if not spec.cap_steps:
-            return h_relax
-        lam = float(sch.lam(t))
-        lips = 1.0 / eta + float(sch.eps(t)) + float(sch.beta(t)) / mu
-        return min(h_relax, spec.safety_factor / (gam * (2.0 + lam * lips)))
 
-    times, hs = _build_grid(spec, cap)
-    eps_a, beta_a, lam_a, gam_a = _schedule_arrays(sch, times[:-1])
-    n = len(hs)
-    rec = _Recorder(n, prob.dim, spec.store_every, with_aux=False,
-                    with_psi=prob.psi1 is not None)
-    resolvent = prob.a._resolvent_fn
+def _kernel(mode, prob, sch, spec):
+    """The mode's step cap, its step map and its backward-step resolvents.
+
+    ``step(res, x, v, lam, eps, beta, gam)`` returns the update direction dx,
+    the auxiliary point (FBF only) and the point the penalty sum is taken at
+    (None for x + dx, which is then formed only for stored samples).
+    ``res`` is the fast resolvent on every step and the validated one (which
+    rejects non-finite output) on the final sample.
+    """
     d_eval, b_eval = prob.d.eval, prob.b1.eval
-    inv_eta = 1.0 / eta
-    for k in range(n):
-        lam = lam_a[k]; eps = eps_a[k]; bet = beta_a[k]; gam = gam_a[k]; h = hs[k]
+
+    def lips(t):
+        return prob.lipschitz_bound(float(sch.eps(t)), float(sch.beta(t)))
+
+    if mode == "SFBP":
+        def cap(t):
+            # x+ stays a convex combination of x and the resolvent point for h <= 1
+            return 1.0
+
+        def step(res, x, v, lam, eps, bet, gam):
+            j = res(lam, bet, x - lam * v)
+            return j - x, None, j
+
+        return cap, step, prob.shifted_resolvent_fn(), prob.resolvent_shifted
+
+    if mode == "FB":
+        def cap(t):
+            gam = float(sch.gamma(t))
+            h_relax = 1.0 / gam  # keeps the relaxation a convex combination
+            if not spec.cap_steps:
+                return h_relax
+            return min(h_relax, spec.safety_factor
+                       / (gam * (2.0 + float(sch.lam(t)) * lips(t))))
+
+        def step(res, x, v, lam, eps, bet, gam):
+            return gam * (res(lam, x - lam * v) - x), None, None
+    else:
+        def cap(t):
+            if not spec.cap_steps:
+                return math.inf
+            return spec.safety_factor / (2.0 + 2.0 * float(sch.lam(t)) * lips(t))
+
+        def step(res, x, v, lam, eps, bet, gam):
+            p = res(lam, x - lam * v)
+            vp = d_eval(p) + eps * p + bet * b_eval(p)
+            return p - x + lam * (v - vp), p, None
+
+    return cap, step, prob.a._resolvent_fn, prob.a.resolvent
+
+
+def _march(mode, prob, sch, x0, spec):
+    """The one marching loop behind integrate_fb, integrate_fbf and integrate_sfbp.
+
+    Step k samples the state at times[k]; its last iteration (k = n) takes no
+    step and records the final state with a freshly evaluated field.
+    """
+    check_mode(mode, prob)
+    x = as_vector(x0, prob.dim).copy()
+    cap, step, res, res_checked = _kernel(mode, prob, sch, spec)
+    times, hs = _build_grid(spec, cap)
+    n = len(hs)
+    # vectorized over the steps; the final sample takes scalar values
+    eps_a, beta_a, lam_a, gam_a = (
+        np.append(_eval_grid(f, times[:-1]), float(f(times[-1])))
+        for f in (sch.eps, sch.beta, sch.lam, sch.gamma))
+    every = spec.store_every
+    picks = np.unique(np.r_[0:n:every, n - 1, n])
+    m, dim = picks.size, prob.dim
+    states, xdots, b1n = np.empty((m, dim)), np.empty((m, dim)), np.empty(m)
+    psi = None if prob.psi1 is None else np.empty(m)
+    aux = np.empty((m, dim)) if mode == "FBF" else None
+    d_eval, b_eval = prob.d.eval, prob.b1.eval
+    i = 0
+    for k in range(n + 1):
+        if k == n:
+            res = res_checked
+        lam = lam_a[k]; eps = eps_a[k]; bet = beta_a[k]
         bx = b_eval(x)
         v = d_eval(x) + eps * x + bet * bx
-        p = resolvent(lam, x - lam * v)
-        dx = gam * (p - x)
-        if rec.want(k, n - 1):
-            rec.push(times[k], x, h, dx, float(np.linalg.norm(bx)),
-                     _psi_at(prob, x + dx), None, lam, eps, bet, gam,
-                     inv_eta + eps + bet / mu)
-        x = x + h * dx
-        if k % 64 == 0 or k == n - 1:
-            _check_state(x, k)
-    _push_final(rec, prob, sch, times[-1], x, hs[-1], mode="FB")
-    return rec.build("FB", n, spec.store_every)
+        dx, p, q = step(res, x, v, lam, eps, bet, gam_a[k])
+        if k % every == 0 or k >= n - 1:
+            states[i] = x
+            xdots[i] = dx
+            b1n[i] = float(np.linalg.norm(bx))
+            if psi is not None:
+                psi[i] = _psi_at(prob, x + dx if q is None else q)
+            if aux is not None:
+                aux[i] = p
+            i += 1
+        if k < n:
+            x = x + hs[k] * dx
+            if k % 64 == 0 or k == n - 1:
+                _check_state(x, k)
+    return Trajectory(
+        mode=mode, times=times[picks], states=states,
+        step_sizes=hs[np.minimum(picks, n - 1)], xdots=xdots, b1_norms=b1n,
+        psi_sums=psi, aux_points=aux, lam=lam_a[picks], eps=eps_a[picks],
+        beta=beta_a[picks], gamma=gam_a[picks],
+        lips=prob.lipschitz_bound(eps_a[picks], beta_a[picks]),
+        n_steps_total=n, step_indices=picks)
+
+
+def integrate_fb(prob, sch, x0, spec):
+    """Relaxed forward-backward marching; requires a cocoercive smooth part."""
+    return _march("FB", prob, sch, x0, spec)
 
 
 def integrate_fbf(prob, sch, x0, spec):
     """Forward-backward-forward marching; no cocoercivity needed for D."""
-    if prob.b2 is not None:
-        raise PreconditionError("forward-backward-forward flow handles a single penalty")
-    x = as_vector(x0, prob.dim).copy()
-    eta, mu = prob.d.eta, prob.b1.mu
-
-    def cap(t):
-        if not spec.cap_steps:
-            return None
-        lam = float(sch.lam(t))
-        lips = 1.0 / eta + float(sch.eps(t)) + float(sch.beta(t)) / mu
-        return spec.safety_factor / (2.0 + 2.0 * lam * lips)
-
-    times, hs = _build_grid(spec, cap)
-    eps_a, beta_a, lam_a, gam_a = _schedule_arrays(sch, times[:-1])
-    n = len(hs)
-    rec = _Recorder(n, prob.dim, spec.store_every, with_aux=True,
-                    with_psi=prob.psi1 is not None)
-    resolvent = prob.a._resolvent_fn
-    d_eval, b_eval = prob.d.eval, prob.b1.eval
-    inv_eta = 1.0 / eta
-    for k in range(n):
-        lam = lam_a[k]; eps = eps_a[k]; bet = beta_a[k]; h = hs[k]
-        bx = b_eval(x)
-        vx = d_eval(x) + eps * x + bet * bx
-        p = resolvent(lam, x - lam * vx)
-        vp = d_eval(p) + eps * p + bet * b_eval(p)
-        dx = p - x + lam * (vx - vp)
-        if rec.want(k, n - 1):
-            rec.push(times[k], x, h, dx, float(np.linalg.norm(bx)),
-                     _psi_at(prob, x + dx), p, lam, eps, bet, gam_a[k],
-                     inv_eta + eps + bet / mu)
-        x = x + h * dx
-        if k % 64 == 0 or k == n - 1:
-            _check_state(x, k)
-    _push_final(rec, prob, sch, times[-1], x, hs[-1], mode="FBF")
-    return rec.build("FBF", n, spec.store_every)
+    return _march("FBF", prob, sch, x0, spec)
 
 
 def integrate_sfbp(prob, sch, x0, spec):
@@ -313,58 +285,7 @@ def integrate_sfbp(prob, sch, x0, spec):
     Records ||B1(x)|| and the penalty sum (psi1+psi2)(x + xdot) per stored
     step; x + xdot is exactly the resolvent output of the discrete scheme.
     """
-    if prob.b2 is None:
-        raise PreconditionError("full-splitting flow needs a second penalty operator")
-    x = as_vector(x0, prob.dim).copy()
-    eta, mu = prob.d.eta, prob.b1.mu
-
-    def cap(t):
-        # x+ stays a convex combination of x and the resolvent point for h <= 1
-        return 1.0
-
-    times, hs = _build_grid(spec, cap)
-    eps_a, beta_a, lam_a, gam_a = _schedule_arrays(sch, times[:-1])
-    n = len(hs)
-    rec = _Recorder(n, prob.dim, spec.store_every, with_aux=False, with_psi=True)
-    shifted = prob.shifted_resolvent_fn()
-    d_eval, b_eval = prob.d.eval, prob.b1.eval
-    inv_eta = 1.0 / eta
-    for k in range(n):
-        lam = lam_a[k]; eps = eps_a[k]; bet = beta_a[k]; h = hs[k]
-        bx = b_eval(x)
-        v = d_eval(x) + eps * x + bet * bx
-        j = shifted(lam, bet, x - lam * v)
-        dx = j - x
-        if rec.want(k, n - 1):
-            rec.push(times[k], x, h, dx, float(np.linalg.norm(bx)),
-                     _psi_at(prob, j), None, lam, eps, bet, gam_a[k],
-                     inv_eta + eps + bet / mu)
-        x = x + h * dx
-        if k % 64 == 0 or k == n - 1:
-            _check_state(x, k)
-    _push_final(rec, prob, sch, times[-1], x, hs[-1], mode="SFBP")
-    return rec.build("SFBP", n, spec.store_every)
-
-
-def _push_final(rec, prob, sch, t, x, h, mode):
-    """Record the final state with a freshly evaluated vector field."""
-    lam = float(sch.lam(t)); eps = float(sch.eps(t))
-    bet = float(sch.beta(t)); gam = float(sch.gamma(t))
-    bx = prob.b1.eval(x)
-    v = prob.d.eval(x) + eps * x + bet * bx
-    p = None
-    if mode == "FB":
-        p_res = prob.a.resolvent(lam, x - lam * v)
-        dx = gam * (p_res - x)
-    elif mode == "FBF":
-        p = prob.a.resolvent(lam, x - lam * v)
-        vp = prob.d.eval(p) + eps * p + bet * prob.b1.eval(p)
-        dx = p - x + lam * (v - vp)
-    else:
-        j = prob.resolvent_shifted(lam, bet, x - lam * v)
-        dx = j - x
-    rec.push(t, x, h, dx, float(np.linalg.norm(bx)), _psi_at(prob, x + dx), p,
-             lam, eps, bet, gam, prob.lipschitz_bound(eps, bet))
+    return _march("SFBP", prob, sch, x0, spec)
 
 
 def ergodic_average(traj, sch):

@@ -64,6 +64,16 @@ def project_pair_ball(u, v):
     return u / scale, v / scale
 
 
+def require_finite(y, what):
+    """``y`` as a float array; ConvergenceFailure when any entry is non-finite."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        finite = y[np.isfinite(y)]
+        worst = float(np.max(np.abs(finite))) if finite.size else math.inf
+        raise ConvergenceFailure(f"{what} produced non-finite output", residual=worst)
+    return y
+
+
 class MonotoneOperator:
     """Maximally monotone operator represented by its resolvent oracle.
 
@@ -101,15 +111,8 @@ class MonotoneOperator:
         x = np.asarray(x, dtype=float)
         if lam < _LAM_FLOOR:
             return x.copy()
-        y = self._resolvent_fn(float(lam), x)
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            finite = y[np.isfinite(y)]
-            worst = float(np.max(np.abs(finite))) if finite.size else math.inf
-            raise ConvergenceFailure(
-                f"resolvent oracle for '{self.kind}' produced non-finite output",
-                residual=worst)
-        return y
+        return require_finite(self._resolvent_fn(float(lam), x),
+                              f"resolvent oracle for '{self.kind}'")
 
     def __repr__(self):
         return f"MonotoneOperator(kind={self.kind!r}, dim={self.dim})"

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .operators import MonotoneOperator
+from .operators import MonotoneOperator, require_finite
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,23 @@ class ProblemInstance:
         return 1.0 / self.d.eta + eps + beta / self.b1.mu
 
     def resolvent_shifted(self, lam, beta, x):
-        """Resolvent of lam * (A + beta*B2), composed at the descriptor level."""
-        if self.b2 is None:
-            raise PreconditionError("instance has no second penalty operator")
-        return _combined_resolvent(self.a, self.b2, lam, beta, x)
+        """Resolvent of lam * (A + beta*B2) at x (validated entry point).
+
+        Rejects negative parameters and raises ConvergenceFailure on
+        non-finite output.
+        """
+        fn = self.shifted_resolvent_fn()
+        if lam < 0 or beta < 0:
+            raise ParameterError("resolvent parameters must be nonnegative")
+        return require_finite(fn(lam, beta, np.asarray(x, dtype=float)),
+                              "combined resolvent")
 
     def shifted_resolvent_fn(self):
         """Specialized (lam, beta, x) -> y closure for the combined resolvent.
 
-        Hoists the descriptor dispatch out of integration loops; raises the
-        same PreconditionError as resolvent_shifted for unsupported pairs.
+        Composes the resolvent at the descriptor level and hoists the
+        descriptor dispatch out of integration loops; raises PreconditionError
+        for pairs it cannot compose exactly.
         """
         if self.b2 is None:
             raise PreconditionError("instance has no second penalty operator")
@@ -116,13 +123,18 @@ class ProblemInstance:
             fn = a._resolvent_fn
             return lambda lam, beta, x: fn(lam, x)
         if a.kind == "box" and b2.kind == "box":
+            # normal cones of overlapping boxes add up to the cone of the intersection
             lo = np.maximum(a.params["lo"], b2.params["lo"])
             hi = np.minimum(a.params["hi"], b2.params["hi"])
             if np.any(lo > hi):
                 raise PreconditionError("box constraints of A and B2 do not intersect")
             return lambda lam, beta, x: np.clip(x, lo, hi)
         if a.kind == "affine" and b2.kind == "affine":
-            return lambda lam, beta, x: _combined_resolvent(a, b2, lam, beta, x)
+            ma, qa = a.params["M"], a.params["q"]
+            mb, qb = b2.params["M"], b2.params["q"]
+            eye = np.eye(ma.shape[0])
+            return lambda lam, beta, x: np.linalg.solve(
+                eye + lam * (ma + beta * mb), x - lam * (qa + beta * qb))
         raise PreconditionError(
             f"no combined resolvent for descriptor pair ({a.kind}, {b2.kind})")
 
@@ -154,28 +166,3 @@ class ProblemInstance:
         if np.any(lo > hi):
             return None
         return lo, hi
-
-
-def _combined_resolvent(a, b2, lam, beta, x):
-    """Resolvent of lam*(A + beta*B2) for the descriptor pairs we can compose exactly."""
-    if lam < 0 or beta < 0:
-        raise ParameterError("resolvent parameters must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if a.kind == "zero":
-        return b2.resolvent(lam * beta, x)
-    if b2.kind == "zero":
-        return a.resolvent(lam, x)
-    if a.kind == "box" and b2.kind == "box":
-        # normal cones of overlapping boxes add up to the cone of the intersection
-        lo = np.maximum(a.params["lo"], b2.params["lo"])
-        hi = np.minimum(a.params["hi"], b2.params["hi"])
-        if np.any(lo > hi):
-            raise PreconditionError("box constraints of A and B2 do not intersect")
-        return np.clip(x, lo, hi)
-    if a.kind == "affine" and b2.kind == "affine":
-        m = a.params["M"] + beta * b2.params["M"]
-        q = a.params["q"] + beta * b2.params["q"]
-        n = m.shape[0]
-        return np.linalg.solve(np.eye(n) + lam * m, x - lam * q)
-    raise PreconditionError(
-        f"no combined resolvent for descriptor pair ({a.kind}, {b2.kind})")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .central_path import central_path
 from .deblur import build_tv_deblur, isnr_series
-from .dynamics import (GeometricGrid, IntegratorSpec, UniformGrid,
+from .dynamics import (GeometricGrid, IntegratorSpec, UniformGrid, check_mode,
                        ergodic_average, integrate_fb, integrate_fbf,
                        integrate_sfbp, tracking_report)
 from .errors import DivergenceError, PreconditionError
@@ -81,13 +81,7 @@ def _spec_from(cfg):
 
 
 def _precheck(cfg, prob):
-    if cfg.mode == "FB" and not prob.d.cocoercive:
-        raise PreconditionError("FB mode needs a cocoercive smooth part; "
-                                f"instance '{prob.name}' is not")
-    if cfg.mode == "SFBP" and prob.b2 is None:
-        raise PreconditionError("SFBP mode needs a two-penalty instance")
-    if cfg.mode in ("FB", "FBF") and prob.b2 is not None:
-        raise PreconditionError(f"{cfg.mode} mode cannot handle a second penalty")
+    check_mode(cfg.mode, prob)
     if not isinstance(cfg.instance, str) and cfg.mode != "FBF":
         raise PreconditionError("the deblurring instance requires FBF mode")
 
@@ -198,8 +192,7 @@ def run_experiment(cfg, out_dir, seed_override=None):
 
     if deblur_inst is not None and cfg.outputs["isnr_csv"]:
         series = isnr_series(deblur_inst, traj)
-        rows = [(i * traj.store_every, traj.times[i], series[i])
-                for i in range(traj.times.size)]
+        rows = zip(traj.step_indices, traj.times, series)
         p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
         report.artifacts.append(p)
         report.metrics["final_isnr_db"] = float(series[-1])

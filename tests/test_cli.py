@@ -85,6 +85,22 @@ class TestConfigParsing:
                           "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2},
                           "outputs": {"plots": True}})
 
+    def test_unknown_top_level_key_named(self):
+        for key in ("store_evry", "safty_factor"):
+            with pytest.raises(ConfigError) as exc:
+                parse_config({"instance": "scalar", "mode": "FB",
+                              "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2},
+                              key: 5})
+            assert exc.value.field == f"$.{key}"
+
+    def test_safety_factor_rejected_for_sfbp(self):
+        base = {"instance": "sfbp-two-penalty", "mode": "SFBP",
+                "schedule": {"family": "polynomial", "r": 0.65, "s": 0.6, "b": 1000}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(base, safety_factor=0.1))
+        assert exc.value.field == "$.safety_factor"
+        assert parse_config(dict(base, cap_steps=False)).cap_steps is False
+
 
 class TestRunExperiment:
     def test_minimal_scalar_run(self, tmp_path):
@@ -160,6 +176,9 @@ class TestRunExperiment:
         assert meta["seed"] == 5 and "clipped_count" in meta
         isnr_lines = (out / "isnr.csv").read_text().splitlines()
         assert isnr_lines[0] == ",".join(ISNR_COLUMNS)
+        # every 50th step, then the state before the last step and the final one
+        steps = [float(line.split(",")[0]) for line in isnr_lines[1:]]
+        assert steps == [float(k) for k in range(0, 500, 50)] + [499.0, 500.0]
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert set(ckpt) == {"t", "x"} and len(ckpt["x"]) == 3 * 32 * 32
 

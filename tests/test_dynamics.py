@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.dynamics import Trajectory
@@ -46,7 +48,8 @@ def manual_trajectory(times, states, lam):
                       xdots=np.zeros_like(states), b1_norms=np.zeros(n),
                       psi_sums=None, aux_points=None,
                       lam=np.asarray(lam, dtype=float), eps=ones, beta=ones,
-                      gamma=ones, lips=ones, n_steps_total=n, store_every=1)
+                      gamma=ones, lips=ones, n_steps_total=n,
+                      step_indices=np.arange(n))
 
 
 class TestForwardBackward:
@@ -227,6 +230,50 @@ class TestFullSplitting:
         assert traj.psi_sums[-1] <= 1e-3
 
 
+def _fb_reference(prob, x, h, lam, eps, bet, gam):
+    p = prob.a.resolvent(lam, x - lam * prob.vfield(eps, bet, x))
+    return (1.0 - gam * h) * x + gam * h * p
+
+
+def _fbf_reference(prob, x, h, lam, eps, bet, gam):
+    p = prob.a.resolvent(lam, x - lam * prob.vfield(eps, bet, x))
+    return x + h * (p - x + lam * (prob.vfield(eps, bet, x) - prob.vfield(eps, bet, p)))
+
+
+def _sfbp_reference(prob, x, h, lam, eps, bet, gam):
+    j = prob.resolvent_shifted(lam, bet, x - lam * prob.vfield(eps, bet, x))
+    return (1.0 - h) * x + h * j
+
+
+class TestSchemesMatchDocstringRecursion:
+    """Each flow, uncapped under a constant schedule, is the module docstring's
+    recursion written out by hand."""
+
+    @pytest.mark.parametrize("integrate, instance, reference", [
+        (pf.integrate_fb, "scalar", _fb_reference),
+        (pf.integrate_fbf, "skew-box", _fbf_reference),
+        (pf.integrate_sfbp, "sfbp-two-penalty", _sfbp_reference),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), h=st.floats(0.05, 1.0), lam=st.floats(0.01, 0.5),
+           eps=st.floats(0.0, 1.0))
+    def test_states_follow_recursion(self, integrate, instance, reference,
+                                     data, h, lam, eps):
+        prob = pf.build_canonical(instance)
+        x0 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=prob.dim,
+                                         max_size=prob.dim)))
+        bet, gam = 1.0, 0.8
+        sch = pf.constant_schedule(eps=eps, beta=bet, lam=lam, gamma=gam)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=5.0), cap_steps=False)
+        traj = integrate(prob, sch, x0, spec)
+        assert traj.n_steps_total == traj.times.size - 1
+        x = x0
+        for k in range(traj.n_steps_total):
+            np.testing.assert_allclose(traj.states[k], x, rtol=1e-14, atol=1e-14)
+            x = reference(prob, x, traj.step_sizes[k], lam, eps, bet, gam)
+        np.testing.assert_allclose(traj.final_state, x, rtol=1e-14, atol=1e-14)
+
+
 class TestErgodicAverage:
     def test_constant_trajectory(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -311,6 +358,11 @@ class TestSpecAndStorage:
         assert thin.final_time == full.final_time
         assert thin.final_state[0] == full.final_state[0]
         assert thin.times.size < full.times.size
+        # every 7th step, then the state before the last step and the final one
+        n = thin.n_steps_total
+        assert list(thin.step_indices) == sorted({*range(0, n, 7), n - 1, n})
+        assert np.array_equal(thin.times, full.times[thin.step_indices])
+        assert np.array_equal(thin.states, full.states[thin.step_indices])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):

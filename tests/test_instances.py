@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
-from penaltyflow.errors import ParameterError, PreconditionError
+from penaltyflow.errors import ConvergenceFailure, ParameterError, PreconditionError
+from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
+
+
+def _two_penalty(a, b2):
+    """D = 0 and B1 = 0 around the given A and B2 pair."""
+    zero = lambda x: np.zeros_like(x)
+    return ProblemInstance(a=a, d=LipschitzOperator(eval=zero, eta=np.inf),
+                           b1=PenaltyOperator(eval=zero, mu=np.inf), b2=b2,
+                           dim=b2.dim or a.dim, psi1=zero, psi2=zero)
 
 
 class TestCanonicalInstances:
@@ -69,6 +78,47 @@ class TestCanonicalInstances:
         prob = pf.build_canonical("scalar")
         with pytest.raises(PreconditionError):
             prob.resolvent_shifted(0.3, 1.0, np.array([0.0]))
+        with pytest.raises(PreconditionError):
+            prob.shifted_resolvent_fn()
+
+    @pytest.mark.parametrize("a, b2, x, expected", [
+        # zero A: the resolvent of lam*beta*B2, here a projection
+        (pf.zero_op(2), pf.box_normal_cone(-1.0, 1.0, dim=2), [3.0, -0.5], [1.0, -0.5]),
+        # zero B2: the resolvent of lam*A
+        (pf.l1_subgradient(1.0, dim=2), pf.zero_op(2), [3.0, -0.5], [2.7, -0.2]),
+        # two boxes: projection onto their intersection
+        (pf.box_normal_cone(0.0, 2.0, dim=2), pf.box_normal_cone(-1.0, 1.0, dim=2),
+         [3.0, -0.5], [1.0, 0.0]),
+        # two affine maps: (I + lam (M1 + beta M2)) y = x - lam (q1 + beta q2)
+        (pf.affine_op(np.eye(2), [1.0, 0.0]), pf.affine_op(2.0 * np.eye(2), [0.0, 1.0]),
+         [3.0, -0.5], [(3.0 - 0.3) / 2.5, (-0.5 - 0.6) / 2.5]),
+    ])
+    def test_combined_resolvent_pairs(self, a, b2, x, expected):
+        prob = _two_penalty(a, b2)
+        fn = prob.shifted_resolvent_fn()
+        x = np.array(x)
+        out = prob.resolvent_shifted(0.3, 2.0, x)
+        assert np.array_equal(out, fn(0.3, 2.0, x))
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("a, b2", [
+        (pf.l1_subgradient(1.0, dim=1), pf.box_normal_cone(-1.0, 1.0, dim=1)),
+        (pf.box_normal_cone(2.0, 3.0, dim=1), pf.box_normal_cone(-1.0, 1.0, dim=1)),
+    ])
+    def test_combined_resolvent_rejects_pair(self, a, b2):
+        prob = _two_penalty(a, b2)
+        with pytest.raises(PreconditionError):
+            prob.shifted_resolvent_fn()
+        with pytest.raises(PreconditionError):
+            prob.resolvent_shifted(0.3, 1.0, np.array([0.0]))
+
+    def test_combined_resolvent_is_validated(self):
+        prob = pf.build_canonical("sfbp-two-penalty")
+        for lam, beta in ((-0.1, 1.0), (0.3, -1.0)):
+            with pytest.raises(ParameterError):
+                prob.resolvent_shifted(lam, beta, np.array([0.0]))
+        with pytest.raises(ConvergenceFailure):
+            prob.resolvent_shifted(0.3, 1.0, np.array([np.nan]))
 
     def test_feasible_boxes(self):
         prob = pf.build_canonical("segment")
