@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError
-from .imaging import discrete_gradient, gaussian_blur, gaussian_kernel, isnr
+from .imaging import (circulant_pairs, discrete_gradient, gaussian_blur,
+                      gaussian_kernel, isnr)
 from .operators import box_normal_cone, pair_ball_cone, product_op
 from .problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
@@ -89,7 +90,10 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
     npx = m * n
     kernel = gaussian_kernel(kernel_size, sigma)
     observed, clipped = degrade_image(original, kernel, noise_std, seed)
-    b_img = observed
+    # K* (K theta - b) == P theta Q - K* b for the kernel's one circulant pair
+    (a, b), = circulant_pairs(kernel, (m, n))
+    p_mat, q_mat = a.T @ a, b.T @ b
+    ktb = a.T @ observed @ b
 
     def d_eval(x):
         theta = x[:npx].reshape(m, n)
@@ -100,10 +104,9 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
         return np.concatenate([adj.ravel(), -lt_u.ravel(), -lt_v.ravel()])
 
     def b_eval(x):
-        theta = x[:npx].reshape(m, n)
-        resid = gaussian_blur(theta, kernel) - b_img
         out = np.zeros_like(x)
-        out[:npx] = gaussian_blur(resid, kernel, adjoint=True).ravel()
+        np.subtract(p_mat @ x[:npx].reshape(m, n) @ q_mat, ktb,
+                    out=out[:npx].reshape(m, n))
         return out
 
     a_op = product_op([(box_normal_cone(0.0, 1.0), npx),

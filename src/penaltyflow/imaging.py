@@ -1,10 +1,10 @@
-"""Image operators: discrete gradient with Neumann boundaries, circular
-Gaussian blur with an exact adjoint, test images, and the ISNR metric."""
+"""Image operators: discrete gradient with Neumann boundaries, circular blur
+by any odd square kernel with an exact adjoint, test images, and the ISNR
+metric."""
 
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import MetricUndefinedError, ParameterError
 
@@ -97,77 +97,53 @@ def gaussian_kernel(size, sigma):
     return k / k.sum()
 
 
-_factor_cache = {}
-
-
-def _separable_factor(kernel):
-    key = (kernel.shape, kernel.tobytes())
-    if key in _factor_cache:
-        return _factor_cache[key]
-    u, s, vt = np.linalg.svd(kernel)
-    if s.size > 1 and s[1] > 1e-13 * s[0]:
-        fac = None
-    else:
-        col = u[:, 0] * math.sqrt(s[0])
-        row = vt[0, :] * math.sqrt(s[0])
-        if col.sum() < 0:
-            col, row = -col, -row
-        fac = (col, row)
-    if len(_factor_cache) > 64:
-        _factor_cache.clear()
-    _factor_cache[key] = fac
-    return fac
-
-
 def _circulant(weights, n):
     """Circular-correlation matrix: row i carries the taps at (i + a) mod n."""
     half = weights.size // 2
+    rows = np.broadcast_to(np.arange(n), (weights.size, n))
+    cols = (rows + np.arange(-half, half + 1)[:, None]) % n
     mat = np.zeros((n, n))
-    for a in range(-half, half + 1):
-        w = weights[a + half]
-        for i in range(n):
-            mat[i, (i + a) % n] += w
+    # add.at accumulates taps that wrap onto one entry in tap order
+    np.add.at(mat, (rows, cols), np.broadcast_to(weights[:, None], rows.shape))
     return mat
 
 
-_circulant_cache = {}
+def circulant_pairs(kernel, shape):
+    """Rank-one circulant pairs (a, b) with K x == sum(a @ x @ b.T).
 
-
-def _circulant_pair(col, row, shape):
-    key = (col.tobytes(), row.tobytes(), shape)
-    if key not in _circulant_cache:
-        if len(_circulant_cache) > 64:
-            _circulant_cache.clear()
-        _circulant_cache[key] = (_circulant(col, shape[0]),
-                                 _circulant(row, shape[1]))
-    return _circulant_cache[key]
-
-
-def gaussian_blur(img, kernel, adjoint=False):
-    """Circular (periodic) correlation with the kernel, or its exact adjoint.
-
-    The adjoint correlates with the point-reflected kernel, which makes
-    <K x, y> == <x, K* y> hold to rounding. Separable kernels take the
-    two-pass fast path; the result is identical either way.
+    K is circular correlation of a shape-(M, N) image with the odd square
+    kernel; the pairs come from the kernel's SVD, keeping the terms with
+    s_i > 1e-13 * s_0, so a Gaussian kernel gives exactly one pair.
     """
-    img = np.asarray(img, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ParameterError("kernel must be square")
     if kernel.shape[0] % 2 == 0:
         raise ParameterError("kernel size must be odd (center required)")
-    if kernel.shape == (1, 1):
-        return img * kernel[0, 0]
-    fac = _separable_factor(kernel)
-    if fac is not None:
-        # circular correlation as two circulant matmuls; the adjoint is the
-        # transposed pair, so <Kx, y> == <x, K*y> holds exactly
-        a, b = _circulant_pair(fac[0], fac[1], img.shape)
-        if adjoint:
-            return a.T @ img @ b
-        return a @ img @ b.T
-    k = kernel[::-1, ::-1] if adjoint else kernel
-    return ndimage.correlate(img, k, mode="wrap")
+    u, s, vt = np.linalg.svd(kernel)
+    pairs = []
+    for i in np.flatnonzero(s > 1e-13 * s[0]):
+        col = u[:, i] * math.sqrt(s[i])
+        row = vt[i, :] * math.sqrt(s[i])
+        if col.sum() < 0:
+            col, row = -col, -row
+        pairs.append((_circulant(col, shape[0]), _circulant(row, shape[1])))
+    return pairs
+
+
+def gaussian_blur(img, kernel, adjoint=False):
+    """Circular (periodic) correlation with the kernel, or its exact adjoint.
+
+    Applied as a sum of circulant matmul pairs; the adjoint uses the
+    transposed pairs, so <K x, y> == <x, K* y> holds to rounding.
+    """
+    img = np.asarray(img, dtype=float)
+    if img.ndim != 2:
+        raise ParameterError("image must be 2-D")
+    out = np.zeros_like(img)
+    for a, b in circulant_pairs(kernel, img.shape):
+        out += a.T @ img @ b if adjoint else a @ img @ b.T
+    return out
 
 
 def isnr(original, degraded, restored):

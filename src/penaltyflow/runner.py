@@ -1,7 +1,9 @@
 """Experiment execution: validate, integrate, diagnose, emit artifacts.
 
 Exit codes: 0 success, 2 schedule validation failed, 3 integration diverged,
-4 precondition violated (incompatible mode/instance), 1 anything else.
+4 precondition violated (incompatible mode/instance), 1 anything else. Codes
+2 and 3, and 1 for a convergence failure, still write report.json with the
+reason.
 """
 
 import json
@@ -17,7 +19,7 @@ from .deblur import build_tv_deblur, isnr_series
 from .dynamics import (GeometricGrid, IntegratorSpec, UniformGrid, check_mode,
                        ergodic_average, integrate_fb, integrate_fbf,
                        integrate_sfbp, tracking_report)
-from .errors import DivergenceError, PreconditionError
+from .errors import ConvergenceFailure, DivergenceError, PreconditionError
 from .imaging import make_test_image
 from .instances import build_canonical
 from .pgmio import atomic_write_text, write_pgm
@@ -86,6 +88,20 @@ def _precheck(cfg, prob):
         raise PreconditionError("the deblurring instance requires FBF mode")
 
 
+def _finish(report, cfg, out_dir):
+    if cfg.outputs["report_json"]:
+        p = os.path.join(out_dir, "report.json")
+        atomic_write_text(p, report.to_json())
+        report.artifacts.append(p)
+    return report
+
+
+def _fail(report, cfg, out_dir, exit_code, message):
+    report.exit_code = exit_code
+    report.messages.append(message)
+    return _finish(report, cfg, out_dir)
+
+
 def run_experiment(cfg, out_dir, seed_override=None):
     """Run one experiment per the config; returns an ExitReport."""
     os.makedirs(out_dir, exist_ok=True)
@@ -112,13 +128,8 @@ def run_experiment(cfg, out_dir, seed_override=None):
     report.metrics["schedule_checks"] = checks
     failed = [c["name"] for c in checks if not c["passed"]]
     if failed:
-        report.exit_code = 2
-        report.messages.append("schedule validation failed: " + ", ".join(failed))
-        if cfg.outputs["report_json"]:
-            p = os.path.join(out_dir, "report.json")
-            atomic_write_text(p, report.to_json())
-            report.artifacts.append(p)
-        return report
+        return _fail(report, cfg, out_dir, 2,
+                     "schedule validation failed: " + ", ".join(failed))
 
     spec = _spec_from(cfg)
     if cfg.x0 == "default":
@@ -133,22 +144,19 @@ def run_experiment(cfg, out_dir, seed_override=None):
 
     integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
                   "SFBP": integrate_sfbp}[cfg.mode]
+    want_tracking = cfg.outputs["tracking"] or cfg.outputs["path_csv"]
+    path_points = None
     try:
         traj = integrator(prob, sch, x0, spec)
+        if want_tracking and deblur_inst is None:
+            path_points = central_path(prob, sch, traj.times, tol=1e-10)
     except DivergenceError as exc:
-        report.exit_code = 3
-        report.messages.append(f"integration diverged: {exc}")
-        if cfg.outputs["report_json"]:
-            p = os.path.join(out_dir, "report.json")
-            atomic_write_text(p, report.to_json())
-            report.artifacts.append(p)
-        return report
+        return _fail(report, cfg, out_dir, 3, f"integration diverged: {exc}")
+    except ConvergenceFailure as exc:
+        return _fail(report, cfg, out_dir, 1, f"convergence failure: {exc}")
 
-    path_points = None
     gaps = None
-    want_tracking = cfg.outputs["tracking"] or cfg.outputs["path_csv"]
-    if want_tracking and deblur_inst is None:
-        path_points = central_path(prob, sch, traj.times, tol=1e-10)
+    if path_points is not None:
         gaps = np.array([float(np.linalg.norm(x - p.xbar))
                          for x, p in zip(traj.states, path_points)])
         trep = tracking_report(traj, path_points)
@@ -218,8 +226,4 @@ def run_experiment(cfg, out_dir, seed_override=None):
             {"t": traj.final_time, "x": [float(v) for v in traj.final_state]}))
         report.artifacts.append(p)
 
-    if cfg.outputs["report_json"]:
-        p = os.path.join(out_dir, "report.json")
-        atomic_write_text(p, report.to_json())
-        report.artifacts.append(p)
-    return report
+    return _finish(report, cfg, out_dir)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import penaltyflow as pf
+from penaltyflow import runner
 from penaltyflow.cli import main
 from penaltyflow.config import load_config, parse_config
-from penaltyflow.errors import ConfigError, FormatError
+from penaltyflow.errors import ConfigError, ConvergenceFailure, FormatError
 from penaltyflow.runner import (ISNR_COLUMNS, PATH_COLUMNS,
                                 TRAJECTORY_COLUMNS, run_experiment)
 
@@ -212,6 +213,18 @@ class TestCliCommands:
         p = tmp_path / "broken.json"
         p.write_text("{ nope")
         assert main(["run", str(p), "--out-dir", str(tmp_path / "o4")]) == 1
+
+    def test_convergence_failure_writes_report(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceFailure("central path solve failed at t=1")
+
+        monkeypatch.setattr(runner, "central_path", failing)
+        out = tmp_path / "o5"
+        assert main(["run", write_config(tmp_path), "--out-dir", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 1
+        assert any("convergence failure" in m and "central path" in m
+                   for m in report["messages"])
 
     def test_validate_command(self, tmp_path):
         ok = write_config(tmp_path, name="v1.json")

@@ -1,11 +1,30 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.deblur import box_muller_noise, degrade_image
 from penaltyflow.errors import MetricUndefinedError, ParameterError
+from penaltyflow.imaging import _circulant
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def periodic_correlation(img, kernel):
+    """Reference: out[i, j] = sum k[p, q] img[(i + p) mod M, (j + q) mod N]."""
+    half = kernel.shape[0] // 2
+    out = np.zeros_like(img)
+    for p in range(-half, half + 1):
+        for q in range(-half, half + 1):
+            out += kernel[p + half, q + half] * np.roll(img, (-p, -q), axis=(0, 1))
+    return out
 
 
 class TestDiscreteGradient:
@@ -75,6 +94,44 @@ class TestGaussianBlur:
             rhs = np.vdot(x, pf.gaussian_blur(y, k, adjoint=True))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(0, 4), m=st.integers(3, 16), n=st.integers(3, 16),
+           gaussian=st.booleans(), sigma=st.floats(0.3, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_periodic_correlation(self, half, m, n, gaussian, sigma, seed):
+        # sides below the kernel size make taps wrap onto one entry
+        rng = np.random.default_rng(seed)
+        size = 2 * half + 1
+        k = (pf.gaussian_kernel(size, sigma) if gaussian
+             else rng.standard_normal((size, size)))
+        x = rng.standard_normal((m, n))
+        y = rng.standard_normal((m, n))
+        kx = pf.gaussian_blur(x, k)
+        assert np.max(np.abs(kx - periodic_correlation(x, k))) <= 1e-12
+        lhs = np.vdot(kx, y)
+        rhs = np.vdot(x, pf.gaussian_blur(y, k, adjoint=True))
+        scale = np.linalg.norm(kx) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("taps", [1, 3, 9])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_circulant_accumulates_in_tap_order(self, taps, n):
+        weights = np.random.default_rng(taps * 100 + n).standard_normal(taps)
+        half = taps // 2
+        ref = np.zeros((n, n))
+        for a in range(-half, half + 1):
+            for i in range(n):
+                ref[i, (i + a) % n] += weights[a + half]
+        assert np.array_equal(_circulant(weights, n), ref)
+
+    def test_shape_errors(self):
+        with pytest.raises(ParameterError):
+            pf.gaussian_blur(np.zeros(5), np.ones((3, 3)))
+        with pytest.raises(ParameterError):
+            pf.gaussian_blur(np.zeros((4, 4)), np.ones((3, 5)))
+        with pytest.raises(ParameterError):
+            pf.gaussian_blur(np.zeros((4, 4)), np.ones((2, 2)))
+
     def test_operator_norm_at_most_one(self):
         # circular correlation with a normalized nonnegative kernel
         rng = np.random.default_rng(2)
@@ -85,6 +142,13 @@ class TestGaussianBlur:
             x = y / np.linalg.norm(y)
         norm_sq = np.vdot(x, pf.gaussian_blur(pf.gaussian_blur(x, k), k, adjoint=True))
         assert norm_sq <= 1.0 + 1e-10
+
+
+def test_import_loads_no_scipy():
+    code = ("import penaltyflow, sys; assert not any(m == 'scipy' or "
+            "m.startswith('scipy.') for m in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestIsnr:
@@ -172,6 +236,25 @@ class TestDeblurInstance:
         rep = pf.verify_certificate(prob.b1, "cocoercive", modulus=1.0,
                                     samples=200, seed=0, dim=prob.dim)
         assert rep.passed
+
+    @pytest.mark.parametrize("kernel_size", [1, 9])
+    def test_fused_penalty_matches_blur_composition(self, kernel_size):
+        inst = pf.build_tv_deblur(pf.make_test_image("checkerboard", 64),
+                                  kernel_size=kernel_size, sigma=4.0)
+        npx = 64 * 64
+        x = np.random.default_rng(3).standard_normal(3 * npx)
+        theta = x[:npx].reshape(64, 64)
+        k = inst.kernel
+        ref = pf.gaussian_blur(pf.gaussian_blur(theta, k) - inst.observed, k,
+                               adjoint=True).ravel()
+        out = inst.problem.b1.eval(x)
+        assert np.linalg.norm(out[:npx] - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.all(out[npx:] == 0.0)
+        lu, lv = pf.discrete_gradient(theta)
+        adj = pf.discrete_gradient((x[npx:2 * npx].reshape(64, 64),
+                                    x[2 * npx:].reshape(64, 64)), adjoint=True)
+        ref_d = np.concatenate([adj.ravel(), -lu.ravel(), -lv.ravel()])
+        assert inst.problem.d.eval(x).tobytes() == ref_d.tobytes()
 
     def test_pixel_range_required(self):
         with pytest.raises(ParameterError):
