@@ -2,7 +2,9 @@
 
 Schema (all fields except "instance", "mode" and "schedule" optional; any
 other top-level key is rejected, and so is "safety_factor" with "SFBP", whose
-only step bound h <= 1 it would not scale):
+only step bound h <= 1 it would not scale; "store_every", "max_steps" and
+"seed" must be integers (5e4 counts, true does not), "cap_steps" a bool and
+"safety_factor" and the "x0" entries numbers):
 
 {
   "instance": "scalar" | {"deblur": {"image": "checkerboard", "size": 32,
@@ -92,6 +94,17 @@ def _require(d, key, types, where):
     return v
 
 
+def _typed(v, kind, field):
+    """``v`` as ``kind`` (int, float or bool), else ConfigError naming ``field``.
+    Numbers exclude bools; an int also takes an integral float (5e4)."""
+    ok = isinstance(v, bool) if kind is bool else (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and (kind is float or isinstance(v, int) or v.is_integer()))
+    if not ok:
+        raise ConfigError(f"expected {kind.__name__}, got {v!r}", field=field)
+    return kind(v)
+
+
 def parse_config(data):
     """Validate a decoded JSON object into an ExperimentConfig."""
     if not isinstance(data, dict):
@@ -137,15 +150,18 @@ def parse_config(data):
     if unknown:
         raise ConfigError(f"unknown output flags {sorted(unknown)}", field="$.outputs")
     x0 = data.get("x0", "default")
-    if not (x0 == "default" or isinstance(x0, list)):
-        raise ConfigError("x0 must be 'default' or a list of numbers", field="$.x0")
+    if x0 != "default":
+        if not isinstance(x0, list):
+            raise ConfigError("x0 must be 'default' or a list of numbers", field="$.x0")
+        x0 = [_typed(v, float, f"$.x0[{i}]") for i, v in enumerate(x0)]
+    max_steps = data.get("max_steps")
     return ExperimentConfig(
         instance=instance, mode=mode, schedule=schedule, grid=grid,
-        safety_factor=float(data.get("safety_factor", 0.5)),
-        cap_steps=bool(data.get("cap_steps", True)),
-        store_every=int(data.get("store_every", 1)),
-        max_steps=None if data.get("max_steps") is None else int(data["max_steps"]),
-        x0=x0, seed=int(data.get("seed", 0)), outputs=outputs)
+        safety_factor=_typed(data.get("safety_factor", 0.5), float, "$.safety_factor"),
+        cap_steps=_typed(data.get("cap_steps", True), bool, "$.cap_steps"),
+        store_every=_typed(data.get("store_every", 1), int, "$.store_every"),
+        max_steps=None if max_steps is None else _typed(max_steps, int, "$.max_steps"),
+        x0=x0, seed=_typed(data.get("seed", 0), int, "$.seed"), outputs=outputs)
 
 
 def load_config(path):

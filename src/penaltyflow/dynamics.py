@@ -7,12 +7,14 @@ The discrete schemes are
   SFBP  X+ = (1 - h) X + h * J_{lam (A + beta B2)}(X - lam V(X))
 
 with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. All three
-share one marching loop, ``_march``; a mode only supplies its step cap
-``cap(t)`` and its step map ``step``, which returns the update direction dx of
-X+ = X + h*dx. FB and FBF steps are capped by the local Lipschitz bound of the
-vector field unless the caller disables it (needed when a test pins an exact
-recursion); FB keeps gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that
-X+ stays a convex combination.
+share one marching loop, ``_march``, which builds the time grid as it goes:
+each step evaluates the schedule once at the current time, sizes the step from
+those values and takes it with the same values. A mode only supplies its step
+cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which returns the
+update direction dx of X+ = X + h*dx. FB and FBF steps are capped by the local
+Lipschitz bound of the vector field unless the caller disables it (needed when
+a test pins an exact recursion); FB keeps gamma*h <= 1 and SFBP keeps h <= 1
+regardless, so that X+ stays a convex combination.
 """
 
 import math
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, PreconditionError
 from .operators import as_vector
-from .schedules import _eval_grid
 
 _BLOWUP = 1e12
 
@@ -79,8 +80,9 @@ class Trajectory:
 
     States are kept every ``store_every`` steps plus the last two (the state
     before the final step and the final state); ``step_indices`` holds the
-    step number of each sample and parallel arrays hold schedule values, the
-    step vector field (xdots) and per-step diagnostics at those samples.
+    step number of each sample and parallel arrays hold the schedule values
+    the step at each sample used, the step vector field (xdots) and per-step
+    diagnostics at those samples.
     """
 
     mode: str
@@ -100,46 +102,12 @@ class Trajectory:
     step_indices: np.ndarray
 
     @property
-    def xdot_norms(self):
-        return np.linalg.norm(self.xdots, axis=1)
-
-    @property
     def final_state(self):
         return self.states[-1]
 
     @property
     def final_time(self):
         return float(self.times[-1])
-
-
-def _build_grid(spec, cap_fn):
-    """Times and steps honoring the requested grid, the cap and max_steps."""
-    g = spec.grid
-    if isinstance(g, UniformGrid):
-        h_req = lambda t, h=g.h: h
-    else:
-        state = {"h": g.h0}
-
-        def h_req(t, state=state, ratio=g.ratio):
-            h = state["h"]
-            state["h"] = h * ratio
-            return h
-
-    T = g.T
-    max_steps = spec.max_steps if spec.max_steps is not None else 50_000_000
-    ts = [0.0]
-    hs = []
-    t = 0.0
-    while t < T - 1e-12 and len(hs) < max_steps:
-        h = min(h_req(t), cap_fn(t), T - t)
-        if h <= 0:
-            raise ParameterError("step size collapsed to zero")
-        hs.append(h)
-        t += h
-        ts.append(t)
-    if not hs:
-        raise ParameterError("empty time grid")
-    return np.asarray(ts), np.asarray(hs)
 
 
 def _check_state(x, k):
@@ -167,22 +135,19 @@ def check_mode(mode, prob):
                                 "use SFBP")
 
 
-def _kernel(mode, prob, sch, spec):
+def _kernel(mode, prob, spec):
     """The mode's step cap, its step map and its backward-step resolvents.
 
-    ``step(res, x, v, lam, eps, beta, gam)`` returns the update direction dx,
-    the auxiliary point (FBF only) and the point the penalty sum is taken at
-    (None for x + dx, which is then formed only for stored samples).
-    ``res`` is the fast resolvent on every step and the validated one (which
-    rejects non-finite output) on the final sample.
+    ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values the
+    step itself uses. ``step(res, x, v, lam, eps, beta, gam)`` returns the
+    update direction dx, the auxiliary point (FBF only) and the point the
+    penalty sum is taken at (None for x + dx, which is then formed only for
+    stored samples). ``res`` is the fast resolvent on every step and the
+    validated one (which rejects non-finite output) on the final sample.
     """
     d_eval, b_eval = prob.d.eval, prob.b1.eval
-
-    def lips(t):
-        return prob.lipschitz_bound(float(sch.eps(t)), float(sch.beta(t)))
-
     if mode == "SFBP":
-        def cap(t):
+        def cap(lam, eps, bet, gam):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
             return 1.0
 
@@ -193,21 +158,20 @@ def _kernel(mode, prob, sch, spec):
         return cap, step, prob.shifted_resolvent_fn(), prob.resolvent_shifted
 
     if mode == "FB":
-        def cap(t):
-            gam = float(sch.gamma(t))
+        def cap(lam, eps, bet, gam):
             h_relax = 1.0 / gam  # keeps the relaxation a convex combination
             if not spec.cap_steps:
                 return h_relax
             return min(h_relax, spec.safety_factor
-                       / (gam * (2.0 + float(sch.lam(t)) * lips(t))))
+                       / (gam * (2.0 + lam * prob.lipschitz_bound(eps, bet))))
 
         def step(res, x, v, lam, eps, bet, gam):
             return gam * (res(lam, x - lam * v) - x), None, None
     else:
-        def cap(t):
+        def cap(lam, eps, bet, gam):
             if not spec.cap_steps:
                 return math.inf
-            return spec.safety_factor / (2.0 + 2.0 * float(sch.lam(t)) * lips(t))
+            return spec.safety_factor / (2.0 + 2.0 * lam * prob.lipschitz_bound(eps, bet))
 
         def step(res, x, v, lam, eps, bet, gam):
             p = res(lam, x - lam * v)
@@ -220,53 +184,68 @@ def _kernel(mode, prob, sch, spec):
 def _march(mode, prob, sch, x0, spec):
     """The one marching loop behind integrate_fb, integrate_fbf and integrate_sfbp.
 
-    Step k samples the state at times[k]; its last iteration (k = n) takes no
-    step and records the final state with a freshly evaluated field.
+    Iteration k evaluates the schedule once at the current time t, sizes the
+    step h = min(requested, cap, T - t) from those values and steps with the
+    same values. The iteration after the last step (k = n) takes no step and
+    records the final state with a freshly evaluated field. Samples go into
+    buffers sized from the uncapped step count and doubled when a binding cap
+    takes more steps.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
-    cap, step, res, res_checked = _kernel(mode, prob, sch, spec)
-    times, hs = _build_grid(spec, cap)
-    n = len(hs)
-    # vectorized over the steps; the final sample takes scalar values
-    eps_a, beta_a, lam_a, gam_a = (
-        np.append(_eval_grid(f, times[:-1]), float(f(times[-1])))
-        for f in (sch.eps, sch.beta, sch.lam, sch.gamma))
-    every = spec.store_every
-    picks = np.unique(np.r_[0:n:every, n - 1, n])
-    m, dim = picks.size, prob.dim
-    states, xdots, b1n = np.empty((m, dim)), np.empty((m, dim)), np.empty(m)
-    psi = None if prob.psi1 is None else np.empty(m)
-    aux = np.empty((m, dim)) if mode == "FBF" else None
+    cap, step, res, res_checked = _kernel(mode, prob, spec)
+    g, every = spec.grid, spec.store_every
+    h_req, ratio = (g.h, 1.0) if isinstance(g, UniformGrid) else (g.h0, g.ratio)
+    T = g.T
+    t_end = T - 1e-12
+    max_steps = 50_000_000 if spec.max_steps is None else spec.max_steps
+    if not (0.0 < t_end and max_steps > 0):
+        raise ParameterError("empty time grid")
+    uncapped = (T / h_req if ratio == 1.0
+                else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
+    rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
+    cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, psi sum
+    vecs = np.empty((3 if mode == "FBF" else 2, rows, prob.dim))  # x, dx, p
     d_eval, b_eval = prob.d.eval, prob.b1.eval
-    i = 0
-    for k in range(n + 1):
-        if k == n:
+    has_psi = prob.psi1 is not None
+    t, k, i, n = 0.0, 0, 0, None
+    while True:
+        lam = sch.lam(t); eps = sch.eps(t); bet = sch.beta(t); gam = sch.gamma(t)
+        if n is None:
+            h = min(h_req, cap(lam, eps, bet, gam), T - t)
+            if h <= 0:
+                raise ParameterError("step size collapsed to zero")
+            if t + h >= t_end or k + 1 == max_steps:
+                n = k + 1  # this is the last step
+        else:
             res = res_checked
-        lam = lam_a[k]; eps = eps_a[k]; bet = beta_a[k]
         bx = b_eval(x)
         v = d_eval(x) + eps * x + bet * bx
-        dx, p, q = step(res, x, v, lam, eps, bet, gam_a[k])
-        if k % every == 0 or k >= n - 1:
-            states[i] = x
-            xdots[i] = dx
-            b1n[i] = float(np.linalg.norm(bx))
-            if psi is not None:
-                psi[i] = _psi_at(prob, x + dx if q is None else q)
-            if aux is not None:
-                aux[i] = p
+        dx, p, q = step(res, x, v, lam, eps, bet, gam)
+        if k % every == 0 or n is not None:
+            if i == rows:
+                cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
+                vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
+                rows *= 2
+            psi = _psi_at(prob, x + dx if q is None else q) if has_psi else 0.0
+            cols[:, i] = t, h, lam, eps, bet, gam, np.linalg.norm(bx), psi
+            vecs[0, i], vecs[1, i] = x, dx
+            if p is not None:
+                vecs[2, i] = p
             i += 1
-        if k < n:
-            x = x + hs[k] * dx
-            if k % 64 == 0 or k == n - 1:
-                _check_state(x, k)
+        if k == n:
+            break
+        x = x + h * dx
+        if k % 64 == 0 or k + 1 == n:
+            _check_state(x, k)
+        t, k, h_req = t + h, k + 1, h_req * ratio
+    times, hs, lam, eps, bet, gam, b1n, psi = cols[:, :i]
     return Trajectory(
-        mode=mode, times=times[picks], states=states,
-        step_sizes=hs[np.minimum(picks, n - 1)], xdots=xdots, b1_norms=b1n,
-        psi_sums=psi, aux_points=aux, lam=lam_a[picks], eps=eps_a[picks],
-        beta=beta_a[picks], gamma=gam_a[picks],
-        lips=prob.lipschitz_bound(eps_a[picks], beta_a[picks]),
-        n_steps_total=n, step_indices=picks)
+        mode=mode, times=times, states=vecs[0, :i], step_sizes=hs,
+        xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi if has_psi else None,
+        aux_points=vecs[2, :i] if mode == "FBF" else None, lam=lam, eps=eps,
+        beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
+        n_steps_total=n, step_indices=np.unique(np.r_[0:n:every, n - 1, n]))
 
 
 def integrate_fb(prob, sch, x0, spec):

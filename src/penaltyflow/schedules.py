@@ -89,7 +89,7 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
 
     if gamma_kind == "constant":
         def gamma(t):
-            return gamma_bar * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else gamma_bar
+            return gamma_bar + 0.0 * t  # a float for scalar t, an array for array t
     else:
         # cos(1/t) changes sign near 0; restrict to t >= 1 where it is positive
         def gamma(t):
@@ -108,7 +108,7 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
 
 def constant_schedule(eps, beta, lam, gamma=1.0):
     """Constant parameters; handy for frozen-recursion tests."""
-    mk = lambda c: (lambda t: c * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else c)
+    mk = lambda c: (lambda t: c + 0.0 * t)
     return Schedule(mk(eps), mk(beta), mk(lam), mk(gamma), mk(0.0), mk(0.0),
                     family="custom", params={"eps": eps, "beta": beta, "lam": lam, "gamma": gamma})
 

@@ -102,6 +102,35 @@ class TestConfigParsing:
         assert exc.value.field == "$.safety_factor"
         assert parse_config(dict(base, cap_steps=False)).cap_steps is False
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("store_every", "abc", "$.store_every"),
+        ("store_every", True, "$.store_every"),
+        ("store_every", 2.5, "$.store_every"),
+        ("max_steps", "x", "$.max_steps"),
+        ("seed", [1], "$.seed"),
+        ("safety_factor", "half", "$.safety_factor"),
+        ("cap_steps", "no", "$.cap_steps"),
+        ("cap_steps", 0, "$.cap_steps"),
+        ("x0", ["a"], "$.x0[0]"),
+        ("x0", [False], "$.x0[0]"),
+    ])
+    def test_mistyped_scalar_named(self, tmp_path, key, value, field):
+        base = {"instance": "scalar", "mode": "FB",
+                "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(dict(base, **{key: value}))
+        assert exc.value.field == field
+        path = write_config(tmp_path, **{key: value})
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 1
+
+    def test_integral_float_counts(self):
+        cfg = parse_config({"instance": "scalar", "mode": "FB",
+                            "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2},
+                            "max_steps": 5e4, "store_every": 2.0, "seed": 3,
+                            "x0": [1]})
+        assert (cfg.max_steps, cfg.store_every, cfg.seed) == (50000, 2, 3)
+        assert type(cfg.max_steps) is int and cfg.x0 == [1.0]
+
 
 class TestRunExperiment:
     def test_minimal_scalar_run(self, tmp_path):

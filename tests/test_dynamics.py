@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -274,6 +275,104 @@ class TestSchemesMatchDocstringRecursion:
         np.testing.assert_allclose(traj.final_state, x, rtol=1e-14, atol=1e-14)
 
 
+_MODES = {"FB": (pf.integrate_fb, "scalar", (0.1, 0.2, 1.0)),
+          "FBF": (pf.integrate_fbf, "skew-box", (0.05, 0.25, 1.0)),
+          "SFBP": (pf.integrate_sfbp, "sfbp-two-penalty", (0.65, 0.6, 1000.0))}
+
+
+def reference_grid(mode, prob, sch, spec):
+    """Times and steps by the two-pass algorithm the marching loop replaced:
+    a grid pass that sizes each step from a scalar schedule evaluation."""
+    g = spec.grid
+    if isinstance(g, pf.UniformGrid):
+        h_req = lambda t, h=g.h: h
+    else:
+        state = {"h": g.h0}
+
+        def h_req(t, state=state, ratio=g.ratio):
+            h = state["h"]
+            state["h"] = h * ratio
+            return h
+
+    def cap(t):
+        if mode == "SFBP":
+            return 1.0
+        lam, eps, bet, gam = (float(f(t)) for f in
+                              (sch.lam, sch.eps, sch.beta, sch.gamma))
+        lips = prob.lipschitz_bound(eps, bet)
+        if mode == "FB":
+            if not spec.cap_steps:
+                return 1.0 / gam
+            return min(1.0 / gam, spec.safety_factor / (gam * (2.0 + lam * lips)))
+        if not spec.cap_steps:
+            return math.inf
+        return spec.safety_factor / (2.0 + 2.0 * lam * lips)
+
+    max_steps = spec.max_steps if spec.max_steps is not None else 50_000_000
+    ts, hs, t = [0.0], [], 0.0
+    while t < g.T - 1e-12 and len(hs) < max_steps:
+        h = min(h_req(t), cap(t), g.T - t)
+        hs.append(h)
+        t += h
+        ts.append(t)
+    return np.asarray(ts), np.asarray(hs)
+
+
+def counting_schedule(sch):
+    """``sch`` with eps, beta, lam and gamma recording every argument."""
+    calls = {name: [] for name in ("eps", "beta", "lam", "gamma")}
+
+    def wrap(fn, seen):
+        def f(t):
+            seen.append(t)
+            return fn(t)
+        return f
+
+    return dataclasses.replace(sch, **{name: wrap(getattr(sch, name), seen)
+                                       for name, seen in calls.items()}), calls
+
+
+class TestGridAndScheduleEvaluation:
+    @pytest.mark.parametrize("mode", list(_MODES))
+    @settings(max_examples=25, deadline=None)
+    @given(geometric=st.booleans(), h=st.floats(0.05, 2.0),
+           ratio=st.floats(1.0, 1.3), T=st.floats(0.5, 40.0),
+           cap_steps=st.booleans(), safety=st.floats(0.1, 1.0),
+           max_steps=st.none() | st.integers(1, 40),
+           cos_gamma=st.booleans())
+    def test_grid_matches_two_pass_reference(self, mode, geometric, h, ratio, T,
+                                             cap_steps, safety, max_steps,
+                                             cos_gamma):
+        integrate, name, (r, s, b) = _MODES[mode]
+        prob = pf.build_canonical(name)
+        sch = pf.polynomial_schedule(r, s, b, 0.9, 1.0,
+                                     "cos-inverse" if cos_gamma else "constant")
+        grid = (pf.GeometricGrid(h0=h, ratio=ratio, T=T) if geometric
+                else pf.UniformGrid(h=h, T=T))
+        kw = {} if mode == "SFBP" else {"safety_factor": safety}
+        spec = pf.IntegratorSpec(grid=grid, cap_steps=cap_steps,
+                                 max_steps=max_steps, **kw)
+        traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
+        times, hs = reference_grid(mode, prob, sch, spec)
+        n = hs.size
+        assert traj.n_steps_total == n
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.step_sizes, np.append(hs, hs[-1]))
+        assert np.array_equal(traj.step_indices, np.arange(n + 1))
+
+    @pytest.mark.parametrize("mode", list(_MODES))
+    def test_schedule_evaluated_once_per_sample_time(self, mode):
+        integrate, name, (r, s, b) = _MODES[mode]
+        prob = pf.build_canonical(name)
+        sch, calls = counting_schedule(pf.polynomial_schedule(r, s, b, 0.9, 1.0))
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.7, T=20.0))
+        traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
+        for field, seen in calls.items():
+            assert len(seen) == traj.n_steps_total + 1, field
+            assert all(np.ndim(t) == 0 for t in seen), field
+            assert np.array_equal(seen, traj.times), field
+
+
 class TestErgodicAverage:
     def test_constant_trajectory(self):
         t = np.linspace(0.0, 1.0, 11)
@@ -363,6 +462,27 @@ class TestSpecAndStorage:
         assert list(thin.step_indices) == sorted({*range(0, n, 7), n - 1, n})
         assert np.array_equal(thin.times, full.times[thin.step_indices])
         assert np.array_equal(thin.states, full.states[thin.step_indices])
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_recorder_grows_past_uncapped_estimate(self, every):
+        # the cap (about 0.26) takes about 4*T/h steps, more than the buffers
+        # sized from the uncapped count T/h hold
+        prob = pf.build_canonical("skew-box")
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
+        grid = pf.UniformGrid(h=1.0, T=100.0)
+        x0 = np.array([1.0, -0.5])
+        full = pf.integrate_fbf(prob, sch, x0, pf.IntegratorSpec(grid=grid))
+        thin = pf.integrate_fbf(prob, sch, x0,
+                                pf.IntegratorSpec(grid=grid, store_every=every))
+        n = thin.n_steps_total
+        assert n == full.n_steps_total and n > 3 * 100
+        picks = sorted({*range(0, n, every), n - 1, n})
+        assert list(thin.step_indices) == picks
+        assert np.array_equal(full.step_indices, np.arange(n + 1))
+        for name in ("times", "states", "step_sizes", "xdots", "aux_points",
+                     "b1_norms", "lam", "eps", "beta", "gamma", "lips"):
+            assert np.array_equal(getattr(thin, name),
+                                  getattr(full, name)[picks]), name
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):

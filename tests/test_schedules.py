@@ -71,6 +71,27 @@ class TestPolynomialFamily:
         assert np.all(np.diff(eps) < 0) and np.all(np.diff(beta) > 0)
 
 
+class TestConstantCallables:
+    @pytest.mark.parametrize("sch, value", [
+        (pf.constant_schedule(eps=0.3, beta=2, lam=0.5, gamma=1), None),
+        (pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 0.7), 0.7),
+    ])
+    def test_scalar_and_array_calls(self, sch, value):
+        if value is None:
+            fields = {f: sch.params.get(f, 0.0) for f in
+                      ("eps", "beta", "lam", "gamma", "deps", "dbeta")}
+        else:
+            fields = {"gamma": value}
+        t = np.array([[0.0, 1.5], [1e3, 7.0], [2.0, 1e8]])
+        for name, c in fields.items():
+            fn = getattr(sch, name)
+            for s in (0.0, 3, 12.5):
+                assert type(fn(s)) is float and fn(s) == c, name
+            out = fn(t)
+            assert out.shape == t.shape and out.dtype == float, name
+            assert np.array_equal(out, np.full(t.shape, float(c))), name
+
+
 class TestValidators:
     def test_fb_reference_verdict_passes(self):
         rep = pf.validate_schedule(pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0),
