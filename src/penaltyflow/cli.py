@@ -10,7 +10,7 @@ from .errors import (ConfigError, ConvergenceFailure, FormatError,
                      UnsupportedInstanceError)
 from .instances import CANONICAL_NAMES, build_canonical
 from .oracle import active_set_solve, high_precision_reference
-from .runner import _build_instance, run_experiment
+from .runner import _build_instance, _precheck, run_experiment
 from .schedules import attouch_czarnecki_check, validate_schedule
 
 
@@ -27,6 +27,7 @@ def _cmd_run(args):
 def _cmd_validate(args):
     cfg = load_config(args.config)
     prob, _ = _build_instance(cfg)
+    _precheck(cfg, prob)
     sch = cfg.schedule_obj()
     rep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
     print(rep)
@@ -76,10 +77,8 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ParameterError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceFailure, UnsupportedInstanceError) as exc:
+    except (ConfigError, ParameterError, FormatError, ConvergenceFailure,
+            UnsupportedInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,7 @@
 """Experiment configuration: JSON schema, parsing and validation.
 
-Schema (all fields except "instance", "mode" and "schedule" optional; any
-other top-level key is rejected, and so is "safety_factor" with "SFBP", whose
-only step bound h <= 1 it would not scale; "store_every", "max_steps" and
-"seed" must be integers (5e4 counts, true does not), "cap_steps" a bool and
-"safety_factor" and the "x0" entries numbers):
+Schema ("instance", "mode" and "schedule" required, and in "schedule" the
+keys "family", "r" and "s"; every other key takes the default shown):
 
 {
   "instance": "scalar" | {"deblur": {"image": "checkerboard", "size": 32,
@@ -12,8 +9,9 @@ only step bound h <= 1 it would not scale; "store_every", "max_steps" and
                                       "noise_std": 0.001}},
   "mode": "FB" | "FBF" | "SFBP",
   "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2, "b": 1,
-               "lambda_bar": 0.9, "gamma_bar": 1.0},
-  "grid": {"kind": "uniform", "h": 0.2, "T": 1e4}
+               "lambda_bar": 0.9, "gamma_bar": 1.0,
+               "gamma_kind": "constant" | "cos-inverse"},
+  "grid": {"kind": "uniform", "h": 0.2, "T": 1e3}
           | {"kind": "geometric", "h0": 0.01, "ratio": 1.001, "T": 1e4},
   "safety_factor": 0.5,
   "cap_steps": true,
@@ -25,79 +23,91 @@ only step bound h <= 1 it would not scale; "store_every", "max_steps" and
               "images": false, "checkpoint": false, "isnr_csv": false,
               "tracking": false}
 }
+
+Every object is checked against its table below: unknown keys are rejected
+and every value typed (integers take an integral float such as 5e4, not a
+bool; numbers are never bools or strings; null only for "max_steps"), and a
+grid takes the fields of the dataclass its "kind" names. "safety_factor" is
+rejected with "SFBP", whose only step bound h <= 1 it would not scale. Errors
+name their path, such as $.grid.h or $.instance.deblur.size.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import ConfigError
+from .dynamics import GeometricGrid, UniformGrid
+from .errors import ConfigError, ParameterError
 from .schedules import Schedule, polynomial_schedule
 
 _MODES = ("FB", "FBF", "SFBP")
+_GRIDS = {"uniform": UniformGrid, "geometric": GeometricGrid}
 
-_DEFAULT_OUTPUTS = {"trajectory_csv": True, "path_csv": False,
-                    "report_json": True, "images": False, "checkpoint": False,
-                    "isnr_csv": False, "tracking": False}
+_REQUIRED = object()  # the default of a key that must be given
+
+# Tables: key -> (type, default). A dict type is a nested table; type object
+# passes the value through for parse_config to check.
+_SCHEDULE = {"family": (str, _REQUIRED), "r": (float, _REQUIRED),
+             "s": (float, _REQUIRED), "b": (float, 1.0),
+             "lambda_bar": (float, 0.9), "gamma_bar": (float, 1.0),
+             "gamma_kind": (str, "constant")}
+_DEBLUR = {"image": (str, "checkerboard"), "size": (int, 32),
+           "kernel_size": (int, 9), "sigma": (float, 4.0),
+           "noise_std": (float, 1e-3)}
+_OUTPUTS = {"trajectory_csv": (bool, True), "path_csv": (bool, False),
+            "report_json": (bool, True), "images": (bool, False),
+            "checkpoint": (bool, False), "isnr_csv": (bool, False),
+            "tracking": (bool, False)}
+_TOP = {"instance": (object, _REQUIRED), "mode": (str, _REQUIRED),
+        "schedule": (_SCHEDULE, _REQUIRED),
+        "grid": (object, {"kind": "uniform", "h": 0.2, "T": 1e3}),
+        "safety_factor": (float, 0.5), "cap_steps": (bool, True),
+        "store_every": (int, 1), "max_steps": (int, None),
+        "x0": (object, "default"), "seed": (int, 0),
+        "outputs": (_OUTPUTS, {})}
 
 
 @dataclass
 class ExperimentConfig:
+    """A checked config: ``grid`` is a UniformGrid or GeometricGrid, ``schedule``
+    and ``outputs`` are typed dicts, ``instance`` a name or {"deblur": {...}}."""
+
     instance: object
     mode: str
     schedule: dict
-    grid: dict
-    safety_factor: float = 0.5
-    cap_steps: bool = True
-    store_every: int = 1
-    max_steps: Optional[int] = None
-    x0: object = "default"
-    seed: int = 0
-    outputs: dict = field(default_factory=lambda: dict(_DEFAULT_OUTPUTS))
+    grid: object
+    safety_factor: float
+    cap_steps: bool
+    store_every: int
+    max_steps: Optional[int]
+    x0: object
+    seed: int
+    outputs: dict
 
     def schedule_obj(self):
         return schedule_from_dict(self.schedule)
 
 
-_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-
 def schedule_from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError("must be an object", field="schedule")
-    if d.get("family") != "polynomial":
+    """The polynomial Schedule a JSON "schedule" object describes."""
+    p = _section(d, _SCHEDULE, "$.schedule")
+    if p.pop("family") != "polynomial":
         raise ConfigError("only the polynomial family is JSON-constructible",
-                          field="schedule.family")
+                          field="$.schedule.family")
     try:
-        return polynomial_schedule(float(d["r"]), float(d["s"]),
-                                   float(d.get("b", 1.0)),
-                                   float(d.get("lambda_bar", 0.9)),
-                                   float(d.get("gamma_bar", 1.0)),
-                                   d.get("gamma_kind", "constant"))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field="schedule") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="schedule") from exc
+        return polynomial_schedule(**p)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), field="$.schedule") from exc
 
 
 def schedule_to_dict(sch: Schedule):
     return sch.to_dict()
 
 
-def _require(d, key, types, where):
-    if key not in d:
-        raise ConfigError("missing required field", field=f"{where}.{key}")
-    v = d[key]
-    if not isinstance(v, types):
-        raise ConfigError(f"expected {types}, got {type(v).__name__}",
-                          field=f"{where}.{key}")
-    return v
-
-
 def _typed(v, kind, field):
-    """``v`` as ``kind`` (int, float or bool), else ConfigError naming ``field``.
-    Numbers exclude bools; an int also takes an integral float (5e4)."""
-    ok = isinstance(v, bool) if kind is bool else (
+    """``v`` as ``kind`` (int, float, bool or str), else ConfigError naming
+    ``field``. Numbers exclude bools; an int also takes an integral float (5e4)."""
+    ok = isinstance(v, kind) if kind in (bool, str) else (
         isinstance(v, (int, float)) and not isinstance(v, bool)
         and (kind is float or isinstance(v, int) or v.is_integer()))
     if not ok:
@@ -105,63 +115,63 @@ def _typed(v, kind, field):
     return kind(v)
 
 
+def _section(d, table, where):
+    """A new dict holding object ``d`` checked against ``table``, every value
+    typed and every missing key set to its default. ``where`` is the path of
+    ``d``; errors name ``where.key``."""
+    if not isinstance(d, dict):
+        raise ConfigError("must be an object", field=where)
+    for key in d:
+        if key not in table:
+            raise ConfigError("unknown field", field=f"{where}.{key}")
+    out = {}
+    for key, (kind, default) in table.items():
+        path, v = f"{where}.{key}", d.get(key, default)
+        if v is _REQUIRED:
+            raise ConfigError("missing required field", field=path)
+        if isinstance(kind, dict):
+            v = _section(v, kind, path)
+        elif kind is not object and not (v is None and default is None):
+            v = _typed(v, kind, path)
+        out[key] = v
+    return out
+
+
+def _grid(d):
+    """The grid ``d`` describes; its numbers are the dataclass fields of its kind."""
+    # a non-object d is rejected by _section below
+    kind = d.get("kind") if isinstance(d, dict) else "uniform"
+    cls = _GRIDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"must be one of {tuple(_GRIDS)}", field="$.grid.kind")
+    names = [f.name for f in fields(cls)]
+    g = _section(d, {"kind": (str, _REQUIRED), **{n: (float, _REQUIRED) for n in names}},
+                 "$.grid")
+    return cls(*(g[n] for n in names))
+
+
 def parse_config(data):
-    """Validate a decoded JSON object into an ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level must be an object", field="$")
-    for key in data:
-        if key not in _FIELDS:
-            raise ConfigError("unknown field", field=f"$.{key}")
-    instance = _require(data, "instance", (str, dict), "$")
-    if isinstance(instance, dict):
-        if set(instance.keys()) != {"deblur"}:
-            raise ConfigError("instance object must have the single key 'deblur'",
-                              field="$.instance")
-        db = instance["deblur"]
-        if not isinstance(db, dict):
-            raise ConfigError("must be an object", field="$.instance.deblur")
-        db.setdefault("image", "checkerboard")
-        db.setdefault("size", 32)
-        db.setdefault("kernel_size", 9)
-        db.setdefault("sigma", 4.0)
-        db.setdefault("noise_std", 1e-3)
-    mode = _require(data, "mode", str, "$")
-    if mode not in _MODES:
+    """Validate a decoded JSON object into an ExperimentConfig; ``data`` is not
+    modified."""
+    top = _section(data, _TOP, "$")
+    if isinstance(top["instance"], dict):
+        top["instance"] = _section(top["instance"], {"deblur": (_DEBLUR, _REQUIRED)},
+                                   "$.instance")
+    elif not isinstance(top["instance"], str):
+        raise ConfigError("must be a name or an object", field="$.instance")
+    if top["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}", field="$.mode")
-    if mode == "SFBP" and "safety_factor" in data:
+    if top["mode"] == "SFBP" and "safety_factor" in data:
         raise ConfigError("SFBP steps are bounded only by h <= 1, which "
                           "safety_factor does not scale", field="$.safety_factor")
-    schedule = _require(data, "schedule", dict, "$")
-    schedule_from_dict(schedule)  # validates now, rebuilt by the runner
-    grid = data.get("grid", {"kind": "uniform", "h": 0.2, "T": 1e3})
-    kind = grid.get("kind")
-    if kind == "uniform":
-        for k in ("h", "T"):
-            _require(grid, k, (int, float), "$.grid")
-    elif kind == "geometric":
-        for k in ("h0", "ratio", "T"):
-            _require(grid, k, (int, float), "$.grid")
-    else:
-        raise ConfigError("grid.kind must be 'uniform' or 'geometric'",
-                          field="$.grid.kind")
-    outputs = dict(_DEFAULT_OUTPUTS)
-    outputs.update(data.get("outputs", {}))
-    unknown = set(outputs) - set(_DEFAULT_OUTPUTS)
-    if unknown:
-        raise ConfigError(f"unknown output flags {sorted(unknown)}", field="$.outputs")
-    x0 = data.get("x0", "default")
+    schedule_from_dict(top["schedule"])  # checks the ranges; the runner rebuilds it
+    top["grid"] = _grid(top["grid"])
+    x0 = top["x0"]
     if x0 != "default":
         if not isinstance(x0, list):
             raise ConfigError("x0 must be 'default' or a list of numbers", field="$.x0")
-        x0 = [_typed(v, float, f"$.x0[{i}]") for i, v in enumerate(x0)]
-    max_steps = data.get("max_steps")
-    return ExperimentConfig(
-        instance=instance, mode=mode, schedule=schedule, grid=grid,
-        safety_factor=_typed(data.get("safety_factor", 0.5), float, "$.safety_factor"),
-        cap_steps=_typed(data.get("cap_steps", True), bool, "$.cap_steps"),
-        store_every=_typed(data.get("store_every", 1), int, "$.store_every"),
-        max_steps=None if max_steps is None else _typed(max_steps, int, "$.max_steps"),
-        x0=x0, seed=_typed(data.get("seed", 0), int, "$.seed"), outputs=outputs)
+        top["x0"] = [_typed(v, float, f"$.x0[{i}]") for i, v in enumerate(x0)]
+    return ExperimentConfig(**top)
 
 
 def load_config(path):

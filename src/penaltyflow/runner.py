@@ -9,16 +9,16 @@ reason.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 import numpy as np
 
 from .central_path import central_path
 from .deblur import build_tv_deblur, isnr_series
-from .dynamics import (GeometricGrid, IntegratorSpec, UniformGrid, check_mode,
-                       ergodic_average, integrate_fb, integrate_fbf,
-                       integrate_sfbp, tracking_report)
+from .dynamics import (IntegratorSpec, check_mode, ergodic_average,
+                       integrate_fb, integrate_fbf, integrate_sfbp,
+                       tracking_report)
 from .errors import ConvergenceFailure, DivergenceError, PreconditionError
 from .imaging import make_test_image
 from .instances import build_canonical
@@ -64,22 +64,10 @@ def _build_instance(cfg):
     if isinstance(cfg.instance, str):
         return build_canonical(cfg.instance), None
     db = cfg.instance["deblur"]
-    original = make_test_image(db["image"], int(db["size"]))
-    inst = build_tv_deblur(original, kernel_size=int(db["kernel_size"]),
-                           sigma=float(db["sigma"]),
-                           noise_std=float(db["noise_std"]), seed=cfg.seed)
+    inst = build_tv_deblur(make_test_image(db["image"], db["size"]),
+                           kernel_size=db["kernel_size"], sigma=db["sigma"],
+                           noise_std=db["noise_std"], seed=cfg.seed)
     return inst.problem, inst
-
-
-def _spec_from(cfg):
-    g = cfg.grid
-    if g["kind"] == "uniform":
-        grid = UniformGrid(float(g["h"]), float(g["T"]))
-    else:
-        grid = GeometricGrid(float(g["h0"]), float(g["ratio"]), float(g["T"]))
-    return IntegratorSpec(grid=grid, safety_factor=cfg.safety_factor,
-                          cap_steps=cfg.cap_steps, store_every=cfg.store_every,
-                          max_steps=cfg.max_steps)
 
 
 def _precheck(cfg, prob):
@@ -106,7 +94,7 @@ def run_experiment(cfg, out_dir, seed_override=None):
     """Run one experiment per the config; returns an ExitReport."""
     os.makedirs(out_dir, exist_ok=True)
     if seed_override is not None:
-        cfg.seed = int(seed_override)
+        cfg = replace(cfg, seed=seed_override)
     report = ExitReport(exit_code=0)
 
     prob, deblur_inst = _build_instance(cfg)
@@ -131,7 +119,9 @@ def run_experiment(cfg, out_dir, seed_override=None):
         return _fail(report, cfg, out_dir, 2,
                      "schedule validation failed: " + ", ".join(failed))
 
-    spec = _spec_from(cfg)
+    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
+                          cap_steps=cfg.cap_steps, store_every=cfg.store_every,
+                          max_steps=cfg.max_steps)
     if cfg.x0 == "default":
         if deblur_inst is not None:
             x0 = deblur_inst.x0

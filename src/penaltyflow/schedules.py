@@ -43,9 +43,10 @@ class Schedule:
     def to_dict(self):
         if self.family != "polynomial":
             raise ParameterError("only polynomial schedules serialize to JSON")
-        p = self.params
-        return {"family": "polynomial", "r": p["r"], "s": p["s"], "b": p["b"],
-                "lambda_bar": p["lambda_bar"], "gamma_bar": p["gamma_bar"]}
+        d = {"family": "polynomial", **self.params}
+        if d["gamma_kind"] == "constant":
+            del d["gamma_kind"]  # the default, which configs leave out
+        return d
 
 
 def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="constant"):

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow import runner
+from penaltyflow import config, runner
 from penaltyflow.cli import main
 from penaltyflow.config import load_config, parse_config
 from penaltyflow.errors import ConfigError, ConvergenceFailure, FormatError
@@ -28,6 +33,71 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# valid values where the table's type alone does not make one
+VALID = {
+    "$.mode": st.sampled_from(("FB", "FBF", "SFBP")),
+    "$.max_steps": st.none() | st.integers(1, 10**6),
+    "$.schedule.family": st.just("polynomial"),
+    "$.schedule.r": st.floats(0.01, 0.99),
+    "$.schedule.s": st.floats(0.01, 2.0),
+    "$.schedule.b": st.floats(1.0, 100.0) | st.integers(1, 100),
+    "$.schedule.lambda_bar": st.floats(0.01, 2.0),
+    "$.schedule.gamma_bar": st.floats(0.01, 1.0),
+    "$.schedule.gamma_kind": st.sampled_from(("constant", "cos-inverse")),
+    "$.instance.deblur.image": st.sampled_from(("checkerboard", "disk", "ramp")),
+}
+BY_TYPE = {bool: st.booleans(),
+           int: st.integers(1, 10**6) | st.integers(1, 1000).map(float),
+           float: st.floats(1e-3, 1e3) | st.integers(1, 1000)}
+# values of another JSON type than the leaf's (null is dropped where allowed)
+WRONG = {bool: ["no", [1], 0, None], int: ["3", [1], True, 2.5, None],
+         float: ["0.5", [1], True, None], str: [[1], True, 3, None]}
+
+
+def draw_object(draw, table, where, leaves):
+    obj = {}
+    for key, (kind, default) in table.items():
+        if default is not config._REQUIRED and draw(st.booleans()):
+            continue
+        path = f"{where}.{key}"
+        if isinstance(kind, dict):
+            obj[key] = draw_object(draw, kind, path, leaves)
+        else:
+            obj[key] = draw(VALID.get(path, BY_TYPE.get(kind)))
+            leaves.append((obj, key, path, kind, default))
+    return obj
+
+
+@st.composite
+def valid_configs(draw):
+    """A config drawn from the schema tables, with every leaf as
+    (container, key, path, type, default)."""
+    leaves = []
+    top = {k: v for k, v in config._TOP.items() if v[0] is not object}
+    cfg = draw_object(draw, top, "$", leaves)
+    if cfg["mode"] == "SFBP" and "safety_factor" in cfg:
+        del cfg["safety_factor"]
+        leaves = [leaf for leaf in leaves if leaf[2] != "$.safety_factor"]
+    if draw(st.booleans()):
+        cfg["instance"] = {"deblur": draw_object(
+            draw, config._DEBLUR, "$.instance.deblur", leaves)}
+    else:
+        cfg["instance"] = draw(st.sampled_from(pf.CANONICAL_NAMES))
+        leaves.append((cfg, "instance", "$.instance", str, config._REQUIRED))
+    kind = draw(st.sampled_from(sorted(config._GRIDS)))
+    grid = cfg["grid"] = {"kind": kind}
+    leaves.append((grid, "kind", "$.grid.kind", str, config._REQUIRED))
+    for f in dataclasses.fields(config._GRIDS[kind]):
+        grid[f.name] = draw(BY_TYPE[float])
+        leaves.append((grid, f.name, f"$.grid.{f.name}", float,
+                       config._REQUIRED))
+    if draw(st.booleans()):
+        x0 = cfg["x0"] = draw(st.lists(BY_TYPE[float], min_size=1, max_size=3))
+        leaves.extend((x0, i, f"$.x0[{i}]", float, config._REQUIRED)
+                      for i in range(len(x0)))
+    return cfg, leaves
 
 
 class TestPgmRoundTrip:
@@ -113,6 +183,17 @@ class TestConfigParsing:
         ("cap_steps", 0, "$.cap_steps"),
         ("x0", ["a"], "$.x0[0]"),
         ("x0", [False], "$.x0[0]"),
+        ("grid", [1], "$.grid"),
+        ("outputs", [1], "$.outputs"),
+        ("grid", {"kind": "uniform", "h": True, "T": 1e3}, "$.grid.h"),
+        ("grid", {"kind": "uniform", "h": 0.2, "T": 1e3, "h0": 0.1}, "$.grid.h0"),
+        ("outputs", {"checkpoint": "no"}, "$.outputs.checkpoint"),
+        ("schedule", {"family": "polynomial", "r": [1], "s": 0.2}, "$.schedule.r"),
+        ("schedule", {"family": "polynomial", "r": 0.1, "s": 0.2, "gama_bar": 1.0},
+         "$.schedule.gama_bar"),
+        ("instance", {"deblur": {"size": "big"}}, "$.instance.deblur.size"),
+        ("instance", {"deblur": {"size": 8.5}}, "$.instance.deblur.size"),
+        ("instance", {"deblur": {"sizee": 8}}, "$.instance.deblur.sizee"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, key, value, field):
         base = {"instance": "scalar", "mode": "FB",
@@ -122,6 +203,31 @@ class TestConfigParsing:
         assert exc.value.field == field
         path = write_config(tmp_path, **{key: value})
         assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 1
+
+    def test_input_left_unchanged(self):
+        data = {"instance": {"deblur": {"size": 16}}, "mode": "FBF",
+                "schedule": {"family": "polynomial", "r": 0.05, "s": 0.25},
+                "grid": {"kind": "geometric", "h0": 0.1, "ratio": 1.01, "T": 10},
+                "outputs": {"images": True}}
+        before = copy.deepcopy(data)
+        cfg = parse_config(data)
+        assert data == before
+        assert cfg.instance["deblur"]["kernel_size"] == 9
+        assert cfg.grid == pf.GeometricGrid(0.1, 1.01, 10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mistyped_leaf_named(self, data):
+        cfg, leaves = data.draw(valid_configs())
+        before = copy.deepcopy(cfg)
+        parse_config(cfg)
+        assert cfg == before
+        obj, key, path, kind, default = data.draw(st.sampled_from(leaves))
+        obj[key] = data.draw(st.sampled_from(
+            [w for w in WRONG[kind] if w is not None or default is not None]))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == path
 
     def test_integral_float_counts(self):
         cfg = parse_config({"instance": "scalar", "mode": "FB",
@@ -212,6 +318,12 @@ class TestRunExperiment:
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert set(ckpt) == {"t", "x"} and len(ckpt["x"]) == 3 * 32 * 32
 
+    def test_seed_override_leaves_config(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, store_every=200,
+                                       outputs={"trajectory_csv": False}))
+        rep = run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
+        assert rep.exit_code == 0 and cfg.seed == 0
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, store_every=100)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -263,6 +375,21 @@ class TestCliCommands:
             schedule={"family": "polynomial", "r": 0.2, "s": 0.2, "b": 1,
                       "lambda_bar": 0.9, "gamma_bar": 1.0})
         assert main(["validate", bad]) == 2
+
+    @pytest.mark.parametrize("instance, mode", [("skew-box", "FB"),
+                                                ("scalar", "SFBP")])
+    def test_validate_precondition_exit_code(self, tmp_path, instance, mode):
+        p = write_config(tmp_path, instance=instance, mode=mode)
+        assert main(["validate", p]) == 4
+        assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 4
+
+    def test_readme_example_config(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        parse_config(json.loads(block))
+        p = tmp_path / "readme.json"
+        p.write_text(block)
+        assert main(["validate", str(p)]) == 0
 
     def test_oracle_command(self, capsys):
         assert main(["oracle", "segment"]) == 0

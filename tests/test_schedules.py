@@ -199,6 +199,13 @@ class TestSerialization:
             assert sch2.eps(t) == sch.eps(t)
             assert sch2.lam(t) == sch.lam(t)
 
+    def test_round_trip_keeps_gamma_kind(self):
+        from penaltyflow.config import schedule_from_dict
+        sch = pf.polynomial_schedule(0.1, 0.2, gamma_kind="cos-inverse")
+        sch2 = schedule_from_dict(sch.to_dict())
+        for t in (0.5, 3.0, 1e5):
+            assert sch2.gamma(t) == sch.gamma(t)
+
     def test_custom_not_serializable(self):
         with pytest.raises(ParameterError):
             pf.constant_schedule(1.0, 1.0, 0.1).to_dict()
