@@ -10,8 +10,7 @@ from .errors import (ConfigError, ConvergenceFailure, FormatError,
                      UnsupportedInstanceError)
 from .instances import CANONICAL_NAMES, build_canonical
 from .oracle import active_set_solve, high_precision_reference
-from .runner import _build_instance, _precheck, run_experiment
-from .schedules import attouch_czarnecki_check, validate_schedule
+from .runner import _prepare, run_experiment
 
 
 def _cmd_run(args):
@@ -25,18 +24,11 @@ def _cmd_run(args):
 
 
 def _cmd_validate(args):
-    cfg = load_config(args.config)
-    prob, _ = _build_instance(cfg)
-    _precheck(cfg, prob)
-    sch = cfg.schedule_obj()
-    rep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
-    print(rep)
-    if cfg.mode == "SFBP":
-        est, ok = attouch_czarnecki_check(sch)
-        print(f"  {'ok  ' if ok else 'FAIL'} attouch-czarnecki: estimate {est:.4g}")
-        if not ok:
-            return 2
-    return 0 if rep.overall else 2
+    checks, spec = _prepare(load_config(args.config))[3:5]
+    for c in checks:
+        print(f"  {'ok  ' if c['passed'] else 'FAIL'} {c['name']}: "
+              f"{c['witness_value']} @ t={c['witness_time']}")
+    return 2 if spec is None else 0
 
 
 def _cmd_oracle(args):
@@ -62,7 +54,7 @@ def main(argv=None):
     p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(fn=_cmd_run)
 
-    p_val = sub.add_parser("validate", help="validate the schedule of a config")
+    p_val = sub.add_parser("validate", help="check a config as run does before integrating")
     p_val.add_argument("config")
     p_val.set_defaults(fn=_cmd_validate)
 

@@ -26,13 +26,15 @@ keys "family", "r" and "s"; every other key takes the default shown):
 
 Every object is checked against its table below: unknown keys are rejected
 and every value typed (integers take an integral float such as 5e4, not a
-bool; numbers are never bools or strings; null only for "max_steps"), and a
-grid takes the fields of the dataclass its "kind" names. "safety_factor" is
+bool; numbers are never bools or strings, and never NaN or Infinity, which
+Python's json module would otherwise accept; null only for "max_steps"), and
+a grid takes the fields of the dataclass its "kind" names. "safety_factor" is
 rejected with "SFBP", whose only step bound h <= 1 it would not scale. Errors
 name their path, such as $.grid.h or $.instance.deblur.size.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -106,12 +108,15 @@ def schedule_to_dict(sch: Schedule):
 
 def _typed(v, kind, field):
     """``v`` as ``kind`` (int, float, bool or str), else ConfigError naming
-    ``field``. Numbers exclude bools; an int also takes an integral float (5e4)."""
+    ``field``. Numbers exclude bools and NaN/Infinity; an int also takes an
+    integral float (5e4)."""
     ok = isinstance(v, kind) if kind in (bool, str) else (
         isinstance(v, (int, float)) and not isinstance(v, bool)
         and (kind is float or isinstance(v, int) or v.is_integer()))
     if not ok:
         raise ConfigError(f"expected {kind.__name__}, got {v!r}", field=field)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"must be finite, got {v!r}", field=field)
     return kind(v)
 
 

@@ -86,6 +86,8 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
         raise ParameterError("original must be a 2-D image")
     if original.min() < 0.0 or original.max() > 1.0:
         raise ParameterError("original pixels must lie in [0, 1]")
+    if seed < 0 or not noise_std >= 0:
+        raise ParameterError(f"seed {seed} and noise_std {noise_std} must be >= 0")
     m, n = original.shape
     npx = m * n
     kernel = gaussian_kernel(kernel_size, sigma)

@@ -49,7 +49,7 @@ class IntegratorSpec:
     safety_factor scales the Lipschitz step cap of FB and FBF; cap_steps=False
     keeps the requested steps untouched (the relaxation bounds gamma*h <= 1 of
     FB and h <= 1 of SFBP still apply).
-    max_steps, when set, truncates the run after that many steps.
+    max_steps, when set, truncates the run after that many (>= 1) steps.
     """
 
     grid: object
@@ -63,15 +63,19 @@ class IntegratorSpec:
             raise ParameterError("safety_factor must lie in (0, 1]")
         if self.store_every < 1:
             raise ParameterError("store_every must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ParameterError("max_steps must be >= 1")
         g = self.grid
         if isinstance(g, UniformGrid):
-            if g.h <= 0 or g.T <= 0:
+            if not (g.h > 0 and g.T > 0):
                 raise ParameterError("grid needs h > 0 and T > 0")
         elif isinstance(g, GeometricGrid):
-            if g.h0 <= 0 or g.T <= 0 or g.ratio < 1.0:
+            if not (g.h0 > 0 and g.T > 0 and g.ratio >= 1.0):
                 raise ParameterError("geometric grid needs h0 > 0, T > 0, ratio >= 1")
         else:
             raise ParameterError("grid must be UniformGrid or GeometricGrid")
+        if g.T <= 1e-12:  # the march stops 1e-12 short of T
+            raise ParameterError("empty time grid")
 
 
 @dataclass
@@ -199,8 +203,6 @@ def _march(mode, prob, sch, x0, spec):
     T = g.T
     t_end = T - 1e-12
     max_steps = 50_000_000 if spec.max_steps is None else spec.max_steps
-    if not (0.0 < t_end and max_steps > 0):
-        raise ParameterError("empty time grid")
     uncapped = (T / h_req if ratio == 1.0
                 else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)

@@ -19,9 +19,10 @@ from .deblur import build_tv_deblur, isnr_series
 from .dynamics import (IntegratorSpec, check_mode, ergodic_average,
                        integrate_fb, integrate_fbf, integrate_sfbp,
                        tracking_report)
-from .errors import ConvergenceFailure, DivergenceError, PreconditionError
+from .errors import ConvergenceFailure, DivergenceError
 from .imaging import make_test_image
 from .instances import build_canonical
+from .operators import as_vector
 from .pgmio import atomic_write_text, write_pgm
 from .schedules import attouch_czarnecki_check, validate_schedule
 
@@ -70,10 +71,40 @@ def _build_instance(cfg):
     return inst.problem, inst
 
 
-def _precheck(cfg, prob):
+def _finite(v):
+    return v if (isinstance(v, float) and math.isfinite(v)) else None
+
+
+def _prepare(cfg):
+    """Every check made before integrating, for ``run`` and ``validate``:
+    (prob, deblur_inst, sch, checks, spec, x0), with ``checks`` the schedule
+    checks of report.json, and ``spec`` and ``x0`` None unless all passed."""
+    prob, deblur_inst = _build_instance(cfg)
     check_mode(cfg.mode, prob)
-    if not isinstance(cfg.instance, str) and cfg.mode != "FBF":
-        raise PreconditionError("the deblurring instance requires FBF mode")
+    sch = cfg.schedule_obj()
+    vrep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
+    checks = [{"name": c.name, "passed": bool(c.passed),
+               "witness_value": _finite(c.witness_value),
+               "witness_time": _finite(c.witness_time)}
+              for c in vrep.checks]
+    if cfg.mode == "SFBP":
+        est, ok = attouch_czarnecki_check(sch)
+        checks.append({"name": "attouch-czarnecki", "passed": bool(ok),
+                       "witness_value": _finite(est), "witness_time": None})
+    if not all(c["passed"] for c in checks):
+        return prob, deblur_inst, sch, checks, None, None
+    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
+                          cap_steps=cfg.cap_steps, store_every=cfg.store_every,
+                          max_steps=cfg.max_steps)
+    if cfg.x0 != "default":
+        x0 = cfg.x0
+    elif deblur_inst is not None:
+        x0 = deblur_inst.x0
+    elif prob.x0_default is not None:
+        x0 = prob.x0_default
+    else:
+        x0 = np.zeros(prob.dim)
+    return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 
 
 def _finish(report, cfg, out_dir):
@@ -97,40 +128,12 @@ def run_experiment(cfg, out_dir, seed_override=None):
         cfg = replace(cfg, seed=seed_override)
     report = ExitReport(exit_code=0)
 
-    prob, deblur_inst = _build_instance(cfg)
-    _precheck(cfg, prob)
-    sch = cfg.schedule_obj()
-
-    def _finite(v):
-        return v if (isinstance(v, float) and math.isfinite(v)) else None
-
-    vrep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
-    checks = [{"name": c.name, "passed": bool(c.passed),
-               "witness_value": _finite(c.witness_value),
-               "witness_time": _finite(c.witness_time)}
-              for c in vrep.checks]
-    if cfg.mode == "SFBP":
-        est, ok = attouch_czarnecki_check(sch)
-        checks.append({"name": "attouch-czarnecki", "passed": bool(ok),
-                       "witness_value": _finite(est), "witness_time": None})
+    prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
     report.metrics["schedule_checks"] = checks
-    failed = [c["name"] for c in checks if not c["passed"]]
-    if failed:
+    if spec is None:
+        failed = [c["name"] for c in checks if not c["passed"]]
         return _fail(report, cfg, out_dir, 2,
                      "schedule validation failed: " + ", ".join(failed))
-
-    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
-                          cap_steps=cfg.cap_steps, store_every=cfg.store_every,
-                          max_steps=cfg.max_steps)
-    if cfg.x0 == "default":
-        if deblur_inst is not None:
-            x0 = deblur_inst.x0
-        elif prob.x0_default is not None:
-            x0 = prob.x0_default
-        else:
-            x0 = np.zeros(prob.dim)
-    else:
-        x0 = np.asarray(cfg.x0, dtype=float)
 
     integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
                   "SFBP": integrate_sfbp}[cfg.mode]

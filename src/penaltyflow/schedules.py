@@ -131,13 +131,6 @@ class ValidationReport:
     def failed_names(self):
         return [c.name for c in self.checks if not c.passed]
 
-    def __str__(self):
-        lines = [f"schedule validation [{self.mode}]: {'pass' if self.overall else 'FAIL'}"]
-        for c in self.checks:
-            lines.append(f"  {'ok  ' if c.passed else 'FAIL'} {c.name}: "
-                         f"{c.witness_value:.4g} @ t={c.witness_time:.3g}")
-        return "\n".join(lines)
-
 
 def _eval_grid(fn, grid=GRID):
     try:

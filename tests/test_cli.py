@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,49 @@ def valid_configs(draw):
     return cfg, leaves
 
 
+SMALL_DEBLUR = {"instance": {"deblur": {"size": 8}}, "mode": "FBF",
+                "schedule": {"family": "polynomial", "r": 0.05, "s": 0.25,
+                             "b": 1, "lambda_bar": 0.3, "gamma_bar": 1.0},
+                "max_steps": 5}
+
+
+# (instance, its dimension, a mode it runs in, a mode it cannot take)
+PAIRINGS = [("scalar", 1, "FB", "SFBP"), ("segment", 2, "FBF", "SFBP"),
+            ("shifted-segment", 2, "FB", "SFBP"), ("skew-box", 2, "FBF", "FB"),
+            ("sfbp-two-penalty", 1, "SFBP", "FBF"),
+            ({"deblur": {"size": 4, "kernel_size": 3}}, 48, "FBF", "SFBP")]
+# (r, s, b) that pass or fail the exponent conditions of each mode
+EXPONENTS = {"FB": ([(0.1, 0.2, 1), (0.05, 0.25, 1)], [(0.2, 0.2, 1), (0.65, 0.6, 1000)]),
+             "SFBP": ([(0.65, 0.6, 1000)], [(0.05, 0.25, 1), (0.2, 0.2, 1)])}
+EXPONENTS["FBF"] = EXPONENTS["FB"]
+
+
+@st.composite
+def small_configs(draw):
+    """A config with a horizon of a few steps. Each field drawn into
+    ``faults`` takes a value that fails a check made before integration."""
+    inst, dim, mode, wrong_mode = draw(st.sampled_from(PAIRINGS))
+    faults = draw(st.sets(st.sampled_from(
+        ("mode", "schedule", "h", "T", "store_every", "max_steps",
+         "safety_factor", "x0")), max_size=2))
+
+    def pick(name, good, bad):
+        return draw(st.sampled_from(bad if name in faults else good))
+
+    r, s, b = pick("schedule", *EXPONENTS[mode])
+    cfg = {"instance": inst, "mode": pick("mode", [mode], [wrong_mode]),
+           "schedule": {"family": "polynomial", "r": r, "s": s, "b": b,
+                        "lambda_bar": 0.3},
+           "grid": {"kind": "uniform", "h": pick("h", [0.5, 2], [-1, 0]),
+                    "T": pick("T", [1, 3], [-1, 0, 1e-13])},
+           "store_every": pick("store_every", [1, 2], [0, -1]),
+           "max_steps": pick("max_steps", [None, 1, 4], [0, -3]),
+           "x0": pick("x0", ["default", [0.5] * dim], [[], [0.5] * (dim + 1)])}
+    if mode != "SFBP" or "safety_factor" in faults:  # SFBP takes none
+        cfg["safety_factor"] = pick("safety_factor", [0.5, 1], [0, 2])
+    return cfg
+
+
 class TestPgmRoundTrip:
     def test_bytes_identical(self, tmp_path):
         img = pf.make_test_image("checkerboard", 8)
@@ -194,6 +239,14 @@ class TestConfigParsing:
         ("instance", {"deblur": {"size": "big"}}, "$.instance.deblur.size"),
         ("instance", {"deblur": {"size": 8.5}}, "$.instance.deblur.size"),
         ("instance", {"deblur": {"sizee": 8}}, "$.instance.deblur.sizee"),
+        ("grid", {"kind": "uniform", "h": math.nan, "T": 10}, "$.grid.h"),
+        ("grid", {"kind": "uniform", "h": 0.2, "T": math.inf}, "$.grid.T"),
+        ("grid", {"kind": "geometric", "h0": 0.1, "ratio": -math.inf, "T": 10},
+         "$.grid.ratio"),
+        ("safety_factor", math.nan, "$.safety_factor"),
+        ("x0", [1.0, math.inf], "$.x0[1]"),
+        ("schedule", {"family": "polynomial", "r": math.nan, "s": 0.2}, "$.schedule.r"),
+        ("instance", {"deblur": {"noise_std": math.nan}}, "$.instance.deblur.noise_std"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, key, value, field):
         base = {"instance": "scalar", "mode": "FB",
@@ -382,6 +435,45 @@ class TestCliCommands:
         p = write_config(tmp_path, instance=instance, mode=mode)
         assert main(["validate", p]) == 4
         assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("overrides, says", [
+        ({"grid": {"kind": "uniform", "h": -1, "T": 1e3}}, "h > 0"),
+        ({"safety_factor": 2}, "safety_factor"),
+        ({"store_every": 0}, "store_every"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": -3}, "max_steps"),
+        ({"x0": [1.0, 2.0]}, "dimension 2, expected 1"),
+        ({"grid": {"kind": "uniform", "h": math.nan, "T": 1e3}}, "$.grid.h"),
+        (dict(SMALL_DEBLUR, seed=-1), "seed -1"),
+        (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "noise_std": -0.5}}),
+         "noise_std -0.5"),
+    ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
+            "noise"])
+    def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
+                                             says):
+        p = write_config(tmp_path, **overrides)
+        assert main(["validate", p]) == 1
+        assert says in capsys.readouterr().err
+        assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 1
+        assert says in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        p = write_config(tmp_path, **SMALL_DEBLUR)
+        assert main(["run", p, "--out-dir", str(tmp_path / "o"),
+                     "--seed-override", "-1"]) == 1
+        assert "seed -1" in capsys.readouterr().err
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=small_configs())
+    def test_validate_exits_where_run_stops(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            p, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            p.write_text(json.dumps(cfg))
+            code = main(["run", str(p), "--out-dir", str(out)])
+            report = out / "report.json"
+            integrated = (report.exists()
+                          and "steps" in json.loads(report.read_text())["metrics"])
+            assert main(["validate", str(p)]) == (0 if integrated else code)
 
     def test_readme_example_config(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -491,6 +491,14 @@ class TestSpecAndStorage:
             pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), safety_factor=0.0)
         with pytest.raises(ParameterError):
             pf.IntegratorSpec(grid="nope")
+        for grid in (pf.UniformGrid(h=math.nan, T=1.0), pf.UniformGrid(h=1.0, T=math.nan),
+                     pf.GeometricGrid(h0=math.nan, ratio=1.1, T=1.0),
+                     pf.GeometricGrid(h0=0.1, ratio=math.nan, T=1.0)):
+            with pytest.raises(ParameterError):
+                pf.IntegratorSpec(grid=grid)
+        for max_steps in (0, -3):
+            with pytest.raises(ParameterError, match="max_steps"):
+                pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), max_steps=max_steps)
 
     def test_geometric_grid_grows(self):
         prob = pf.build_canonical("scalar")

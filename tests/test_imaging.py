@@ -259,3 +259,9 @@ class TestDeblurInstance:
     def test_pixel_range_required(self):
         with pytest.raises(ParameterError):
             pf.build_tv_deblur(np.full((4, 4), 2.0))
+
+    @pytest.mark.parametrize("kw", [{"seed": -1}, {"noise_std": -0.5},
+                                    {"noise_std": math.nan}])
+    def test_negative_seed_or_noise_rejected(self, kw):
+        with pytest.raises(ParameterError):
+            pf.build_tv_deblur(np.full((4, 4), 0.5), **kw)
