@@ -5,9 +5,7 @@ import json
 import sys
 
 from .config import load_config
-from .errors import (ConfigError, ConvergenceFailure, FormatError,
-                     ParameterError, PreconditionError,
-                     UnsupportedInstanceError)
+from .errors import PenaltyflowError
 from .instances import CANONICAL_NAMES, build_canonical
 from .oracle import active_set_solve, high_precision_reference
 from .runner import _prepare, run_experiment
@@ -17,7 +15,7 @@ def _cmd_run(args):
     cfg = load_config(args.config)
     report = run_experiment(cfg, args.out_dir, seed_override=args.seed_override)
     for msg in report.messages:
-        print(msg)
+        print(msg, file=sys.stderr)
     print(f"exit code {report.exit_code}; artifacts: "
           + ", ".join(report.artifacts or ["none"]))
     return report.exit_code
@@ -66,11 +64,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigError, ParameterError, FormatError, ConvergenceFailure,
-            UnsupportedInstanceError) as exc:
+    except PenaltyflowError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,8 +37,7 @@ class DeblurInstance:
 
     @property
     def x0(self):
-        z = np.zeros(2 * self.observed.size)
-        return np.concatenate([self.observed.ravel(), z])
+        return self.problem.x0_default
 
     def theta_of(self, state):
         n = self.observed.size
@@ -117,7 +116,8 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
                              cocoercive=False)
     b_op = PenaltyOperator(eval=b_eval, mu=1.0)
     problem = ProblemInstance(a=a_op, d=d_op, b1=b_op, dim=3 * npx,
-                              name="tv-deblur")
+                              name="tv-deblur", x0_default=np.concatenate(
+                                  [observed.ravel(), np.zeros(2 * npx)]))
     return DeblurInstance(problem=problem, shape=(m, n), kernel=kernel,
                           sigma=float(sigma), original=original,
                           observed=observed, noise_std=noise_std, seed=seed,

@@ -1,9 +1,7 @@
 """Experiment execution: validate, integrate, diagnose, emit artifacts.
 
-Exit codes: 0 success, 2 schedule validation failed, 3 integration diverged,
-4 precondition violated (incompatible mode/instance), 1 anything else. Codes
-2 and 3, and 1 for a convergence failure, still write report.json with the
-reason.
+Exit codes: 0 success, 2 a failed schedule check, else the code the raised
+error's type states (``errors.py``); every failure writes report.json.
 """
 
 import json
@@ -19,7 +17,7 @@ from .deblur import build_tv_deblur, isnr_series
 from .dynamics import (IntegratorSpec, check_mode, ergodic_average,
                        integrate_fb, integrate_fbf, integrate_sfbp,
                        tracking_report)
-from .errors import ConvergenceFailure, DivergenceError
+from .errors import PenaltyflowError
 from .imaging import make_test_image
 from .instances import build_canonical
 from .operators import as_vector
@@ -96,14 +94,7 @@ def _prepare(cfg):
     spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
                           cap_steps=cfg.cap_steps, store_every=cfg.store_every,
                           max_steps=cfg.max_steps)
-    if cfg.x0 != "default":
-        x0 = cfg.x0
-    elif deblur_inst is not None:
-        x0 = deblur_inst.x0
-    elif prob.x0_default is not None:
-        x0 = prob.x0_default
-    else:
-        x0 = np.zeros(prob.dim)
+    x0 = prob.x0_default if cfg.x0 == "default" else cfg.x0
     return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 
 
@@ -122,101 +113,98 @@ def _fail(report, cfg, out_dir, exit_code, message):
 
 
 def run_experiment(cfg, out_dir, seed_override=None):
-    """Run one experiment per the config; returns an ExitReport."""
+    """Run one experiment per the config; returns an ExitReport. A package
+    error on the way ends the run with its type's exit code and label."""
     os.makedirs(out_dir, exist_ok=True)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     report = ExitReport(exit_code=0)
-
-    prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
-    report.metrics["schedule_checks"] = checks
-    if spec is None:
-        failed = [c["name"] for c in checks if not c["passed"]]
-        return _fail(report, cfg, out_dir, 2,
-                     "schedule validation failed: " + ", ".join(failed))
-
-    integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
-                  "SFBP": integrate_sfbp}[cfg.mode]
-    want_tracking = cfg.outputs["tracking"] or cfg.outputs["path_csv"]
-    path_points = None
     try:
+        prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
+        report.metrics["schedule_checks"] = checks
+        if spec is None:
+            failed = [c["name"] for c in checks if not c["passed"]]
+            return _fail(report, cfg, out_dir, 2,
+                         "schedule validation failed: " + ", ".join(failed))
+
+        integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
+                      "SFBP": integrate_sfbp}[cfg.mode]
+        want_tracking = cfg.outputs["tracking"] or cfg.outputs["path_csv"]
+        path_points = None
         traj = integrator(prob, sch, x0, spec)
         if want_tracking and deblur_inst is None:
             path_points = central_path(prob, sch, traj.times, tol=1e-10)
-    except DivergenceError as exc:
-        return _fail(report, cfg, out_dir, 3, f"integration diverged: {exc}")
-    except ConvergenceFailure as exc:
-        return _fail(report, cfg, out_dir, 1, f"convergence failure: {exc}")
 
-    gaps = None
-    if path_points is not None:
-        gaps = np.array([float(np.linalg.norm(x - p.xbar))
-                         for x, p in zip(traj.states, path_points)])
-        trep = tracking_report(traj, path_points)
-        report.metrics["tracking"] = {
-            "final_gap": trep.final_gap,
-            "burn_in_index": trep.burn_in_index,
-            "inequality_nonpositive_fraction": trep.inequality_nonpositive_fraction,
-        }
+        gaps = None
+        if path_points is not None:
+            gaps = np.array([float(np.linalg.norm(x - p.xbar))
+                             for x, p in zip(traj.states, path_points)])
+            trep = tracking_report(traj, path_points)
+            report.metrics["tracking"] = {
+                "final_gap": trep.final_gap,
+                "burn_in_index": trep.burn_in_index,
+                "inequality_nonpositive_fraction": trep.inequality_nonpositive_fraction,
+            }
 
-    report.metrics["mode"] = cfg.mode
-    report.metrics["steps"] = traj.n_steps_total
-    report.metrics["final_time"] = traj.final_time
-    report.metrics["final_state_norm"] = float(np.linalg.norm(traj.final_state))
-    report.metrics["final_B1_norm"] = float(traj.b1_norms[-1])
-    if traj.psi_sums is not None:
-        report.metrics["final_psi_sum"] = float(traj.psi_sums[-1])
-    if cfg.mode == "SFBP":
-        erg = ergodic_average(traj, sch)
-        report.metrics["ergodic_average_norm"] = float(np.linalg.norm(erg))
+        report.metrics["mode"] = cfg.mode
+        report.metrics["steps"] = traj.n_steps_total
+        report.metrics["final_time"] = traj.final_time
+        report.metrics["final_state_norm"] = float(np.linalg.norm(traj.final_state))
+        report.metrics["final_B1_norm"] = float(traj.b1_norms[-1])
+        if traj.psi_sums is not None:
+            report.metrics["final_psi_sum"] = float(traj.psi_sums[-1])
+        if cfg.mode == "SFBP":
+            erg = ergodic_average(traj, sch)
+            report.metrics["ergodic_average_norm"] = float(np.linalg.norm(erg))
 
-    if cfg.outputs["trajectory_csv"]:
-        rows = []
-        for i in range(traj.times.size):
-            rows.append((traj.times[i], traj.step_sizes[i],
-                         float(np.linalg.norm(traj.states[i])),
-                         None if gaps is None else gaps[i],
-                         traj.b1_norms[i],
-                         math.nan if traj.psi_sums is None else traj.psi_sums[i],
-                         None if traj.aux_points is None
-                         else float(np.linalg.norm(traj.aux_points[i]))))
-        p = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                     TRAJECTORY_COLUMNS, rows)
-        report.artifacts.append(p)
+        if cfg.outputs["trajectory_csv"]:
+            rows = []
+            for i in range(traj.times.size):
+                rows.append((traj.times[i], traj.step_sizes[i],
+                             float(np.linalg.norm(traj.states[i])),
+                             None if gaps is None else gaps[i],
+                             traj.b1_norms[i],
+                             math.nan if traj.psi_sums is None else traj.psi_sums[i],
+                             None if traj.aux_points is None
+                             else float(np.linalg.norm(traj.aux_points[i]))))
+            p = emit_csv(os.path.join(out_dir, "trajectory.csv"),
+                         TRAJECTORY_COLUMNS, rows)
+            report.artifacts.append(p)
 
-    if cfg.outputs["path_csv"] and path_points is not None:
-        rows = [(pt.t, pt.eps, pt.beta, float(np.linalg.norm(pt.xbar)),
-                 float(np.linalg.norm(prob.b1.eval(pt.xbar))), pt.residual,
-                 pt.iterations) for pt in path_points]
-        p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
-        report.artifacts.append(p)
+        if cfg.outputs["path_csv"] and path_points is not None:
+            rows = [(pt.t, pt.eps, pt.beta, float(np.linalg.norm(pt.xbar)),
+                     float(np.linalg.norm(prob.b1.eval(pt.xbar))), pt.residual,
+                     pt.iterations) for pt in path_points]
+            p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
+            report.artifacts.append(p)
 
-    if deblur_inst is not None and cfg.outputs["isnr_csv"]:
-        series = isnr_series(deblur_inst, traj)
-        rows = zip(traj.step_indices, traj.times, series)
-        p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
-        report.artifacts.append(p)
-        report.metrics["final_isnr_db"] = float(series[-1])
+        if deblur_inst is not None and cfg.outputs["isnr_csv"]:
+            series = isnr_series(deblur_inst, traj)
+            rows = zip(traj.step_indices, traj.times, series)
+            p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
+            report.artifacts.append(p)
+            report.metrics["final_isnr_db"] = float(series[-1])
 
-    if deblur_inst is not None and cfg.outputs["images"]:
-        pd = os.path.join(out_dir, "degraded.pgm")
-        write_pgm(pd, deblur_inst.observed)
-        pr = os.path.join(out_dir, "restored.pgm")
-        write_pgm(pr, np.clip(deblur_inst.theta_of(traj.final_state), 0.0, 1.0))
-        report.artifacts.extend([pd, pr])
-        meta = os.path.join(out_dir, "degraded.json")
-        atomic_write_text(meta, json.dumps(deblur_inst.metadata(),
-                                           indent=2, sort_keys=True))
-        report.artifacts.append(meta)
-        if deblur_inst.original is not None:
-            po = os.path.join(out_dir, "original.pgm")
-            write_pgm(po, deblur_inst.original)
-            report.artifacts.append(po)
+        if deblur_inst is not None and cfg.outputs["images"]:
+            pd = os.path.join(out_dir, "degraded.pgm")
+            write_pgm(pd, deblur_inst.observed)
+            pr = os.path.join(out_dir, "restored.pgm")
+            write_pgm(pr, np.clip(deblur_inst.theta_of(traj.final_state), 0.0, 1.0))
+            report.artifacts.extend([pd, pr])
+            meta = os.path.join(out_dir, "degraded.json")
+            atomic_write_text(meta, json.dumps(deblur_inst.metadata(),
+                                               indent=2, sort_keys=True))
+            report.artifacts.append(meta)
+            if deblur_inst.original is not None:
+                po = os.path.join(out_dir, "original.pgm")
+                write_pgm(po, deblur_inst.original)
+                report.artifacts.append(po)
 
-    if cfg.outputs["checkpoint"]:
-        p = os.path.join(out_dir, "checkpoint.json")
-        atomic_write_text(p, json.dumps(
-            {"t": traj.final_time, "x": [float(v) for v in traj.final_state]}))
-        report.artifacts.append(p)
-
+        if cfg.outputs["checkpoint"]:
+            p = os.path.join(out_dir, "checkpoint.json")
+            atomic_write_text(p, json.dumps(
+                {"t": traj.final_time, "x": [float(v) for v in traj.final_state]}))
+            report.artifacts.append(p)
+    except PenaltyflowError as exc:
+        return _fail(report, cfg, out_dir, exc.exit_code, f"{exc.label}: {exc}")
     return _finish(report, cfg, out_dir)

@@ -1,5 +1,8 @@
+import contextlib
 import copy
 import dataclasses
+import inspect
+import io
 import json
 import math
 import tempfile
@@ -7,14 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow import config, runner
+from penaltyflow import config, errors, runner
 from penaltyflow.cli import main
 from penaltyflow.config import load_config, parse_config
-from penaltyflow.errors import ConfigError, ConvergenceFailure, FormatError
+from penaltyflow.errors import (ConfigError, ConvergenceFailure, FormatError,
+                                PenaltyflowError)
 from penaltyflow.runner import (ISNR_COLUMNS, PATH_COLUMNS,
                                 TRAJECTORY_COLUMNS, run_experiment)
 
@@ -107,6 +111,10 @@ SMALL_DEBLUR = {"instance": {"deblur": {"size": 8}}, "mode": "FBF",
                              "b": 1, "lambda_bar": 0.3, "gamma_bar": 1.0},
                 "max_steps": 5}
 
+
+# every exception type the package defines, so that a new one is covered too
+ERROR_TYPES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__]
 
 # (instance, its dimension, a mode it runs in, a mode it cannot take)
 PAIRINGS = [("scalar", 1, "FB", "SFBP"), ("segment", 2, "FBF", "SFBP"),
@@ -319,8 +327,12 @@ class TestRunExperiment:
 
     def test_incompatible_mode_precondition(self, tmp_path):
         cfg = load_config(write_config(tmp_path, instance="skew-box", mode="FB"))
-        with pytest.raises(pf.PreconditionError):
-            run_experiment(cfg, str(tmp_path / "out"))
+        rep = run_experiment(cfg, str(tmp_path / "out"))
+        assert rep.exit_code == 4
+        assert rep.messages == ["precondition error: FB mode needs a cocoercive "
+                                "smooth part; instance 'skew-box' is not"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["exit_code"] == 4 and report["messages"] == rep.messages
 
     def test_divergence_exit_3(self, tmp_path):
         # FBF without cocoercivity tolerates huge uncapped steps badly
@@ -420,6 +432,45 @@ class TestCliCommands:
         assert any("convergence failure" in m and "central path" in m
                    for m in report["messages"])
 
+    @pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+    def test_error_type_states_exit_code(self, tmp_path, capsys, monkeypatch, cls):
+        assert issubclass(cls, PenaltyflowError)
+        assert cls.exit_code not in (0, 2)  # success and the schedule verdict
+
+        def failing(*args, **kwargs):
+            raise cls("raised during the run")
+
+        monkeypatch.setattr(runner, "central_path", failing)
+        out = tmp_path / "o"
+        code = main(["run", write_config(tmp_path), "--out-dir", str(out)])
+        assert code == cls.exit_code
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == cls.exit_code
+        assert report["messages"][-1] == f"{cls.label}: raised during the run"
+        assert report["messages"][-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing-config", "config-is-dir",
+                                      "out-dir-is-file"])
+    def test_io_error_exit_1(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path)
+        argv = {"missing-config": ["validate", str(tmp_path / "missing.json")],
+                "config-is-dir": ["run", str(tmp_path)],
+                "out-dir-is-file": ["run", cfg, "--out-dir", cfg]}[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undefined_isnr_writes_report(self, tmp_path, capsys):
+        # a 1x1 kernel and no noise leave the observed image equal to the original
+        p = write_config(tmp_path, **dict(
+            SMALL_DEBLUR, outputs={"isnr_csv": True},
+            instance={"deblur": {"size": 8, "kernel_size": 1, "noise_std": 0.0}}))
+        out = tmp_path / "o"
+        assert main(["run", p, "--out-dir", str(out)]) == 1
+        message = "error: degraded equals original; ISNR undefined"
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 1 and report["messages"] == [message]
+
     def test_validate_command(self, tmp_path):
         ok = write_config(tmp_path, name="v1.json")
         assert main(["validate", ok]) == 0
@@ -474,6 +525,26 @@ class TestCliCommands:
             integrated = (report.exists()
                           and "steps" in json.loads(report.read_text())["metrics"])
             assert main(["validate", str(p)]) == (0 if integrated else code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=small_configs())
+    def test_run_exit_code_is_reported(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            p, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            p.write_text(json.dumps(cfg))
+            try:
+                load_config(p)
+            except ConfigError:
+                assume(False)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", str(p), "--out-dir", str(out)])
+            report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == code
+        if code:
+            assert report["messages"][-1] in err.getvalue()
+        else:
+            assert report["messages"] == []
 
     def test_readme_example_config(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

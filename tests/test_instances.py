@@ -54,6 +54,19 @@ class TestCanonicalInstances:
                                     samples=300, seed=2, dim=prob.dim)
         assert rep.passed
 
+    @pytest.mark.parametrize("name", pf.CANONICAL_NAMES + ("deblur-8",))
+    def test_default_start_has_instance_dimension(self, name):
+        if name == "deblur-8":
+            inst = pf.build_tv_deblur(pf.make_test_image("disk", 8),
+                                      kernel_size=3, sigma=1.0)
+            prob = inst.problem
+            # the observed image, then zero dual blocks
+            assert np.array_equal(inst.x0, np.concatenate(
+                [inst.observed.ravel(), np.zeros(128)]))
+        else:
+            prob = pf.build_canonical(name)
+        assert prob.x0_default.shape == (prob.dim,)
+
     def test_two_penalty_potentials(self):
         prob = pf.build_canonical("sfbp-two-penalty")
         assert prob.psi1(np.array([2.0])) == pytest.approx(2.0)

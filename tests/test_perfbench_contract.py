@@ -3,7 +3,8 @@
 ``traced.py`` counts each layer by wrapping names in the ``runner`` and
 ``config`` modules and the operator callables of the problems they build. A
 refactor that moves a call out from under one of those wrappers leaves the
-benchmark reading zero for that layer; these runs catch it.
+benchmark reading zero for that layer; these runs catch it. A run that fails
+must still exit with its own code and leave the result file.
 """
 
 import importlib.util
@@ -48,15 +49,21 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_traced_run_counts_every_layer(tmp_path, name):
+def _run_traced(tmp_path, cfg):
+    """Run ``traced.py --trace`` on ``cfg``: (process, path of the result file)."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(CONFIGS[name]))
+    config.write_text(json.dumps(cfg))
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(TRACED), str(config),
                            str(tmp_path / "out"), str(result), "--trace"],
                           env=env, capture_output=True, text=True, timeout=120)
+    return proc, result
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_traced_run_counts_every_layer(tmp_path, name):
+    proc, result = _run_traced(tmp_path, CONFIGS[name])
     assert proc.returncode == 0, proc.stderr
     metrics = _load_traced().layer_metrics(json.loads(result.read_text()))
     wanted = ["schedules.validate_ms", "dynamics.steps", "problem.d_calls"]
@@ -64,3 +71,12 @@ def test_traced_run_counts_every_layer(tmp_path, name):
         wanted.append("central_path.points")
     for metric in wanted:
         assert metrics[metric][0] > 0, metric
+
+
+def test_traced_failing_run_exits_with_its_code(tmp_path):
+    # FB needs a cocoercive D, which skew-box lacks: a precondition error
+    proc, result = _run_traced(tmp_path, dict(CONFIGS["skew-box-tracking"], mode="FB"))
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(result.read_text())["exit_code"] == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_code"] == 4
