@@ -28,7 +28,9 @@ Every object is checked against its table below: unknown keys are rejected
 and every value typed (integers take an integral float such as 5e4, not a
 bool; numbers are never bools or strings, and never NaN or Infinity, which
 Python's json module would otherwise accept; null only for "max_steps"), and
-a grid takes the fields of the dataclass its "kind" names. "safety_factor" is
+a grid takes the fields of the dataclass its "kind" names. The schedule's
+family and ranges (such as r in (0, 1)) are checked where the runner's
+preflight builds it, so that a bad schedule writes report.json. "safety_factor" is
 rejected with "SFBP", whose only step bound h <= 1 it would not scale. Errors
 name their path, such as $.grid.h or $.instance.deblur.size.
 """
@@ -169,7 +171,6 @@ def parse_config(data):
     if top["mode"] == "SFBP" and "safety_factor" in data:
         raise ConfigError("SFBP steps are bounded only by h <= 1, which "
                           "safety_factor does not scale", field="$.safety_factor")
-    schedule_from_dict(top["schedule"])  # checks the ranges; the runner rebuilds it
     top["grid"] = _grid(top["grid"])
     x0 = top["x0"]
     if x0 != "default":
@@ -182,13 +183,15 @@ def parse_config(data):
 def load_config(path):
     """Read and validate a JSON config file.
 
-    JSON syntax errors surface with line/column; schema errors carry the
-    offending field path.
+    JSON syntax errors surface with line/column, bytes that are not UTF-8
+    with their offset; schema errors carry the offending field path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+                          f"{exc.start}", field="$") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}", field="$") from exc

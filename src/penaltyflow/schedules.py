@@ -7,7 +7,8 @@ falls below a small deadband and the last samples decrease; integrals are
 declared divergent when the fitted integrand exponent stays above -1
 (p-integral dichotomy). These slope rules, rather than absolute-value
 thresholds, make the numeric verdicts coincide with the exact exponent tests
-for polynomial families.
+for polynomial families. Each validation evaluates every schedule field once,
+as one array call on that grid, and reads all of its checks from the result.
 """
 
 import math
@@ -28,7 +29,9 @@ _SLOPE_DEADBAND = 1e-2
 class Schedule:
     """Time-dependent parameters with closed-form derivatives.
 
-    All callables accept scalars and numpy arrays.
+    All callables accept scalars and numpy arrays. ``validate_schedule`` calls
+    each one once on the whole GRID array; a scalar result (a constant) is
+    broadcast to the grid's shape.
     """
 
     eps: Callable
@@ -132,57 +135,37 @@ class ValidationReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _eval_grid(fn, grid=GRID):
-    try:
-        out = np.asarray(fn(grid), dtype=float)
-        if out.shape != grid.shape:
-            raise ValueError
-        return out
-    except Exception:
-        return np.array([float(fn(t)) for t in grid])
+def _values(sch):
+    """Each field of ``sch`` called once on GRID, a scalar result broadcast."""
+    return [np.broadcast_to(np.asarray(getattr(sch, f)(GRID), dtype=float), GRID.shape)
+            for f in ("eps", "beta", "lam", "gamma", "deps", "dbeta")]
 
 
 def _tail_slope(values, grid=GRID):
     """Fitted d log f / d log t over the last grid samples (nan-safe)."""
     v = np.maximum(np.abs(values[-_TAIL:]), 1e-300)
-    t = grid[-_TAIL:]
-    return float(np.polyfit(np.log(t), np.log(v), 1)[0])
+    return float(np.polyfit(np.log(grid[-_TAIL:]), np.log(v), 1)[0])
 
 
-def _limit_zero_check(name, values, grid=GRID):
-    slope = _tail_slope(values, grid)
+def _limit_zero_check(name, values):
+    slope = _tail_slope(values)
     tail = np.abs(values[-3:])
     decreasing = bool(tail[0] > tail[1] > tail[2]) or np.all(tail < 1e-300)
     ok = slope < -_SLOPE_DEADBAND and decreasing
-    return ScheduleCheck(name, ok, float(abs(values[-1])), float(grid[-1]))
+    return ScheduleCheck(name, ok, float(abs(values[-1])), float(GRID[-1]))
 
 
-def _limit_inf_check(name, values, grid=GRID):
-    slope = _tail_slope(values, grid)
+def _limit_inf_check(name, values):
+    slope = _tail_slope(values)
     tail = values[-3:]
     increasing = bool(tail[0] < tail[1] < tail[2])
     ok = slope > _SLOPE_DEADBAND and increasing
-    return ScheduleCheck(name, ok, float(values[-1]), float(grid[-1]))
+    return ScheduleCheck(name, ok, float(values[-1]), float(GRID[-1]))
 
 
-def _integral_divergent_check(name, integrand, grid=GRID):
-    slope = _tail_slope(integrand, grid)
-    ok = slope >= -1.0 - _SLOPE_DEADBAND
-    return ScheduleCheck(name, ok, slope, float(grid[-1]))
-
-
-def _lambda_bound_check(sch, eta, mu, grid=GRID):
-    """Step bound lam(t) * (1/eta + eps + beta/mu) < 1 on the tail decade.
-
-    The convergence conditions are asymptotic; early-time violations only
-    lengthen the transient, so the check is restricted to t >= 1e7 on the grid.
-    """
-    tail = grid[grid >= 1e7]
-    lam = _eval_grid(sch.lam, tail)
-    lips = 1.0 / eta + _eval_grid(sch.eps, tail) + _eval_grid(sch.beta, tail) / mu
-    worst = float(np.max(lam * lips))
-    idx = int(np.argmax(lam * lips))
-    return ScheduleCheck("lambda-step-bound", worst < 1.0, worst, float(tail[idx]))
+def _integral_divergent_check(name, integrand):
+    slope = _tail_slope(integrand)
+    return ScheduleCheck(name, slope >= -1.0 - _SLOPE_DEADBAND, slope, float(GRID[-1]))
 
 
 def _exponent_checks(sch, mode):
@@ -194,62 +177,43 @@ def _exponent_checks(sch, mode):
         return [ScheduleCheck("r+s<1/3", r + s < 1.0 / 3.0, r + s, math.inf),
                 ScheduleCheck("r<s", r < s, s - r, math.inf),
                 ScheduleCheck("r+s>0", r + s > 0, r + s, math.inf)]
-    if mode == "SFBP":
-        return [ScheduleCheck("1/2<r<1", 0.5 < r < 1.0, r, math.inf),
-                ScheduleCheck("1/2<s<=1", 0.5 < s <= 1.0, s, math.inf),
-                ScheduleCheck("r>s", r > s, r - s, math.inf)]
-    raise ParameterError(f"unknown mode '{mode}'")
+    return [ScheduleCheck("1/2<r<1", 0.5 < r < 1.0, r, math.inf),
+            ScheduleCheck("1/2<s<=1", 0.5 < s <= 1.0, s, math.inf),
+            ScheduleCheck("r>s", r > s, r - s, math.inf)]
 
 
-def _numeric_checks(sch, mode, grid=GRID):
-    eps = _eval_grid(sch.eps, grid)
-    beta = _eval_grid(sch.beta, grid)
-    lam = _eval_grid(sch.lam, grid)
-    gam = _eval_grid(sch.gamma, grid)
-    deps = _eval_grid(sch.deps, grid)
-    dbeta = _eval_grid(sch.dbeta, grid)
-    checks = [_limit_zero_check("eps->0", eps, grid),
-              _limit_inf_check("beta->inf", beta, grid)]
+def _numeric_checks(mode, eta, mu, eps, beta, lam, gam, deps, dbeta):
+    checks = [_limit_zero_check("eps->0", eps), _limit_inf_check("beta->inf", beta)]
+    if mode in ("FB", "FBF"):
+        checks.append(_limit_inf_check("eps*beta->inf", eps * beta))
     if mode == "FB":
-        checks.append(_limit_inf_check("eps*beta->inf", eps * beta, grid))
-        checks.append(_limit_zero_check("tikhonov-scale-limit", deps / (gam * lam * eps ** 2), grid))
-        checks.append(_limit_zero_check("penalty-scale-limit", dbeta / (gam * lam * eps ** 2), grid))
-        checks.append(_integral_divergent_check(
-            "decay-integral-divergence", gam * lam * eps * (2.0 - lam * eps), grid))
+        scale = gam * lam * eps ** 2
+        checks += [_limit_zero_check("tikhonov-scale-limit", deps / scale),
+                   _limit_zero_check("penalty-scale-limit", dbeta / scale),
+                   _integral_divergent_check("decay-integral-divergence",
+                                             gam * lam * eps * (2.0 - lam * eps))]
     elif mode == "FBF":
-        checks.append(_limit_inf_check("eps*beta->inf", eps * beta, grid))
-        # decay weight (1 - lam*L)/a^2 needs the moduli; attach in validate_schedule
-    elif mode == "SFBP":
-        checks.append(_limit_zero_check("lam->0", lam, grid))
-        checks.append(_limit_inf_check("lam/eps->inf", lam / eps, grid))
+        # The decay weight is (1 - lam*L)/a^2; the step-bound check pins
+        # limsup lam*L < 1 separately, so classification uses the structural
+        # factor 1/a^2 whose fitted slope is free of the (1 - lam*L) drift.
+        amp = 2.0 + 1.0 / (lam * eps) + 1.0 / (eta * eps) + beta / (mu * eps)
+        delta = 1.0 / amp ** 2
+        checks += [_integral_divergent_check("decay-integral-divergence", delta),
+                   _limit_zero_check("tikhonov-scale-limit", deps / (eps * delta)),
+                   _limit_zero_check("penalty-scale-limit", dbeta / (eps * delta))]
+    else:
         lb = lam * beta
-        checks.append(ScheduleCheck("liminf-lam*beta>0", float(np.min(lb[-_TAIL:])) > 0,
-                                    float(lb[-1]), float(grid[-1])))
-        checks.append(_integral_divergent_check("lam-not-integrable", lam, grid))
-        checks.append(_integral_divergent_check("eps-not-integrable", eps, grid))
-        checks.append(ScheduleCheck("lam-square-integrable",
-                                    _tail_slope(lam * lam, grid) < -1.0 - _SLOPE_DEADBAND,
-                                    _tail_slope(lam * lam, grid), float(grid[-1])))
-        checks.append(ScheduleCheck("eps-square-integrable",
-                                    _tail_slope(eps * eps, grid) < -1.0 - _SLOPE_DEADBAND,
-                                    _tail_slope(eps * eps, grid), float(grid[-1])))
+        checks += [_limit_zero_check("lam->0", lam),
+                   _limit_inf_check("lam/eps->inf", lam / eps),
+                   ScheduleCheck("liminf-lam*beta>0", float(np.min(lb[-_TAIL:])) > 0,
+                                 float(lb[-1]), float(GRID[-1])),
+                   _integral_divergent_check("lam-not-integrable", lam),
+                   _integral_divergent_check("eps-not-integrable", eps)]
+        for name, v in (("lam-square-integrable", lam), ("eps-square-integrable", eps)):
+            slope = _tail_slope(v * v)
+            checks.append(ScheduleCheck(name, slope < -1.0 - _SLOPE_DEADBAND, slope,
+                                        float(GRID[-1])))
     return checks
-
-
-def _numeric_fbf_decay_checks(sch, eta, mu, grid=GRID):
-    # The decay weight is (1 - lam*L)/a^2; the step-bound check pins
-    # limsup lam*L < 1 separately, so classification uses the structural
-    # factor 1/a^2 whose fitted slope is free of the (1 - lam*L) drift.
-    eps = _eval_grid(sch.eps, grid)
-    beta = _eval_grid(sch.beta, grid)
-    lam = _eval_grid(sch.lam, grid)
-    deps = _eval_grid(sch.deps, grid)
-    dbeta = _eval_grid(sch.dbeta, grid)
-    amp = 2.0 + 1.0 / (lam * eps) + 1.0 / (eta * eps) + beta / (mu * eps)
-    delta = 1.0 / amp ** 2
-    return [_integral_divergent_check("decay-integral-divergence", delta, grid),
-            _limit_zero_check("tikhonov-scale-limit", deps / (eps * delta), grid),
-            _limit_zero_check("penalty-scale-limit", dbeta / (eps * delta), grid)]
 
 
 def validate_schedule(sch, mode, moduli, force_numeric=False):
@@ -274,22 +238,26 @@ def validate_schedule(sch, mode, moduli, force_numeric=False):
     eta, mu = moduli
     if eta <= 0 or mu <= 0:
         raise ParameterError("moduli must be positive")
-    checks = []
+    values = _values(sch)
+    eps, beta, lam = values[:3]
     if sch.family == "polynomial" and not force_numeric:
-        checks.extend(_exponent_checks(sch, mode))
+        checks = _exponent_checks(sch, mode)
     else:
-        checks.extend(_numeric_checks(sch, mode))
-        if mode == "FBF":
-            checks.extend(_numeric_fbf_decay_checks(sch, eta, mu))
-    if mode in ("FB", "FBF"):
-        checks.append(_lambda_bound_check(sch, eta, mu))
+        checks = _numeric_checks(mode, eta, mu, *values)
+    if mode == "SFBP":
+        lb = float(lam[-1]) * float(beta[-1])
+        checks.append(ScheduleCheck("lam*beta<2*mu", lb < 2.0 * mu, lb, float(GRID[-1])))
     else:
-        lam_inf = float(_eval_grid(sch.lam, GRID[-3:])[-1])
-        beta_inf = float(_eval_grid(sch.beta, GRID[-3:])[-1])
-        checks.append(ScheduleCheck("lam*beta<2*mu", lam_inf * beta_inf < 2.0 * mu,
-                                    lam_inf * beta_inf, float(GRID[-1])))
-    overall = all(c.passed for c in checks)
-    return ValidationReport(mode, checks, overall)
+        # Step bound lam(t) * (1/eta + eps + beta/mu) < 1 on the tail decade.
+        # The convergence conditions are asymptotic; early-time violations only
+        # lengthen the transient, so the check is restricted to t >= 1e7 on the grid.
+        tail = GRID >= 1e7
+        bound = lam[tail] * (1.0 / eta + eps[tail] + beta[tail] / mu)
+        idx = int(np.argmax(bound))
+        worst = float(bound[idx])
+        checks.append(ScheduleCheck("lambda-step-bound", worst < 1.0, worst,
+                                    float(GRID[tail][idx])))
+    return ValidationReport(mode, checks, all(c.passed for c in checks))
 
 
 def attouch_czarnecki_check(sch, rho_star=2.0, horizon=1e6):
@@ -311,22 +279,21 @@ def attouch_czarnecki_check(sch, rho_star=2.0, horizon=1e6):
         raise ParameterError("horizon must be >= 1e6")
 
     grid = np.concatenate([[0.0], np.logspace(-2, math.log10(horizon), 200)])
+    # scalar calls: array and scalar ** can differ in the last bit, which
+    # would move the estimate report.json records
     lam = np.array([float(sch.lam(t)) for t in grid])
     beta = np.array([float(sch.beta(t)) for t in grid])
     integrand = lam * beta ** (1.0 - rho_star)
     partial = float(np.trapezoid(integrand, grid))
 
+    slope = _tail_slope(integrand, grid)
     if sch.family == "polynomial":
         # lam ~ lambda_bar * beta^-1, so the integrand exponent is -s*rho_star
-        s = sch.params["s"]
-        passed = s * rho_star > 1.0
+        passed = sch.params["s"] * rho_star > 1.0
     else:
-        slope = _tail_slope(integrand, grid)
         passed = slope < -1.0 - _SLOPE_DEADBAND
-    if passed:
-        t_end = grid[-1]
-        slope = _tail_slope(integrand, grid)
-        p = min(slope, -1.0 - 1e-6)
-        tail = integrand[-1] * t_end / (-p - 1.0)
-        return partial + tail, True
-    return math.inf, False
+    if not passed:
+        return math.inf, False
+    p = min(slope, -1.0 - 1e-6)
+    tail = integrand[-1] * grid[-1] / (-p - 1.0)
+    return partial + tail, True

@@ -450,14 +450,20 @@ class TestCliCommands:
         assert report["messages"][-1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["missing-config", "config-is-dir",
-                                      "out-dir-is-file"])
+                                      "out-dir-is-file", "non-utf8"])
     def test_io_error_exit_1(self, tmp_path, capsys, case):
         cfg = write_config(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"instance": "scalar", "mode": "FB\xff"}')
         argv = {"missing-config": ["validate", str(tmp_path / "missing.json")],
                 "config-is-dir": ["run", str(tmp_path)],
-                "out-dir-is-file": ["run", cfg, "--out-dir", cfg]}[case]
+                "out-dir-is-file": ["run", cfg, "--out-dir", cfg],
+                "non-utf8": ["validate", str(bad)]}[case]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case == "non-utf8":
+            assert err == "error: $: not UTF-8: byte 0xff at offset 34\n"
 
     def test_undefined_isnr_writes_report(self, tmp_path, capsys):
         # a 1x1 kernel and no noise leave the observed image equal to the original
@@ -498,15 +504,25 @@ class TestCliCommands:
         (dict(SMALL_DEBLUR, seed=-1), "seed -1"),
         (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "noise_std": -0.5}}),
          "noise_std -0.5"),
+        ({"schedule": {"family": "polynomial", "r": 2, "s": 0.2}},
+         "$.schedule: r must lie in (0, 1)"),
     ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
-            "noise"])
+            "noise", "schedule-range"])
     def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
                                              says):
         p = write_config(tmp_path, **overrides)
         assert main(["validate", p]) == 1
         assert says in capsys.readouterr().err
-        assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 1
-        assert says in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", p, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert says in err
+        if says == "$.grid.h":  # a config that does not parse writes no report
+            assert not (out / "report.json").exists()
+            return
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 1
+        assert report["messages"][-1] == err.rstrip("\n")
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
         p = write_config(tmp_path, **SMALL_DEBLUR)

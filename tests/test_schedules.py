@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import penaltyflow as pf
 from penaltyflow.errors import ParameterError
 from penaltyflow.schedules import GRID, Schedule
+
+FIELDS = ("eps", "beta", "lam", "gamma", "deps", "dbeta")
 
 
 def power_schedule(lam_exp, beta_exp, eps_exp=-0.5, scale_lam=1.0):
@@ -158,6 +161,56 @@ class TestValidators:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
             pf.validate_schedule(pf.polynomial_schedule(0.1, 0.2), "XX", (1.0, 1.0))
+
+
+class TestOneEvaluation:
+    NAMES = {
+        ("FB", False): ["r+s<1/2", "r<s", "lambda-step-bound"],
+        ("FB", True): ["eps->0", "beta->inf", "eps*beta->inf", "tikhonov-scale-limit",
+                       "penalty-scale-limit", "decay-integral-divergence",
+                       "lambda-step-bound"],
+        ("FBF", False): ["r+s<1/3", "r<s", "r+s>0", "lambda-step-bound"],
+        ("FBF", True): ["eps->0", "beta->inf", "eps*beta->inf",
+                        "decay-integral-divergence", "tikhonov-scale-limit",
+                        "penalty-scale-limit", "lambda-step-bound"],
+        ("SFBP", False): ["1/2<r<1", "1/2<s<=1", "r>s", "lam*beta<2*mu"],
+        ("SFBP", True): ["eps->0", "beta->inf", "lam->0", "lam/eps->inf",
+                         "liminf-lam*beta>0", "lam-not-integrable", "eps-not-integrable",
+                         "lam-square-integrable", "eps-square-integrable",
+                         "lam*beta<2*mu"],
+    }
+
+    @pytest.mark.parametrize("mode, numeric", list(NAMES))
+    def test_each_field_called_once_on_grid(self, mode, numeric):
+        sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
+        calls = {name: [] for name in FIELDS}
+
+        def wrap(fn, seen):
+            def f(t):
+                seen.append(t)
+                return fn(t)
+            return f
+
+        counted = dataclasses.replace(sch, **{name: wrap(getattr(sch, name), seen)
+                                              for name, seen in calls.items()})
+        pf.validate_schedule(counted, mode, (1.0, 1.0), force_numeric=numeric)
+        for name, seen in calls.items():
+            assert len(seen) == 1, name
+            assert np.array_equal(seen[0], GRID), name
+
+    @pytest.mark.parametrize("mode, numeric", list(NAMES))
+    def test_check_names_in_order(self, mode, numeric):
+        rep = pf.validate_schedule(pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0),
+                                   mode, (1.0, 1.0), force_numeric=numeric)
+        assert [c.name for c in rep.checks] == self.NAMES[mode, numeric]
+
+    @pytest.mark.parametrize("mode", ["FB", "FBF", "SFBP"])
+    def test_scalar_result_is_broadcast(self, mode):
+        sch = power_schedule(lam_exp=-0.6, beta_exp=0.55)
+        flat = dataclasses.replace(sch, gamma=lambda t: 1.0)
+        assert type(flat.gamma(GRID)) is float
+        assert (pf.validate_schedule(flat, mode, (1.0, 1.0))
+                == pf.validate_schedule(sch, mode, (1.0, 1.0)))
 
 
 class TestAttouchCzarnecki:
