@@ -97,17 +97,20 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
     ktb = a.T @ observed @ b
 
     def d_eval(x):
-        theta = x[:npx].reshape(m, n)
-        u = x[npx:2 * npx].reshape(m, n)
-        v = x[2 * npx:].reshape(m, n)
-        lt_u, lt_v = discrete_gradient(theta)
-        adj = discrete_gradient((u, v), adjoint=True)
-        return np.concatenate([adj.ravel(), -lt_u.ravel(), -lt_v.ravel()])
+        out = np.empty_like(x)
+        adj, lt_u, lt_v = out.reshape(3, m, n)
+        theta, u, v = x.reshape(3, m, n)
+        discrete_gradient(theta, out=(lt_u, lt_v))
+        np.negative(out[npx:], out=out[npx:])
+        discrete_gradient((u, v), adjoint=True, out=adj)
+        return out
 
     def b_eval(x):
-        out = np.zeros_like(x)
-        np.subtract(p_mat @ x[:npx].reshape(m, n) @ q_mat, ktb,
-                    out=out[:npx].reshape(m, n))
+        out = np.empty_like(x)
+        out[npx:] = 0.0
+        theta = np.matmul(p_mat @ x[:npx].reshape(m, n), q_mat,
+                          out=out[:npx].reshape(m, n))
+        theta -= ktb
         return out
 
     a_op = product_op([(box_normal_cone(0.0, 1.0), npx),

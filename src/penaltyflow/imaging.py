@@ -32,37 +32,46 @@ def make_test_image(name, size):
     return img
 
 
-def discrete_gradient(theta, adjoint=False):
+def _adjoint_diff(w, out):
+    """Adjoint of the forward difference along axis 0, written into out."""
+    out[1:] = w[:-1]
+    out[0] = 0.0
+    out -= w
+    # the last row of w is outside the range of the forward map
+    out[-1] = w[-2] if w.shape[0] > 1 else 0.0
+    return out
+
+
+def discrete_gradient(theta, adjoint=False, out=None):
     """Forward differences with Neumann boundaries, or the exact adjoint.
 
     Forward mode maps an (M, N) image to the pair (row differences, column
     differences), zero on the last row/column. Adjoint mode maps such a pair
-    back so that <L theta, (u, v)> == <theta, L*(u, v)> exactly.
+    back so that <L theta, (u, v)> == <theta, L*(u, v)> exactly. ``out`` gives
+    the float arrays to write into and return: a pair in forward mode (the
+    second one C-contiguous), one array in adjoint mode.
     """
     if not adjoint:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2:
             raise ParameterError("image must be 2-D")
-        u = np.zeros_like(theta)
-        v = np.zeros_like(theta)
-        u[:-1, :] = theta[1:, :] - theta[:-1, :]
-        v[:, :-1] = theta[:, 1:] - theta[:, :-1]
+        u, v = (np.empty(theta.shape), np.empty(theta.shape)) if out is None else out
+        if not v.flags.c_contiguous:
+            raise ParameterError("the column-difference output must be C-contiguous")
+        np.subtract(theta[1:], theta[:-1], out=u[:-1])
+        # one flat run; the differences that wrap across rows land in column -1
+        t = theta.reshape(-1)
+        np.subtract(t[1:], t[:-1], out=v.reshape(-1)[:-1])
+        u[-1] = v[:, -1] = 0.0
         return u, v
     u, v = theta
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 2:
         raise ParameterError("adjoint input must be a pair of equal 2-D fields")
-    # the last row of u (column of v) is outside the range of the forward map
-    out_u = np.zeros_like(u)
-    out_u[1:, :] = u[:-1, :]
-    out_u -= u
-    out_u[-1, :] = u[-2, :] if u.shape[0] > 1 else 0.0
-    out_v = np.zeros_like(v)
-    out_v[:, 1:] = v[:, :-1]
-    out_v -= v
-    out_v[:, -1] = v[:, -2] if v.shape[1] > 1 else 0.0
-    return out_u + out_v
+    out = np.empty_like(u) if out is None else out
+    _adjoint_diff(v.T, out.T)
+    return np.add(_adjoint_diff(u, np.empty_like(u)), out, out=out)
 
 
 def gradient_norm_estimate(size, iters=200, seed=0):

@@ -45,8 +45,8 @@ def _skew_box():
                           affine=(m, np.zeros(2)))
     lo = np.array([-1.0, -1.0])
     hi = np.array([1.0, 1.0])
-    b1 = PenaltyOperator(eval=lambda x: x - np.clip(x, lo, hi), mu=1.0,
-                         projector=lambda x: np.clip(x, lo, hi),
+    b1 = PenaltyOperator(eval=lambda x: x - x.clip(lo, hi), mu=1.0,
+                         projector=lambda x: x.clip(lo, hi),
                          zero_set_box=(lo, hi))
     return ProblemInstance(a=zero_op(2), d=d, b1=b1, dim=2, name="skew-box",
                            x0_default=np.array([1.0, 1.0]))

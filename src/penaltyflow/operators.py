@@ -50,24 +50,25 @@ def project_box(lo, hi, x):
     return np.clip(np.asarray(x, dtype=float), lo, hi)
 
 
-def project_pair_ball(u, v):
+def project_pair_ball(u, v, out=(None, None)):
     """Scale each pair (u_i, v_i) into the unit disc.
 
     Returns (u, v) / max(1, sqrt(u^2 + v^2)) componentwise, so every output
-    pair has norm at most 1.
+    pair has norm at most 1; ``out`` is an optional pair of arrays to write
+    the two components into.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ParameterError("pair components must have the same shape")
     scale = np.maximum(1.0, np.sqrt(u * u + v * v))
-    return u / scale, v / scale
+    return np.divide(u, scale, out=out[0]), np.divide(v, scale, out=out[1])
 
 
 def require_finite(y, what):
     """``y`` as a float array; ConvergenceFailure when any entry is non-finite."""
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         finite = y[np.isfinite(y)]
         worst = float(np.max(np.abs(finite))) if finite.size else math.inf
         raise ConvergenceFailure(f"{what} produced non-finite output", residual=worst)
@@ -147,7 +148,7 @@ def box_normal_cone(lo, hi, dim=None):
         raise ParameterError("box has lo > hi in some coordinate")
     if dim is None and lo.ndim > 0:
         dim = lo.size if lo.size > 1 else None
-    return MonotoneOperator("box", lambda lam, x: np.clip(x, lo, hi),
+    return MonotoneOperator("box", lambda lam, x: x.clip(lo, hi),
                             dim=dim, params={"lo": lo, "hi": hi})
 
 
@@ -236,8 +237,9 @@ def pair_ball_cone(n_pairs):
     n = int(n_pairs)
 
     def _res(lam, x):
-        u, v = project_pair_ball(x[:n], x[n:])
-        return np.concatenate([u, v])
+        out = np.empty_like(x)
+        project_pair_ball(x[:n], x[n:], out=(out[:n], out[n:]))
+        return out
 
     return MonotoneOperator("pair-ball", _res, dim=2 * n, params={"n_pairs": n})
 

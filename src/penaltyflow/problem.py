@@ -128,7 +128,7 @@ class ProblemInstance:
             hi = np.minimum(a.params["hi"], b2.params["hi"])
             if np.any(lo > hi):
                 raise PreconditionError("box constraints of A and B2 do not intersect")
-            return lambda lam, beta, x: np.clip(x, lo, hi)
+            return lambda lam, beta, x: x.clip(lo, hi)
         if a.kind == "affine" and b2.kind == "affine":
             ma, qa = a.params["M"], a.params["q"]
             mb, qb = b2.params["M"], b2.params["q"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import penaltyflow as pf
 from penaltyflow.deblur import box_muller_noise, degrade_image
 from penaltyflow.errors import MetricUndefinedError, ParameterError
-from penaltyflow.imaging import _circulant
+from penaltyflow.imaging import _circulant, circulant_pairs
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -25,6 +25,23 @@ def periodic_correlation(img, kernel):
         for q in range(-half, half + 1):
             out += kernel[p + half, q + half] * np.roll(img, (-p, -q), axis=(0, 1))
     return out
+
+
+def reference_gradient(theta, u, v):
+    """Forward differences of theta and the adjoint at (u, v), each block
+    built in its own zeroed array and summed at the end."""
+    m, n = theta.shape
+    lu, lv = np.zeros_like(theta), np.zeros_like(theta)
+    lu[:-1] = theta[1:] - theta[:-1]
+    lv[:, :-1] = theta[:, 1:] - theta[:, :-1]
+    adj_u, adj_v = np.zeros_like(u), np.zeros_like(v)
+    adj_u[1:] = u[:-1]
+    adj_u -= u
+    adj_u[-1] = u[-2] if m > 1 else 0.0
+    adj_v[:, 1:] = v[:, :-1]
+    adj_v -= v
+    adj_v[:, -1] = v[:, -2] if n > 1 else 0.0
+    return lu, lv, adj_u + adj_v
 
 
 class TestDiscreteGradient:
@@ -51,6 +68,30 @@ class TestDiscreteGradient:
             scale = 1.0 + abs(lhs)
             assert abs(lhs - rhs) <= 1e-10 * scale
 
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12), data=st.data())
+    def test_out_matches_reference_bytewise(self, m, n, data):
+        # small integers and signed zeros keep every inner product exact
+        entry = st.sampled_from([0.0, -0.0]) | st.integers(-8, 8).map(float)
+        theta, u, v = (np.array(data.draw(st.lists(
+            entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+            for _ in range(3))
+        if data.draw(st.booleans()):  # a non-contiguous image of the same shape
+            theta = np.array(theta.T, order="C").T
+        lu, lv = pf.discrete_gradient(theta)
+        adj = pf.discrete_gradient((u, v), adjoint=True)
+        ref = reference_gradient(theta, u, v)
+        assert [a.tobytes() for a in (lu, lv, adj)] == [a.tobytes() for a in ref]
+        pair = (np.full((m, n), np.nan), np.full((m, n), np.nan))
+        got = pf.discrete_gradient(theta, out=pair)
+        assert got[0] is pair[0] and got[1] is pair[1]
+        assert pair[0].tobytes() == lu.tobytes()
+        assert pair[1].tobytes() == lv.tobytes()
+        out = np.full((m, n), np.nan)
+        assert pf.discrete_gradient((u, v), adjoint=True, out=out) is out
+        assert out.tobytes() == adj.tobytes()
+        assert np.vdot(lu, u) + np.vdot(lv, v) == np.vdot(theta, adj)
+
     @pytest.mark.parametrize("size", [8, 16, 32])
     def test_operator_norm_bound(self, size):
         assert pf.gradient_norm_estimate(size, iters=200) <= 8.0 + 1e-6
@@ -60,6 +101,9 @@ class TestDiscreteGradient:
             pf.discrete_gradient(np.zeros(5))
         with pytest.raises(ParameterError):
             pf.discrete_gradient((np.zeros((2, 2)), np.zeros((3, 2))), adjoint=True)
+        with pytest.raises(ParameterError):
+            pf.discrete_gradient(np.zeros((3, 4)),
+                                 out=(np.zeros((3, 4)), np.zeros((4, 3)).T))
 
 
 class TestGaussianBlur:
@@ -239,22 +283,35 @@ class TestDeblurInstance:
 
     @pytest.mark.parametrize("kernel_size", [1, 9])
     def test_fused_penalty_matches_blur_composition(self, kernel_size):
-        inst = pf.build_tv_deblur(pf.make_test_image("checkerboard", 64),
-                                  kernel_size=kernel_size, sigma=4.0)
-        npx = 64 * 64
-        x = np.random.default_rng(3).standard_normal(3 * npx)
-        theta = x[:npx].reshape(64, 64)
-        k = inst.kernel
-        ref = pf.gaussian_blur(pf.gaussian_blur(theta, k) - inst.observed, k,
-                               adjoint=True).ravel()
-        out = inst.problem.b1.eval(x)
-        assert np.linalg.norm(out[:npx] - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert np.all(out[npx:] == 0.0)
-        lu, lv = pf.discrete_gradient(theta)
-        adj = pf.discrete_gradient((x[npx:2 * npx].reshape(64, 64),
-                                    x[2 * npx:].reshape(64, 64)), adjoint=True)
-        ref_d = np.concatenate([adj.ravel(), -lu.ravel(), -lv.ravel()])
-        assert inst.problem.d.eval(x).tobytes() == ref_d.tobytes()
+        rng = np.random.default_rng(3)
+        for image in (pf.make_test_image("checkerboard", 64),
+                      rng.random((5, 7))):
+            m, n = image.shape
+            npx = m * n
+            inst = pf.build_tv_deblur(image, kernel_size=kernel_size, sigma=4.0)
+            x = rng.standard_normal(3 * npx)
+            x[npx:npx + 2] = 0.0, -0.0
+            x_bytes = x.tobytes()
+            theta = x[:npx].reshape(m, n)
+            k = inst.kernel
+            ref = pf.gaussian_blur(pf.gaussian_blur(theta, k) - inst.observed,
+                                   k, adjoint=True).ravel()
+            out = inst.problem.b1.eval(x)
+            assert np.linalg.norm(out[:npx] - ref) <= 1e-14 * np.linalg.norm(ref)
+            (a, b), = circulant_pairs(k, (m, n))
+            ref_b = np.zeros_like(x)
+            np.subtract(a.T @ a @ theta @ (b.T @ b), a.T @ inst.observed @ b,
+                        out=ref_b[:npx].reshape(m, n))
+            assert out.tobytes() == ref_b.tobytes()
+            lu, lv = pf.discrete_gradient(theta)
+            adj = pf.discrete_gradient((x[npx:2 * npx].reshape(m, n),
+                                        x[2 * npx:].reshape(m, n)), adjoint=True)
+            ref_d = np.concatenate([adj.ravel(), -lu.ravel(), -lv.ravel()])
+            d_out = inst.problem.d.eval(x)
+            assert d_out.tobytes() == ref_d.tobytes()
+            assert not np.shares_memory(inst.problem.d.eval(x), d_out)
+            assert not np.shares_memory(inst.problem.b1.eval(x), out)
+            assert x.tobytes() == x_bytes
 
     def test_pixel_range_required(self):
         with pytest.raises(ParameterError):

@@ -120,6 +120,25 @@ class TestProjections:
                                     rng.standard_normal(64) * 5)
         assert np.all(np.sqrt(u * u + v * v) <= 1.0 + 1e-12)
 
+    def test_pair_ball_and_deblur_resolvents_bytewise(self):
+        rng = np.random.default_rng(4)
+        # zero pairs of either sign, pairs on the unit circle, then random ones
+        u = np.concatenate([[0.0, -0.0, 1.0, 0.6, -0.8],
+                            rng.standard_normal(30) * 2])
+        v = np.concatenate([[0.0, 0.0, 0.0, -0.8, 0.6],
+                            rng.standard_normal(30) * 2])
+        theta = rng.standard_normal(35) * 2
+        x = np.concatenate([theta, u, v])
+        before = x.tobytes()
+        got = pf.pair_ball_cone(35).resolvent(0.5, x[35:])
+        ref = np.concatenate(pf.project_pair_ball(u, v))
+        assert got.tobytes() == ref.tobytes()
+        inst = pf.build_tv_deblur(rng.random((5, 7)))
+        got = inst.problem.a.resolvent(0.5, x)
+        ref = np.concatenate([np.clip(theta, 0.0, 1.0), ref])
+        assert got.tobytes() == ref.tobytes()
+        assert x.tobytes() == before
+
     def test_pair_ball_shape_mismatch(self):
         with pytest.raises(ParameterError):
             pf.project_pair_ball(np.zeros(3), np.zeros(4))
