@@ -115,16 +115,10 @@ class Trajectory:
 
 
 def _check_state(x, k):
-    nx = float(np.linalg.norm(x))
+    nx = math.sqrt(x.dot(x))  # np.linalg.norm's own 1-D path
     if not math.isfinite(nx) or nx > _BLOWUP:
         raise DivergenceError(f"state norm {nx:.3e} exceeded {_BLOWUP:g} at step {k}",
                               step_index=k, norm=nx)
-
-
-def _psi_at(prob, point):
-    if prob.psi1 is None or prob.psi2 is None:
-        return math.nan
-    return prob.psi1(point) + prob.psi2(point)
 
 
 def check_mode(mode, prob):
@@ -150,6 +144,9 @@ def _kernel(mode, prob, spec):
     validated one (which rejects non-finite output) on the final sample.
     """
     d_eval, b_eval = prob.d.eval, prob.b1.eval
+    # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
+    inv_eta, mu = 1.0 / prob.d.eta, prob.b1.mu
+    cap_steps, safety = spec.cap_steps, spec.safety_factor
     if mode == "SFBP":
         def cap(lam, eps, bet, gam):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
@@ -164,18 +161,17 @@ def _kernel(mode, prob, spec):
     if mode == "FB":
         def cap(lam, eps, bet, gam):
             h_relax = 1.0 / gam  # keeps the relaxation a convex combination
-            if not spec.cap_steps:
+            if not cap_steps:
                 return h_relax
-            return min(h_relax, spec.safety_factor
-                       / (gam * (2.0 + lam * prob.lipschitz_bound(eps, bet))))
+            return min(h_relax, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
 
         def step(res, x, v, lam, eps, bet, gam):
             return gam * (res(lam, x - lam * v) - x), None, None
     else:
         def cap(lam, eps, bet, gam):
-            if not spec.cap_steps:
+            if not cap_steps:
                 return math.inf
-            return spec.safety_factor / (2.0 + 2.0 * lam * prob.lipschitz_bound(eps, bet))
+            return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
 
         def step(res, x, v, lam, eps, bet, gam):
             p = res(lam, x - lam * v)
@@ -208,11 +204,12 @@ def _march(mode, prob, sch, x0, spec):
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
     cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, psi sum
     vecs = np.empty((3 if mode == "FBF" else 2, rows, prob.dim))  # x, dx, p
-    d_eval, b_eval = prob.d.eval, prob.b1.eval
-    has_psi = prob.psi1 is not None
+    d_eval, b_eval, at = prob.d.eval, prob.b1.eval, sch.at
+    psi1, psi2 = prob.psi1, prob.psi2
+    has_psi = psi1 is not None
     t, k, i, n = 0.0, 0, 0, None
     while True:
-        lam = sch.lam(t); eps = sch.eps(t); bet = sch.beta(t); gam = sch.gamma(t)
+        lam, eps, bet, gam = at(t)
         if n is None:
             h = min(h_req, cap(lam, eps, bet, gam), T - t)
             if h <= 0:
@@ -229,8 +226,11 @@ def _march(mode, prob, sch, x0, spec):
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
                 vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
                 rows *= 2
-            psi = _psi_at(prob, x + dx if q is None else q) if has_psi else 0.0
-            cols[:, i] = t, h, lam, eps, bet, gam, np.linalg.norm(bx), psi
+            psi = 0.0
+            if has_psi:
+                q = x + dx if q is None else q
+                psi = math.nan if psi2 is None else psi1(q) + psi2(q)
+            cols[:, i] = t, h, lam, eps, bet, gam, math.sqrt(bx.dot(bx)), psi
             vecs[0, i], vecs[1, i] = x, dx
             if p is not None:
                 vecs[2, i] = p

@@ -14,11 +14,14 @@ CANONICAL_NAMES = ("scalar", "segment", "shifted-segment", "skew-box",
                    "sfbp-two-penalty")
 
 
+# The 1-D instances hold constants as 1-element arrays: numpy converts a Python
+# scalar operand on every call, an array operand it takes as is
 def _scalar():
-    d = LipschitzOperator(eval=lambda x: x - 2.0, eta=1.0, cocoercive=True,
+    two, zero = np.array([2.0]), np.array([0.0])
+    d = LipschitzOperator(eval=lambda x: x - two, eta=1.0, cocoercive=True,
                           affine=(np.array([[1.0]]), np.array([-2.0])))
-    b1 = PenaltyOperator(eval=lambda x: np.maximum(x, 0.0), mu=1.0,
-                         projector=lambda x: np.minimum(x, 0.0),
+    b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
+                         projector=lambda x: np.minimum(x, zero),
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
     return ProblemInstance(a=zero_op(1), d=d, b1=b1, dim=1, name="scalar",
                            x0_default=np.zeros(1))
@@ -53,18 +56,19 @@ def _skew_box():
 
 
 def _sfbp_two_penalty():
-    d = LipschitzOperator(eval=lambda x: x - 3.0, eta=1.0, cocoercive=True,
+    three, zero = np.array([3.0]), np.array([0.0])
+    d = LipschitzOperator(eval=lambda x: x - three, eta=1.0, cocoercive=True,
                           affine=(np.array([[1.0]]), np.array([-3.0])))
-    b1 = PenaltyOperator(eval=lambda x: np.maximum(x, 0.0), mu=1.0,
-                         projector=lambda x: np.minimum(x, 0.0),
+    b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
+                         projector=lambda x: np.minimum(x, zero),
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
     b2 = box_normal_cone(np.array([-_INF]), np.array([1.0]), dim=1)
 
     def psi1(x):
-        return 0.5 * float(np.sum(np.maximum(x, 0.0) ** 2))
+        return 0.5 * float(np.add.reduce(np.maximum(x, zero) ** 2))
 
     def psi2(x):
-        return 0.0 if np.all(x <= 1.0 + 1e-9) else math.inf
+        return 0.0 if (x <= 1.0 + 1e-9).all() else math.inf
 
     return ProblemInstance(a=zero_op(1), d=d, b1=b1, b2=b2, dim=1,
                            psi1=psi1, psi2=psi2, name="sfbp-two-penalty",

@@ -116,6 +116,10 @@ class ProblemInstance:
         if self.b2 is None:
             raise PreconditionError("instance has no second penalty operator")
         a, b2 = self.a, self.b2
+        if a.kind == "zero" and b2.kind == "box":
+            # the box clamp takes no parameter; call it without the wrappers below
+            lo, hi = b2.params["lo"], b2.params["hi"]
+            return lambda lam, beta, x: x.clip(lo, hi)
         if a.kind == "zero":
             fn = b2._resolvent_fn
             return lambda lam, beta, x: fn(lam * beta, x)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import List
 
 import numpy as np
@@ -98,6 +99,16 @@ def _prepare(cfg):
     return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 
 
+def _trajectory_rows(traj, gaps):
+    """The TRAJECTORY_COLUMNS rows of ``traj``, built lazily; ``gaps`` may be None."""
+    n = traj.times.size
+    norms = lambda vs: (math.sqrt(v.dot(v)) for v in vs)  # np.linalg.norm's 1-D path
+    return zip(traj.times.tolist(), traj.step_sizes.tolist(), norms(traj.states),
+               repeat(None, n) if gaps is None else gaps.tolist(), traj.b1_norms.tolist(),
+               repeat(math.nan, n) if traj.psi_sums is None else traj.psi_sums.tolist(),
+               repeat(None, n) if traj.aux_points is None else norms(traj.aux_points))
+
+
 def _finish(report, cfg, out_dir):
     if cfg.outputs["report_json"]:
         p = os.path.join(out_dir, "report.json")
@@ -158,17 +169,8 @@ def run_experiment(cfg, out_dir, seed_override=None):
             report.metrics["ergodic_average_norm"] = float(np.linalg.norm(erg))
 
         if cfg.outputs["trajectory_csv"]:
-            rows = []
-            for i in range(traj.times.size):
-                rows.append((traj.times[i], traj.step_sizes[i],
-                             float(np.linalg.norm(traj.states[i])),
-                             None if gaps is None else gaps[i],
-                             traj.b1_norms[i],
-                             math.nan if traj.psi_sums is None else traj.psi_sums[i],
-                             None if traj.aux_points is None
-                             else float(np.linalg.norm(traj.aux_points[i]))))
             p = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                         TRAJECTORY_COLUMNS, rows)
+                         TRAJECTORY_COLUMNS, _trajectory_rows(traj, gaps))
             report.artifacts.append(p)
 
         if cfg.outputs["path_csv"] and path_points is not None:

@@ -13,7 +13,7 @@ as one array call on that grid, and reads all of its checks from the result.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class Schedule:
 
     All callables accept scalars and numpy arrays. ``validate_schedule`` calls
     each one once on the whole GRID array; a scalar result (a constant) is
-    broadcast to the grid's shape.
+    broadcast to the grid's shape. ``at(t)`` gives the values a step uses, from
+    one fused call ``_at`` when set (bitwise the four field calls' values).
     """
 
     eps: Callable
@@ -42,6 +43,12 @@ class Schedule:
     dbeta: Callable
     family: str = "custom"
     params: dict = field(default_factory=dict)
+    _at: Optional[Callable] = field(default=None, compare=False, repr=False)
+
+    @property
+    def at(self):
+        """t -> (lam, eps, beta, gamma), without a method dispatch per call."""
+        return self._at or (lambda t: (self.lam(t), self.eps(t), self.beta(t), self.gamma(t)))
 
     def to_dict(self):
         if self.family != "polynomial":
@@ -99,6 +106,11 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
         def gamma(t):
             return gamma_bar * np.cos(1.0 / np.maximum(np.asarray(t, dtype=float), 1.0))
 
+    def at(t):
+        u = t + b
+        bt, et = u ** s, u ** (-r)
+        return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)
+
     def deps(t):
         return -r * (t + b) ** (-r - 1.0)
 
@@ -107,7 +119,8 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
 
     return Schedule(eps, beta, lam, gamma, deps, dbeta, family="polynomial",
                     params={"r": r, "s": s, "b": b, "lambda_bar": lambda_bar,
-                            "gamma_bar": gamma_bar, "gamma_kind": gamma_kind})
+                            "gamma_bar": gamma_bar, "gamma_kind": gamma_kind},
+                    _at=at)
 
 
 def constant_schedule(eps, beta, lam, gamma=1.0):

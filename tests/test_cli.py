@@ -299,6 +299,45 @@ class TestConfigParsing:
         assert type(cfg.max_steps) is int and cfg.x0 == [1.0]
 
 
+def per_row_trajectory_rows(traj, gaps):
+    """Reference for ``runner._trajectory_rows``: one eager tuple per sample."""
+    rows = []
+    for i in range(traj.times.size):
+        rows.append((traj.times[i], traj.step_sizes[i],
+                     float(np.linalg.norm(traj.states[i])),
+                     None if gaps is None else gaps[i],
+                     traj.b1_norms[i],
+                     math.nan if traj.psi_sums is None else traj.psi_sums[i],
+                     None if traj.aux_points is None
+                     else float(np.linalg.norm(traj.aux_points[i]))))
+    return rows
+
+
+class TestTrajectoryRows:
+    # FBF sets aux_points, SFBP sets psi_sums, FB sets neither
+    @pytest.mark.parametrize("name, mode, r, s, b", [
+        ("scalar", "FB", 0.1, 0.2, 1.0), ("skew-box", "FBF", 0.05, 0.25, 1.0),
+        ("sfbp-two-penalty", "SFBP", 0.65, 0.6, 1000.0)])
+    @pytest.mark.parametrize("with_gaps", [False, True])
+    def test_same_csv_bytes_as_per_row_reference(self, tmp_path, name, mode, r, s,
+                                                  b, with_gaps):
+        prob = pf.build_canonical(name)
+        integrate = {"FB": pf.integrate_fb, "FBF": pf.integrate_fbf,
+                     "SFBP": pf.integrate_sfbp}[mode]
+        traj = integrate(prob, pf.polynomial_schedule(r, s, b), np.full(prob.dim, 0.7),
+                         pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=40.0),
+                                           store_every=3))
+        gaps = None
+        if with_gaps:
+            gaps = np.random.default_rng(0).random(traj.times.size)
+            gaps[1] = math.nan
+        new = runner.emit_csv(tmp_path / "new.csv", TRAJECTORY_COLUMNS,
+                              runner._trajectory_rows(traj, gaps))
+        old = runner.emit_csv(tmp_path / "old.csv", TRAJECTORY_COLUMNS,
+                              per_row_trajectory_rows(traj, gaps))
+        assert Path(new).read_bytes() == Path(old).read_bytes()
+
+
 class TestRunExperiment:
     def test_minimal_scalar_run(self, tmp_path):
         cfg = load_config(write_config(tmp_path))

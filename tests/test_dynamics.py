@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow.dynamics import Trajectory
+from penaltyflow.dynamics import Trajectory, check_mode
 from penaltyflow.errors import (DivergenceError, ParameterError,
                                 PreconditionError)
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
@@ -318,9 +318,18 @@ def reference_grid(mode, prob, sch, spec):
     return np.asarray(ts), np.asarray(hs)
 
 
+def _allowed(mode, prob):
+    try:
+        check_mode(mode, prob)
+    except PreconditionError:
+        return False
+    return True
+
+
 def counting_schedule(sch):
-    """``sch`` with eps, beta, lam and gamma recording every argument."""
-    calls = {name: [] for name in ("eps", "beta", "lam", "gamma")}
+    """``sch`` with its fused ``at`` (``_at``) and eps, beta, lam and gamma
+    recording every argument."""
+    calls = {name: [] for name in ("_at", "eps", "beta", "lam", "gamma")}
 
     def wrap(fn, seen):
         def f(t):
@@ -367,10 +376,30 @@ class TestGridAndScheduleEvaluation:
         sch, calls = counting_schedule(pf.polynomial_schedule(r, s, b, 0.9, 1.0))
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.7, T=20.0))
         traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
+        seen = calls.pop("_at")
+        assert len(seen) == traj.n_steps_total + 1
+        assert all(np.ndim(t) == 0 for t in seen)
+        assert np.array_equal(seen, traj.times)
         for field, seen in calls.items():
-            assert len(seen) == traj.n_steps_total + 1, field
-            assert all(np.ndim(t) == 0 for t in seen), field
-            assert np.array_equal(seen, traj.times), field
+            assert seen == [], field
+
+    @pytest.mark.parametrize("name, mode", [
+        (name, mode) for name in pf.CANONICAL_NAMES for mode in _MODES
+        if _allowed(mode, pf.build_canonical(name))])
+    @pytest.mark.parametrize("cos_gamma", [False, True])
+    def test_fused_schedule_matches_field_calls(self, name, mode, cos_gamma):
+        integrate, _, (r, s, b) = _MODES[mode]
+        prob = pf.build_canonical(name)
+        sch = pf.polynomial_schedule(r, s, b, 0.9, 1.0,
+                                     "cos-inverse" if cos_gamma else "constant")
+        spec = pf.IntegratorSpec(grid=pf.GeometricGrid(h0=0.3, ratio=1.01, T=60.0),
+                                 store_every=3)
+        x0 = np.full(prob.dim, 0.5)
+        fused = integrate(prob, sch, x0, spec)
+        fields = integrate(prob, dataclasses.replace(sch, _at=None), x0, spec)
+        for f in dataclasses.fields(Trajectory):
+            a, b = getattr(fused, f.name), getattr(fields, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), f.name
 
 
 class TestErgodicAverage:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import ConvergenceFailure, ParameterError, PreconditionError
@@ -113,6 +115,20 @@ class TestCanonicalInstances:
         out = prob.resolvent_shifted(0.3, 2.0, x)
         assert np.array_equal(out, fn(0.3, 2.0, x))
         np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3),
+           bounds=st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 10.0)),
+           lam=st.floats(1e-6, 1e3), beta=st.floats(1e-6, 1e6))
+    def test_zero_box_resolvent_is_the_box_resolvent(self, x, bounds, lam, beta):
+        lo, width = bounds
+        dim = len(x)
+        b2 = pf.box_normal_cone(np.full(dim, lo), np.full(dim, lo + width), dim=dim)
+        prob = _two_penalty(pf.zero_op(dim), b2)
+        x = np.array(x)
+        want = b2.resolvent(lam * beta, x)
+        assert np.array_equal(prob.shifted_resolvent_fn()(lam, beta, x), want)
+        assert np.array_equal(prob.resolvent_shifted(lam, beta, x), want)
 
     @pytest.mark.parametrize("a, b2", [
         (pf.l1_subgradient(1.0, dim=1), pf.box_normal_cone(-1.0, 1.0, dim=1)),

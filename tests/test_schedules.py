@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import ParameterError
@@ -93,6 +95,42 @@ class TestConstantCallables:
             out = fn(t)
             assert out.shape == t.shape and out.dtype == float, name
             assert np.array_equal(out, np.full(t.shape, float(c))), name
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestAt:
+    """``at(t)`` is bitwise ``(lam(t), eps(t), beta(t), gamma(t))``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(1e-3, 0.999), s=st.floats(1e-3, 4.0),
+           b=st.floats(1.0, 1e4), lambda_bar=st.floats(1e-3, 1e3),
+           cos_gamma=st.booleans(),
+           t=st.floats(0.0, 1e9) | st.integers(0, 10**9))
+    def test_polynomial_fused(self, r, s, b, lambda_bar, cos_gamma, t):
+        sch = pf.polynomial_schedule(r, s, b, lambda_bar, 0.9,
+                                     "cos-inverse" if cos_gamma else "constant")
+        assert sch._at is not None
+        fields = (sch.lam(t), sch.eps(t), sch.beta(t), sch.gamma(t))
+        got = sch.at(t)
+        assert [type(v) for v in got] == [type(v) for v in fields]
+        assert _bits(got) == _bits(fields)
+
+    @settings(max_examples=50, deadline=None)
+    @given(t=st.floats(0.0, 1e9))
+    def test_fallback(self, t):
+        for sch in (pf.constant_schedule(eps=0.3, beta=2.0, lam=0.5, gamma=0.7),
+                    power_schedule(lam_exp=-0.6, beta_exp=0.55)):
+            assert sch._at is None
+            want = (sch.lam(t), sch.eps(t), sch.beta(t), sch.gamma(t))
+            assert _bits(sch.at(t)) == _bits(want)
+
+    def test_fused_closure_is_not_compared(self):
+        sch = pf.polynomial_schedule(0.1, 0.2)
+        assert dataclasses.replace(sch, _at=None) == sch
+        assert "_at" not in repr(sch)
 
 
 class TestValidators:
