@@ -10,8 +10,11 @@ with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. All three
 share one marching loop, ``_march``, which builds the time grid as it goes:
 each step evaluates the schedule once at the current time, sizes the step from
 those values and takes it with the same values. A mode only supplies its step
-cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which returns the
-update direction dx of X+ = X + h*dx. FB and FBF steps are capped by the local
+cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which forms V(X)
+and returns the update direction dx of X+ = X + h*dx. The FBF step map does its
+full-length arithmetic in place, on temporaries it allocated itself, and
+rounds exactly as the formula above; no step map writes into X, V(X) or an
+array an operator or oracle returned. FB and FBF steps are capped by the local
 Lipschitz bound of the vector field unless the caller disables it (needed when
 a test pins an exact recursion); FB keeps gamma*h <= 1 and SFBP keeps h <= 1
 regardless, so that X+ stays a convex combination.
@@ -137,11 +140,14 @@ def _kernel(mode, prob, spec):
     """The mode's step cap, its step map and its backward-step resolvents.
 
     ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values the
-    step itself uses. ``step(res, x, v, lam, eps, beta, gam)`` returns the
-    update direction dx, the auxiliary point (FBF only) and the point the
-    penalty sum is taken at (None for x + dx, which is then formed only for
-    stored samples). ``res`` is the fast resolvent on every step and the
-    validated one (which rejects non-finite output) on the final sample.
+    step itself uses. ``step(res, x, bx, lam, eps, beta, gam)`` forms the
+    field V(x) from bx = B1(x) and returns the update direction dx, the
+    auxiliary point (FBF only) and the point the penalty sum is taken at (None
+    for x + dx, which is then formed only for stored samples). ``res`` is the
+    fast resolvent on every step and the validated one (which rejects
+    non-finite output) on the final sample. FBF assembles its arrays in place,
+    but only arrays it allocated itself; no step map writes into ``x``, ``bx``
+    or anything an operator or oracle returned.
     """
     d_eval, b_eval = prob.d.eval, prob.b1.eval
     # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
@@ -152,7 +158,8 @@ def _kernel(mode, prob, spec):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
             return 1.0
 
-        def step(res, x, v, lam, eps, bet, gam):
+        def step(res, x, bx, lam, eps, bet, gam):
+            v = d_eval(x) + eps * x + bet * bx
             j = res(lam, bet, x - lam * v)
             return j - x, None, j
 
@@ -165,7 +172,8 @@ def _kernel(mode, prob, spec):
                 return h_relax
             return min(h_relax, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
 
-        def step(res, x, v, lam, eps, bet, gam):
+        def step(res, x, bx, lam, eps, bet, gam):
+            v = d_eval(x) + eps * x + bet * bx
             return gam * (res(lam, x - lam * v) - x), None, None
     else:
         def cap(lam, eps, bet, gam):
@@ -173,10 +181,24 @@ def _kernel(mode, prob, spec):
                 return math.inf
             return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
 
-        def step(res, x, v, lam, eps, bet, gam):
-            p = res(lam, x - lam * v)
-            vp = d_eval(p) + eps * p + bet * b_eval(p)
-            return p - x + lam * (v - vp), p, None
+        def step(res, x, bx, lam, eps, bet, gam):
+            # p - x + lam*(v - vp) with v = D(x) + eps*x + beta*B1(x), and vp
+            # the same field at p; a + b == b + a bitwise, so each sum may
+            # start from the product it owns, but (vp - v) * -lam would turn
+            # the +0.0 of v == vp into -0.0
+            v = eps * x
+            v += d_eval(x)
+            v += bet * bx
+            y = lam * v
+            p = res(lam, np.subtract(x, y, out=y))
+            vp = eps * p
+            vp += d_eval(p)
+            vp += bet * b_eval(p)
+            np.subtract(v, vp, out=vp)
+            vp *= lam
+            dx = p - x
+            dx += vp
+            return dx, p, None
 
     return cap, step, prob.a._resolvent_fn, prob.a.resolvent
 
@@ -204,7 +226,7 @@ def _march(mode, prob, sch, x0, spec):
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
     cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, psi sum
     vecs = np.empty((3 if mode == "FBF" else 2, rows, prob.dim))  # x, dx, p
-    d_eval, b_eval, at = prob.d.eval, prob.b1.eval, sch.at
+    b_eval, at = prob.b1.eval, sch.at
     psi1, psi2 = prob.psi1, prob.psi2
     has_psi = psi1 is not None
     t, k, i, n = 0.0, 0, 0, None
@@ -219,8 +241,7 @@ def _march(mode, prob, sch, x0, spec):
         else:
             res = res_checked
         bx = b_eval(x)
-        v = d_eval(x) + eps * x + bet * bx
-        dx, p, q = step(res, x, v, lam, eps, bet, gam)
+        dx, p, q = step(res, x, bx, lam, eps, bet, gam)
         if k % every == 0 or n is not None:
             if i == rows:
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)

@@ -6,6 +6,7 @@ pure functions, so concurrent evaluation is safe.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,7 +62,10 @@ def project_pair_ball(u, v, out=(None, None)):
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ParameterError("pair components must have the same shape")
-    scale = np.maximum(1.0, np.sqrt(u * u + v * v))
+    # an array even for 0-d input, where u * u would be a numpy scalar
+    scale = np.multiply(u, u, out=np.empty_like(u))
+    scale += v * v
+    np.maximum(np.sqrt(scale, out=scale), 1.0, out=scale)
     return np.divide(u, scale, out=out[0]), np.divide(v, scale, out=out[1])
 
 
@@ -208,23 +212,26 @@ def affine_op(M, q=None):
 def product_op(blocks):
     """Block product of operators acting on contiguous slices.
 
+    The product's oracle calls each block's raw oracle, so a step pays no
+    per-block validation; ``resolvent`` validates the whole output once.
+
     Parameters
     ----------
     blocks : list of (MonotoneOperator, int)
         Operators and the lengths of the slices they act on.
     """
     sizes = [int(n) for _, n in blocks]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    dim = int(offsets[-1])
+    offsets = [0, *accumulate(sizes)]
     ops = [op for op, _ in blocks]
+    parts = [(op._resolvent_fn, a, b) for op, a, b in zip(ops, offsets[:-1], offsets[1:])]
 
     def _res(lam, x):
         out = np.empty_like(x)
-        for op, a, b in zip(ops, offsets[:-1], offsets[1:]):
-            out[a:b] = op.resolvent(lam, x[a:b])
+        for fn, a, b in parts:
+            out[a:b] = fn(lam, x[a:b])
         return out
 
-    return MonotoneOperator("product", _res, dim=dim,
+    return MonotoneOperator("product", _res, dim=offsets[-1],
                             params={"blocks": list(zip(ops, sizes))})
 
 
@@ -354,18 +361,3 @@ def verify_certificate(op, kind, modulus=None, samples=1000, seed=0, dim=None):
     return CertificateReport(kind, modulus, samples, seed, float(worst),
                              bool(worst <= threshold), threshold)
 
-
-def operator_from_dict(spec):
-    """Build a MonotoneOperator from its JSON-friendly descriptor."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParameterError("operator descriptor must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if kind == "zero":
-        return zero_op(spec.get("dim"))
-    if kind == "box":
-        return box_normal_cone(spec["lo"], spec["hi"], spec.get("dim"))
-    if kind == "l1":
-        return l1_subgradient(spec.get("weight", 1.0), spec.get("dim"))
-    if kind == "affine":
-        return affine_op(spec["M"], spec.get("q"))
-    raise ParameterError(f"unknown operator kind '{kind}'")

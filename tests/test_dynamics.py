@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow.dynamics import Trajectory, check_mode
+from penaltyflow.dynamics import Trajectory, _kernel, check_mode
 from penaltyflow.errors import (DivergenceError, ParameterError,
                                 PreconditionError)
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
@@ -35,6 +35,38 @@ def projection_sfbp_problem():
                            psi1=lambda x: 0.0,
                            psi2=lambda x: 0.0 if np.all(x <= 1e-9) else INF,
                            name="projection-sfbp")
+
+
+def read_only_problem(prob):
+    """``prob`` with D, B1 and the oracle of A returning read-only arrays."""
+    def ro(fn):
+        def wrapped(*args):
+            y = fn(*args)
+            y.setflags(write=False)
+            return y
+        return wrapped
+
+    a = pf.MonotoneOperator(prob.a.kind, ro(prob.a._resolvent_fn), dim=prob.a.dim,
+                            params=prob.a.params)
+    return dataclasses.replace(prob, a=a,
+                               d=dataclasses.replace(prob.d, eval=ro(prob.d.eval)),
+                               b1=dataclasses.replace(prob.b1, eval=ro(prob.b1.eval)))
+
+
+def assert_textbook_fbf_step(prob, x, lam, eps, bet):
+    """One FBF step map equals the module docstring's expression bit for bit,
+    and leaves ``x`` as it was; returns dx."""
+    cap, step, res, _ = _kernel("FBF", prob, pf.IntegratorSpec(
+        grid=pf.UniformGrid(h=1.0, T=1.0)))
+    before = x.tobytes()
+    dx, p, _ = step(res, x, prob.b1.eval(x), lam, eps, bet, 1.0)
+    v = prob.d.eval(x) + eps * x + bet * prob.b1.eval(x)
+    p_ref = prob.a.resolvent(lam, x - lam * v)
+    vp = prob.d.eval(p_ref) + eps * p_ref + bet * prob.b1.eval(p_ref)
+    assert p.tobytes() == p_ref.tobytes()
+    assert dx.tobytes() == (p_ref - x + lam * (v - vp)).tobytes()
+    assert x.tobytes() == before
+    return dx
 
 
 def manual_trajectory(times, states, lam):
@@ -173,6 +205,47 @@ class TestForwardBackwardForward:
         traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
         assert traj.aux_points is not None
         assert traj.aux_points.shape == traj.states.shape
+
+    @pytest.mark.parametrize("build", [
+        lambda: pf.build_canonical("skew-box"),
+        lambda: pf.build_tv_deblur(pf.make_test_image("checkerboard", 8)).problem,
+    ], ids=["skew-box", "deblur-8"])
+    def test_step_writes_into_no_input_or_operator_output(self, build):
+        prob = build()
+        ro = read_only_problem(prob)
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9 / math.sqrt(8.0), 1.0)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=60,
+                                 store_every=7)
+        x0 = np.linspace(-0.5, 1.5, prob.dim)
+        want = pf.integrate_fbf(prob, sch, x0, spec)
+        x0.setflags(write=False)
+        got = pf.integrate_fbf(ro, sch, x0, spec)
+        for f in dataclasses.fields(Trajectory):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+    @pytest.mark.parametrize("instance", ["skew-box", "deblur-4"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), lam=st.sampled_from([0.5, 1.0, 2.0]),
+           eps=st.sampled_from([0.0, 0.25, 1.0]), bet=st.sampled_from([0.0, 1.0, 3.0]))
+    def test_step_is_textbook_expression_bitwise(self, instance, data, lam, eps, bet):
+        prob = (pf.build_tv_deblur(pf.make_test_image("checkerboard", 4)).problem
+                if instance == "deblur-4" else pf.build_canonical(instance))
+        entry = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-2, 2).map(float))
+        x = np.array(data.draw(st.lists(entry, min_size=prob.dim, max_size=prob.dim)))
+        assert_textbook_fbf_step(prob, x, lam, eps, bet)
+
+    def test_step_keeps_sign_of_zero(self):
+        # D = 1 and a clamp at -0.0: where x = +0 the step has p = -0.0 and
+        # V(p) == V(x), so dx = -0.0 + lam*(+0.0) must be +0.0
+        d = LipschitzOperator(eval=lambda x: np.ones_like(x), eta=INF)
+        b1 = PenaltyOperator(eval=lambda x: np.zeros_like(x), mu=INF)
+        prob = ProblemInstance(a=pf.box_normal_cone(-0.0, 1.0), d=d, b1=b1, dim=3)
+        dx = assert_textbook_fbf_step(prob, np.array([0.0, -0.0, 1.0]), 0.5, 0.0, 0.0)
+        assert not np.signbit(dx[0])
 
 
 class TestFullSplitting:

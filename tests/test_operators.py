@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow.errors import ParameterError
+from penaltyflow.errors import ConvergenceFailure, ParameterError
 
 
 def seeded_points(dim, n, seed=0, radius=3.0):
@@ -61,6 +63,38 @@ class TestResolvents:
         y = op.resolvent(1.0, np.array([-1.0, 0.5, 2.0]))
         assert np.allclose(y, [0.0, 0.5, 1.0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), sizes=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                           st.integers(1, 4)),
+           lam=st.floats(0.01, 10.0))
+    def test_product_oracle_is_concatenated_block_resolvents(self, data, sizes, lam):
+        nb, npair, nl = sizes
+        blocks = [(pf.box_normal_cone(-1.0, 1.0), nb),
+                  (pf.pair_ball_cone(npair), 2 * npair),
+                  (pf.l1_subgradient(0.7), nl)]
+        entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+        dim = nb + 2 * npair + nl
+        x = np.array(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+        before = x.tobytes()
+        parts, a = [], 0
+        for op, n in blocks:
+            parts.append(op.resolvent(lam, x[a:a + n]))
+            a += n
+        ref = np.concatenate(parts).tobytes()
+        prod = pf.product_op(blocks)
+        assert prod._resolvent_fn(lam, x).tobytes() == ref
+        assert prod.resolvent(lam, x).tobytes() == ref
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_product_rejects_nonfinite_block_output(self, bad):
+        rogue = pf.custom_op(lambda lam, x: np.full_like(x, bad))
+        for blocks in ([(pf.box_normal_cone(0.0, 1.0), 2), (rogue, 1)],
+                       [(rogue, 1), (pf.pair_ball_cone(1), 2)]):
+            prod = pf.product_op(blocks)
+            with pytest.raises(ConvergenceFailure, match="'product'"):
+                prod.resolvent(1.0, np.array([0.5, -0.5, 2.0]))
+
 
 class TestYosida:
     def test_zero_operator(self):
@@ -86,6 +120,17 @@ class TestYosida:
                     assert y[i] >= -1e-14
                 else:
                     assert y[i] <= 1e-14
+        # scalar bounds clamp every coordinate alike
+        box = pf.box_normal_cone(0.0, 1.0)
+        assert np.array_equal(box.resolvent(1.0, np.array([5.0, -2.0, 0.5])),
+                              [1.0, 0.0, 0.5])
+
+    def test_affine_value_is_operator_at_resolvent_point(self):
+        # for A x = M x + q the Yosida value is A(J_lam x)
+        op = pf.affine_op(np.array([[1.0, 0.5], [-0.5, 2.0]]), np.array([0.3, -0.2]))
+        for x in seeded_points(2, 20, seed=5):
+            y = pf.yosida_eval(op, 0.5, x)
+            assert np.allclose(y, op.eval(op.resolvent(0.5, x)), atol=1e-12)
 
 
 class TestProjections:
@@ -113,6 +158,8 @@ class TestProjections:
         assert u[0] == pytest.approx(0.3) and v[0] == pytest.approx(0.4)
         u, v = pf.project_pair_ball(np.array([0.0]), np.array([0.0]))
         assert u[0] == 0.0 and v[0] == 0.0
+        u, v = pf.project_pair_ball(3.0, -4.0)  # 0-d input gives 0-d output
+        assert (u, v) == (0.6, -0.8) and np.ndim(u) == 0
 
     def test_pair_ball_norms_bounded(self):
         rng = np.random.default_rng(0)
@@ -224,16 +271,6 @@ class TestVectors:
         with pytest.raises(ParameterError):
             pf.resolvent_eval(pf.box_normal_cone(np.zeros(2), np.ones(2), dim=2),
                               1.0, np.arange(3.0))
-
-    def test_operator_from_dict(self):
-        from penaltyflow.operators import operator_from_dict
-        box = operator_from_dict({"kind": "box", "lo": 0.0, "hi": 1.0})
-        assert box.resolvent(1.0, np.array([5.0]))[0] == pytest.approx(1.0)
-        aff = operator_from_dict({"kind": "affine", "M": [[1.0]], "q": [-2.0]})
-        assert aff.eval(np.array([3.0]))[0] == pytest.approx(1.0)
-        with pytest.raises(ParameterError):
-            operator_from_dict({"kind": "mystery"})
-
 
 class TestCustomOracle:
     def test_divergent_custom_oracle_reports_failure(self):
