@@ -17,12 +17,11 @@ from .imaging import (discrete_gradient, gaussian_blur, gaussian_kernel,
                       gradient_norm_estimate, isnr, make_test_image)
 from .instances import CANONICAL_NAMES, build_canonical
 from .operators import (MonotoneOperator, affine_op, box_normal_cone,
-                        custom_op, inverse_op, l1_subgradient, pair_ball_cone,
-                        product_op, project_box, project_pair_ball,
-                        resolvent_eval, scaled_op, verify_certificate,
-                        yosida_eval, zero_op)
+                        inverse_op, l1_subgradient, pair_ball_cone, product_op,
+                        project_pair_ball, verify_certificate, yosida_eval,
+                        zero_op)
 from .oracle import (SolutionCertificate, active_set_solve,
-                     high_precision_reference, sample_graph_points)
+                     high_precision_reference)
 from .pgmio import read_pgm, write_pgm
 from .problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 from .runner import ExitReport, emit_csv, run_experiment

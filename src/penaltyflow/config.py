@@ -42,7 +42,7 @@ from typing import Optional
 
 from .dynamics import GeometricGrid, UniformGrid
 from .errors import ConfigError, ParameterError
-from .schedules import Schedule, polynomial_schedule
+from .schedules import polynomial_schedule
 
 _MODES = ("FB", "FBF", "SFBP")
 _GRIDS = {"uniform": UniformGrid, "geometric": GeometricGrid}
@@ -102,10 +102,6 @@ def schedule_from_dict(d):
         return polynomial_schedule(**p)
     except ParameterError as exc:
         raise ConfigError(str(exc), field="$.schedule") from exc
-
-
-def schedule_to_dict(sch: Schedule):
-    return sch.to_dict()
 
 
 def _typed(v, kind, field):

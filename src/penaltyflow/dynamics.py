@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, PreconditionError
-from .operators import as_vector
+from .operators import as_vector, norm
 
 _BLOWUP = 1e12
 
@@ -118,7 +118,7 @@ class Trajectory:
 
 
 def _check_state(x, k):
-    nx = math.sqrt(x.dot(x))  # np.linalg.norm's own 1-D path
+    nx = norm(x)
     if not math.isfinite(nx) or nx > _BLOWUP:
         raise DivergenceError(f"state norm {nx:.3e} exceeded {_BLOWUP:g} at step {k}",
                               step_index=k, norm=nx)
@@ -251,7 +251,7 @@ def _march(mode, prob, sch, x0, spec):
             if has_psi:
                 q = x + dx if q is None else q
                 psi = math.nan if psi2 is None else psi1(q) + psi2(q)
-            cols[:, i] = t, h, lam, eps, bet, gam, math.sqrt(bx.dot(bx)), psi
+            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), psi
             vecs[0, i], vecs[1, i] = x, dx
             if p is not None:
                 vecs[2, i] = p
@@ -290,7 +290,7 @@ def integrate_sfbp(prob, sch, x0, spec):
     return _march("SFBP", prob, sch, x0, spec)
 
 
-def ergodic_average(traj, sch):
+def ergodic_average(traj):
     """lam-weighted time average of the stored trajectory (trapezoid rule)."""
     if traj.times.size == 0:
         raise ParameterError("trajectory is empty")

@@ -21,7 +21,6 @@ def _scalar():
     d = LipschitzOperator(eval=lambda x: x - two, eta=1.0, cocoercive=True,
                           affine=(np.array([[1.0]]), np.array([-2.0])))
     b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
-                         projector=lambda x: np.minimum(x, zero),
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
     return ProblemInstance(a=zero_op(1), d=d, b1=b1, dim=1, name="scalar",
                            x0_default=np.zeros(1))
@@ -35,7 +34,6 @@ def _segment(lo, hi, name):
                           cocoercive=True,
                           affine=(np.zeros((2, 2)), np.zeros(2)))
     b1 = PenaltyOperator(eval=lambda x: x * mask, mu=1.0,
-                         projector=lambda x: x * (1.0 - mask),
                          zero_set_box=(np.array([-_INF, 0.0]),
                                        np.array([_INF, 0.0])))
     return ProblemInstance(a=box_normal_cone(lo, hi, dim=2), d=d, b1=b1, dim=2,
@@ -49,7 +47,6 @@ def _skew_box():
     lo = np.array([-1.0, -1.0])
     hi = np.array([1.0, 1.0])
     b1 = PenaltyOperator(eval=lambda x: x - x.clip(lo, hi), mu=1.0,
-                         projector=lambda x: x.clip(lo, hi),
                          zero_set_box=(lo, hi))
     return ProblemInstance(a=zero_op(2), d=d, b1=b1, dim=2, name="skew-box",
                            x0_default=np.array([1.0, 1.0]))
@@ -60,7 +57,6 @@ def _sfbp_two_penalty():
     d = LipschitzOperator(eval=lambda x: x - three, eta=1.0, cocoercive=True,
                           affine=(np.array([[1.0]]), np.array([-3.0])))
     b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
-                         projector=lambda x: np.minimum(x, zero),
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
     b2 = box_normal_cone(np.array([-_INF]), np.array([1.0]), dim=1)
 

@@ -1,4 +1,6 @@
-"""Monotone operators given through resolvent oracles, plus the projection calculus.
+"""Monotone operators given through resolvent oracles (a custom oracle is a
+plain ``MonotoneOperator(kind, resolvent_fn, ...)``), the pair-ball projection,
+the norm behind every reported or guarded vector norm, and sampled certificates.
 
 Every operator here is immutable after construction and all operations are
 pure functions, so concurrent evaluation is safe.
@@ -34,21 +36,15 @@ def as_vector(x, dim=None):
     return v
 
 
+def norm(v):
+    """Euclidean norm of a contiguous 1-D float array as a Python float; bitwise
+    ``np.linalg.norm(v)``, whose own 1-D path this is (the dot reduces in BLAS)."""
+    return math.sqrt(v.dot(v))
+
+
 def soft_threshold(x, tau):
     """Componentwise shrinkage sign(x) * max(|x| - tau, 0)."""
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
-def project_box(lo, hi, x):
-    """Componentwise clamp of ``x`` onto the box [lo, hi].
-
-    Bounds may be -inf/+inf. Idempotent.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ParameterError("box has lo > hi in some coordinate")
-    return np.clip(np.asarray(x, dtype=float), lo, hi)
 
 
 def project_pair_ball(u, v, out=(None, None)):
@@ -85,8 +81,8 @@ class MonotoneOperator:
     Parameters
     ----------
     kind : str
-        Descriptor tag ("zero", "box", "l1", "scaled", "product", "inverse",
-        "affine", "pair-ball", "custom").
+        Descriptor tag ("zero", "box", "l1", "product", "inverse", "affine",
+        "pair-ball", or any other name for a custom oracle).
     resolvent_fn : callable
         Map (lam, x) -> y with x - y in lam * op(y).
     eval_fn : callable, optional
@@ -123,12 +119,6 @@ class MonotoneOperator:
         return f"MonotoneOperator(kind={self.kind!r}, dim={self.dim})"
 
 
-def resolvent_eval(op, lam, x):
-    """Resolvent of ``op`` with parameter ``lam`` at ``x`` (validated entry point)."""
-    x = as_vector(x, op.dim)
-    return op.resolvent(lam, x)
-
-
 def yosida_eval(op, lam, x):
     """Yosida regularization (x - resolvent(lam, x)) / lam."""
     if lam <= 0:
@@ -163,17 +153,6 @@ def l1_subgradient(weight=1.0, dim=None):
     w = float(weight)
     return MonotoneOperator("l1", lambda lam, x: soft_threshold(x, lam * w),
                             dim=dim, params={"weight": w})
-
-
-def scaled_op(inner, alpha):
-    """The operator alpha * inner for alpha > 0."""
-    if alpha <= 0:
-        raise ParameterError("scaling factor must be positive")
-    a = float(alpha)
-    ev = None if inner.eval is None else (lambda x: a * inner.eval(x))
-    return MonotoneOperator("scaled", lambda lam, x: inner.resolvent(lam * a, x),
-                            eval_fn=ev, dim=inner.dim,
-                            params={"alpha": a, "inner": inner})
 
 
 def inverse_op(inner):
@@ -249,11 +228,6 @@ def pair_ball_cone(n_pairs):
         return out
 
     return MonotoneOperator("pair-ball", _res, dim=2 * n, params={"n_pairs": n})
-
-
-def custom_op(resolvent_fn, dim=None, eval_fn=None):
-    """Wrap a user-supplied resolvent oracle."""
-    return MonotoneOperator("custom", resolvent_fn, eval_fn=eval_fn, dim=dim, params={})
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def write_pgm(path, img):
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ParameterError("image must be 2-D")
-    if img.min() < -1e-9 or img.max() > 1.0 + 1e-9:
+    if not ((img >= -1e-9) & (img <= 1.0 + 1e-9)).all():  # NaN fails too
         raise ParameterError("pixels must lie in [0, 1]")
     data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = data.shape
@@ -70,6 +70,8 @@ def read_pgm(path):
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"malformed PGM header: {exc}") from exc
+    if w < 1 or h < 1:
+        raise FormatError(f"PGM size {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval} (need 255)")
     raster = blob[i:i + w * h]

@@ -45,15 +45,12 @@ class PenaltyOperator:
     eval : callable
     mu : float
         Cocoercivity modulus; inf when the operator vanishes identically.
-    projector : callable, optional
-        Exact projection onto zer(B) when available.
     zero_set_box : tuple (lo, hi), optional
         Box description of zer(B) for the small-instance solver.
     """
 
     eval: Callable
     mu: float
-    projector: Optional[Callable] = None
     zero_set_box: Optional[tuple] = None
 
     def __post_init__(self):

@@ -21,7 +21,7 @@ from .dynamics import (IntegratorSpec, check_mode, ergodic_average,
 from .errors import PenaltyflowError
 from .imaging import make_test_image
 from .instances import build_canonical
-from .operators import as_vector
+from .operators import as_vector, norm
 from .pgmio import atomic_write_text, write_pgm
 from .schedules import attouch_czarnecki_check, validate_schedule
 
@@ -102,11 +102,10 @@ def _prepare(cfg):
 def _trajectory_rows(traj, gaps):
     """The TRAJECTORY_COLUMNS rows of ``traj``, built lazily; ``gaps`` may be None."""
     n = traj.times.size
-    norms = lambda vs: (math.sqrt(v.dot(v)) for v in vs)  # np.linalg.norm's 1-D path
-    return zip(traj.times.tolist(), traj.step_sizes.tolist(), norms(traj.states),
+    return zip(traj.times.tolist(), traj.step_sizes.tolist(), map(norm, traj.states),
                repeat(None, n) if gaps is None else gaps.tolist(), traj.b1_norms.tolist(),
                repeat(math.nan, n) if traj.psi_sums is None else traj.psi_sums.tolist(),
-               repeat(None, n) if traj.aux_points is None else norms(traj.aux_points))
+               repeat(None, n) if traj.aux_points is None else map(norm, traj.aux_points))
 
 
 def _finish(report, cfg, out_dir):
@@ -148,8 +147,7 @@ def run_experiment(cfg, out_dir, seed_override=None):
 
         gaps = None
         if path_points is not None:
-            gaps = np.array([float(np.linalg.norm(x - p.xbar))
-                             for x, p in zip(traj.states, path_points)])
+            gaps = np.array([norm(x - p.xbar) for x, p in zip(traj.states, path_points)])
             trep = tracking_report(traj, path_points)
             report.metrics["tracking"] = {
                 "final_gap": trep.final_gap,
@@ -160,13 +158,12 @@ def run_experiment(cfg, out_dir, seed_override=None):
         report.metrics["mode"] = cfg.mode
         report.metrics["steps"] = traj.n_steps_total
         report.metrics["final_time"] = traj.final_time
-        report.metrics["final_state_norm"] = float(np.linalg.norm(traj.final_state))
+        report.metrics["final_state_norm"] = norm(traj.final_state)
         report.metrics["final_B1_norm"] = float(traj.b1_norms[-1])
         if traj.psi_sums is not None:
             report.metrics["final_psi_sum"] = float(traj.psi_sums[-1])
         if cfg.mode == "SFBP":
-            erg = ergodic_average(traj, sch)
-            report.metrics["ergodic_average_norm"] = float(np.linalg.norm(erg))
+            report.metrics["ergodic_average_norm"] = norm(ergodic_average(traj))
 
         if cfg.outputs["trajectory_csv"]:
             p = emit_csv(os.path.join(out_dir, "trajectory.csv"),
@@ -174,9 +171,8 @@ def run_experiment(cfg, out_dir, seed_override=None):
             report.artifacts.append(p)
 
         if cfg.outputs["path_csv"] and path_points is not None:
-            rows = [(pt.t, pt.eps, pt.beta, float(np.linalg.norm(pt.xbar)),
-                     float(np.linalg.norm(prob.b1.eval(pt.xbar))), pt.residual,
-                     pt.iterations) for pt in path_points]
+            rows = [(pt.t, pt.eps, pt.beta, norm(pt.xbar), norm(prob.b1.eval(pt.xbar)),
+                     pt.residual, pt.iterations) for pt in path_points]
             p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
             report.artifacts.append(p)
 

@@ -5,10 +5,15 @@ The numeric validators classify asymptotics from a log grid t in [1e2, 1e8]:
 a quantity is declared "-> 0" when the fitted log-log slope over the grid tail
 falls below a small deadband and the last samples decrease; integrals are
 declared divergent when the fitted integrand exponent stays above -1
-(p-integral dichotomy). These slope rules, rather than absolute-value
-thresholds, make the numeric verdicts coincide with the exact exponent tests
-for polynomial families. Each validation evaluates every schedule field once,
-as one array call on that grid, and reads all of its checks from the result.
+(p-integral dichotomy). For polynomial families these slope rules, rather
+than absolute-value thresholds, make the numeric verdicts coincide with the
+exact exponent tests outside a band around each boundary. A rule whose fitted
+slope is c times an exponent combination (c = 1 for s - r, 2 for r + s - 1/2
+and s - 1/2, 3 for FBF's r + s - 1/3) reads its sign only beyond
+_SLOPE_DEADBAND / c; inside that band the numeric rules may reject a schedule
+the exact tests accept, and are never the more lenient. Each validation
+evaluates every schedule field once, as one array call on that grid, and reads
+all of its checks from the result.
 """
 
 import math
@@ -49,14 +54,6 @@ class Schedule:
     def at(self):
         """t -> (lam, eps, beta, gamma), without a method dispatch per call."""
         return self._at or (lambda t: (self.lam(t), self.eps(t), self.beta(t), self.gamma(t)))
-
-    def to_dict(self):
-        if self.family != "polynomial":
-            raise ParameterError("only polynomial schedules serialize to JSON")
-        d = {"family": "polynomial", **self.params}
-        if d["gamma_kind"] == "constant":
-            del d["gamma_kind"]  # the default, which configs leave out
-        return d
 
 
 def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="constant"):

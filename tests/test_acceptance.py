@@ -146,7 +146,7 @@ def test_criterion_5_full_splitting():
     t0 = time.perf_counter()
     spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e6), store_every=10)
     traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
-    erg = pf.ergodic_average(traj, sch)
+    erg = pf.ergodic_average(traj)
     elapsed = time.perf_counter() - t0
     cert = pf.active_set_solve(prob)
     b1_final = float(traj.b1_norms[-1])

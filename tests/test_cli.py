@@ -18,7 +18,7 @@ from penaltyflow import config, errors, runner
 from penaltyflow.cli import main
 from penaltyflow.config import load_config, parse_config
 from penaltyflow.errors import (ConfigError, ConvergenceFailure, FormatError,
-                                PenaltyflowError)
+                                ParameterError, PenaltyflowError)
 from penaltyflow.runner import (ISNR_COLUMNS, PATH_COLUMNS,
                                 TRAJECTORY_COLUMNS, run_experiment)
 
@@ -187,6 +187,19 @@ class TestPgmRoundTrip:
         p.write_bytes(b"P5\n4 4\n255\nab")
         with pytest.raises(FormatError):
             pf.read_pgm(p)
+
+    @pytest.mark.parametrize("blob", [b"P5\n-2 -2\n255\nabcd", b"P5\n0 5\n255\n"])
+    def test_empty_or_negative_size_rejected(self, tmp_path, blob):
+        p = tmp_path / "size.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match="at least 1x1"):
+            pf.read_pgm(p)
+
+    def test_nan_pixel_rejected(self, tmp_path):
+        p = tmp_path / "nan.pgm"
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            pf.write_pgm(p, np.array([[0.5, np.nan]]))
+        assert not p.exists()
 
 
 class TestConfigParsing:

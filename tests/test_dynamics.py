@@ -19,7 +19,6 @@ def trivial_problem(dim=1):
     """A = 0, D = 0, B = 0: every point is stationary for every field."""
     d = LipschitzOperator(eval=lambda x: np.zeros_like(x), eta=INF, cocoercive=True)
     b1 = PenaltyOperator(eval=lambda x: np.zeros_like(x), mu=INF,
-                         projector=lambda x: x,
                          zero_set_box=(np.full(dim, -INF), np.full(dim, INF)))
     return ProblemInstance(a=pf.zero_op(dim), d=d, b1=b1, dim=dim, name="trivial")
 
@@ -28,7 +27,6 @@ def projection_sfbp_problem():
     """A = 0, second potential = indicator of (-inf, 0], D = 0, B1 = 0."""
     d = LipschitzOperator(eval=lambda x: np.zeros_like(x), eta=INF, cocoercive=True)
     b1 = PenaltyOperator(eval=lambda x: np.zeros_like(x), mu=INF,
-                         projector=lambda x: x,
                          zero_set_box=(np.array([-INF]), np.array([INF])))
     b2 = pf.box_normal_cone(np.array([-INF]), np.array([0.0]), dim=1)
     return ProblemInstance(a=pf.zero_op(1), d=d, b1=b1, b2=b2, dim=1,
@@ -297,7 +295,7 @@ class TestFullSplitting:
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=2e4),
                                  store_every=5)
         traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
-        erg = pf.ergodic_average(traj, sch)
+        erg = pf.ergodic_average(traj)
         cert = pf.active_set_solve(prob)
         assert cert.distance_to(erg) <= 0.1
         assert traj.b1_norms[-1] <= 0.01
@@ -479,18 +477,17 @@ class TestErgodicAverage:
     def test_constant_trajectory(self):
         t = np.linspace(0.0, 1.0, 11)
         traj = manual_trajectory(t, np.full(11, 2.5), np.ones(11))
-        assert pf.ergodic_average(traj, None)[0] == pytest.approx(2.5)
+        assert pf.ergodic_average(traj)[0] == pytest.approx(2.5)
 
     def test_linear_state_uniform_weight(self):
         t = np.linspace(0.0, 1.0, 101)
         traj = manual_trajectory(t, t, np.ones(101))
-        assert pf.ergodic_average(traj, None)[0] == pytest.approx(0.5, abs=1e-12)
+        assert pf.ergodic_average(traj)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_linear_state_linear_weight(self):
         t = np.linspace(0.0, 1.0, 2001)
         traj = manual_trajectory(t, t, t)
-        assert pf.ergodic_average(traj, None)[0] == pytest.approx(2.0 / 3.0,
-                                                                  abs=1e-5)
+        assert pf.ergodic_average(traj)[0] == pytest.approx(2.0 / 3.0, abs=1e-5)
 
 
 class TestTracking:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import ConvergenceFailure, ParameterError
+from penaltyflow.operators import as_vector
 
 
 def seeded_points(dim, n, seed=0, radius=3.0):
@@ -17,26 +18,26 @@ def seeded_points(dim, n, seed=0, radius=3.0):
 class TestResolvents:
     def test_zero_is_identity(self):
         op = pf.zero_op(2)
-        out = pf.resolvent_eval(op, 0.7, np.array([3.0, -1.0]))
+        out = op.resolvent(0.7, np.array([3.0, -1.0]))
         assert np.array_equal(out, [3.0, -1.0])
 
     def test_box_clamp_is_lambda_independent(self):
         op = pf.box_normal_cone(0.0, 1.0, dim=1)
-        assert pf.resolvent_eval(op, 5.0, np.array([2.0])) == pytest.approx(1.0)
-        assert pf.resolvent_eval(op, 1e-6, np.array([2.0])) == pytest.approx(1.0)
+        assert op.resolvent(5.0, np.array([2.0])) == pytest.approx(1.0)
+        assert op.resolvent(1e-6, np.array([2.0])) == pytest.approx(1.0)
 
     def test_l1_soft_threshold(self):
         op = pf.l1_subgradient(1.0, dim=1)
-        assert pf.resolvent_eval(op, 1.0, np.array([2.0])) == pytest.approx(1.0)
-        assert pf.resolvent_eval(op, 1.0, np.array([-0.5])) == pytest.approx(0.0)
+        assert op.resolvent(1.0, np.array([2.0])) == pytest.approx(1.0)
+        assert op.resolvent(1.0, np.array([-0.5])) == pytest.approx(0.0)
 
     def test_lambda_zero_returns_input(self):
         op = pf.l1_subgradient(1.0, dim=1)
-        assert pf.resolvent_eval(op, 0.0, np.array([2.0])) == pytest.approx(2.0)
+        assert op.resolvent(0.0, np.array([2.0])) == pytest.approx(2.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
-            pf.resolvent_eval(pf.zero_op(1), -1.0, np.array([1.0]))
+            pf.zero_op(1).resolvent(-1.0, np.array([1.0]))
 
     def test_affine_solves_linear_system(self):
         m = np.array([[2.0, 0.3], [0.1, 1.0]])
@@ -44,18 +45,12 @@ class TestResolvents:
         op = pf.affine_op(m, q)
         x = np.array([1.0, 2.0])
         lam = 0.7
-        y = pf.resolvent_eval(op, lam, x)
+        y = op.resolvent(lam, x)
         assert np.allclose(y + lam * (m @ y + q), x, atol=1e-12)
 
     def test_affine_rejects_nonmonotone(self):
         with pytest.raises(ParameterError):
             pf.affine_op(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-    def test_scaled_matches_rescaled_parameter(self):
-        inner = pf.l1_subgradient(1.0, dim=1)
-        op = pf.scaled_op(inner, 2.0)
-        x = np.array([3.0])
-        assert np.allclose(op.resolvent(0.5, x), inner.resolvent(1.0, x))
 
     def test_product_applies_blockwise(self):
         op = pf.product_op([(pf.box_normal_cone(0.0, 1.0), 2),
@@ -88,7 +83,7 @@ class TestResolvents:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_product_rejects_nonfinite_block_output(self, bad):
-        rogue = pf.custom_op(lambda lam, x: np.full_like(x, bad))
+        rogue = pf.MonotoneOperator("custom", lambda lam, x: np.full_like(x, bad))
         for blocks in ([(pf.box_normal_cone(0.0, 1.0), 2), (rogue, 1)],
                        [(rogue, 1), (pf.pair_ball_cone(1), 2)]):
             prod = pf.product_op(blocks)
@@ -135,21 +130,23 @@ class TestYosida:
 
 class TestProjections:
     def test_box_examples(self):
-        out = pf.project_box(0.0, 1.0, np.array([-0.5, 0.3, 2.0]))
+        out = pf.box_normal_cone(0.0, 1.0).resolvent(1.0, np.array([-0.5, 0.3, 2.0]))
         assert np.allclose(out, [0.0, 0.3, 1.0])
 
     def test_box_idempotent(self):
+        box = pf.box_normal_cone(0.0, 1.0)
         x = np.array([0.2, 0.9])
-        once = pf.project_box(0.0, 1.0, x)
+        once = box.resolvent(1.0, x)
         assert np.array_equal(once, x)
-        assert np.array_equal(pf.project_box(0.0, 1.0, once), once)
+        assert np.array_equal(box.resolvent(1.0, once), once)
 
     def test_degenerate_box(self):
-        assert pf.project_box(0.0, 0.0, np.array([7.0])) == pytest.approx(0.0)
+        box = pf.box_normal_cone(0.0, 0.0)
+        assert box.resolvent(1.0, np.array([7.0])) == pytest.approx(0.0)
 
     def test_box_bad_bounds(self):
         with pytest.raises(ParameterError):
-            pf.project_box(1.0, 0.0, np.array([0.5]))
+            pf.box_normal_cone(1.0, 0.0)
 
     def test_pair_ball_examples(self):
         u, v = pf.project_pair_ball(np.array([3.0]), np.array([4.0]))
@@ -199,7 +196,6 @@ def _all_descriptors():
         "affine": pf.affine_op(np.array([[1.0, 0.5], [-0.5, 2.0]]),
                                np.array([0.3, -0.2])),
         "inverse": pf.inverse_op(pf.l1_subgradient(0.7, dim=2)),
-        "scaled": pf.scaled_op(pf.l1_subgradient(1.0, dim=2), 0.5),
     }
 
 
@@ -265,25 +261,22 @@ class TestCertificatesAndCalculus:
 class TestVectors:
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
-            pf.resolvent_eval(pf.zero_op(2), 1.0, np.array([1.0, np.nan]))
+            as_vector(np.array([1.0, np.nan]), 2)
 
     def test_rejects_wrong_dim(self):
         with pytest.raises(ParameterError):
-            pf.resolvent_eval(pf.box_normal_cone(np.zeros(2), np.ones(2), dim=2),
-                              1.0, np.arange(3.0))
+            as_vector(np.arange(3.0), 2)
 
 class TestCustomOracle:
     def test_divergent_custom_oracle_reports_failure(self):
-        import penaltyflow as pfl
-        from penaltyflow.errors import ConvergenceFailure
-        bad = pfl.custom_op(lambda lam, x: x * np.inf, dim=1)
+        bad = pf.MonotoneOperator("custom", lambda lam, x: x * np.inf, dim=1)
         with pytest.raises(ConvergenceFailure) as exc:
-            pfl.resolvent_eval(bad, 1.0, np.array([1.0]))
+            bad.resolvent(1.0, np.array([1.0]))
         assert exc.value.residual is not None
 
     def test_wellbehaved_custom_oracle(self):
-        half = pf.custom_op(lambda lam, x: x / (1.0 + lam), dim=1,
-                            eval_fn=lambda x: x)
+        half = pf.MonotoneOperator("custom", lambda lam, x: x / (1.0 + lam),
+                                   eval_fn=lambda x: x, dim=1)
         # resolvent of the identity operator: (1 + lam)^-1 x
         assert half.resolvent(1.0, np.array([2.0]))[0] == pytest.approx(1.0)
         rep = pf.verify_certificate(half, "firmly-nonexpansive-resolvent",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -9,6 +10,44 @@ from penaltyflow.errors import UnsupportedInstanceError
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _sample_graph_points(prob, n_samples=100, seed=0, radius=5.0):
+    """Seeded samples (u, w) from the graph of A + D + N_C on a box instance.
+
+    u is drawn in the feasible box; w adds D(u) and random normal-cone
+    directions at the active coordinates of the A-box and of zer(B1).
+    """
+    rng = np.random.default_rng(seed)
+    box = prob.feasible_box()
+    if box is None:
+        raise UnsupportedInstanceError("graph sampling needs a box instance")
+    lo, hi = box
+
+    cones = []
+    if prob.a.kind == "box":
+        cones.append((np.broadcast_to(prob.a.params["lo"], (prob.dim,)),
+                      np.broadcast_to(prob.a.params["hi"], (prob.dim,))))
+    if prob.b1.zero_set_box is not None:
+        blo, bhi = prob.b1.zero_set_box
+        cones.append((np.broadcast_to(np.asarray(blo, dtype=float), (prob.dim,)),
+                      np.broadcast_to(np.asarray(bhi, dtype=float), (prob.dim,))))
+
+    samples = []
+    for _ in range(n_samples):
+        u = np.clip(rng.standard_normal(prob.dim) * radius, lo, hi)
+        w = prob.d.eval(u).astype(float).copy()
+        for clo, chi in cones:
+            for i in range(prob.dim):
+                mag = abs(rng.standard_normal()) * radius
+                if clo[i] == chi[i]:
+                    w[i] += rng.standard_normal() * radius  # pinned: full line
+                elif u[i] <= clo[i] + 1e-12 and math.isfinite(clo[i]):
+                    w[i] -= mag
+                elif u[i] >= chi[i] - 1e-12 and math.isfinite(chi[i]):
+                    w[i] += mag
+        samples.append((u, w))
+    return samples
 
 
 class TestActiveSetSolve:
@@ -101,5 +140,5 @@ class TestCertificateSoundness:
         prob = pf.build_canonical(name)
         cert = pf.active_set_solve(prob)
         p = cert.least_norm_point
-        for u, w in pf.sample_graph_points(prob, n_samples=100, seed=3):
+        for u, w in _sample_graph_points(prob, n_samples=100, seed=3):
             assert float((u - p) @ w) >= -1e-10
