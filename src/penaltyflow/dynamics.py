@@ -14,10 +14,15 @@ cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which forms V(X)
 and returns the update direction dx of X+ = X + h*dx. The FBF step map does its
 full-length arithmetic in place, on temporaries it allocated itself, and
 rounds exactly as the formula above; no step map writes into X, V(X) or an
-array an operator or oracle returned. FB and FBF steps are capped by the local
-Lipschitz bound of the vector field unless the caller disables it (needed when
-a test pins an exact recursion); FB keeps gamma*h <= 1 and SFBP keeps h <= 1
-regardless, so that X+ stays a convex combination.
+array an operator or oracle returned. Step maps, and the raw oracles they
+call, get lam, eps, beta and gamma as 0-d float64 arrays that the loop
+rewrites each step, so they are valid only during the call: numpy converts a
+Python float operand on every ufunc call but takes a 0-d array as is, and at
+dimension 1-2 that conversion is a large share of a step. FB and FBF steps are
+capped by the local Lipschitz bound of the vector field unless the caller
+disables it (needed when a test pins an exact recursion); FB keeps
+gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that X+ stays a convex
+combination.
 """
 
 import math
@@ -62,23 +67,24 @@ class IntegratorSpec:
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.safety_factor <= 1.0):
-            raise ParameterError("safety_factor must lie in (0, 1]")
-        if self.store_every < 1:
-            raise ParameterError("store_every must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ParameterError("max_steps must be >= 1")
         g = self.grid
         if isinstance(g, UniformGrid):
-            if not (g.h > 0 and g.T > 0):
-                raise ParameterError("grid needs h > 0 and T > 0")
+            steps = (("grid h", g.h, g.h > 0, "> 0"),)
         elif isinstance(g, GeometricGrid):
-            if not (g.h0 > 0 and g.T > 0 and g.ratio >= 1.0):
-                raise ParameterError("geometric grid needs h0 > 0, T > 0, ratio >= 1")
+            steps = (("grid h0", g.h0, g.h0 > 0, "> 0"),
+                     ("grid ratio", g.ratio, g.ratio >= 1.0, ">= 1"))
         else:
             raise ParameterError("grid must be UniformGrid or GeometricGrid")
-        if g.T <= 1e-12:  # the march stops 1e-12 short of T
-            raise ParameterError("empty time grid")
+        sf, every, most = self.safety_factor, self.store_every, self.max_steps
+        # one check per field, naming it and its value (NaN fails each); T
+        # must exceed the 1e-12 that the march stops short of it
+        for name, value, ok, need in (
+                ("safety_factor", sf, 0.0 < sf <= 1.0, "in (0, 1]"),
+                ("store_every", every, every >= 1, ">= 1"),
+                ("max_steps", most, most is None or most >= 1, ">= 1"),
+                *steps, ("grid T", g.T, g.T > 1e-12, "> 1e-12")):
+            if not ok:
+                raise ParameterError(f"{name} must be {need}, got {value}")
 
 
 @dataclass
@@ -145,7 +151,9 @@ def _kernel(mode, prob, spec):
     auxiliary point (FBF only) and the point the penalty sum is taken at (None
     for x + dx, which is then formed only for stored samples). ``res`` is the
     fast resolvent on every step and the validated one (which rejects
-    non-finite output) on the final sample. FBF assembles its arrays in place,
+    non-finite output) on the final sample. ``step`` and its oracles get the
+    schedule values as 0-d float64 arrays valid only during the call (see the
+    module docstring), ``cap`` as floats. FBF assembles its arrays in place,
     but only arrays it allocated itself; no step map writes into ``x``, ``bx``
     or anything an operator or oracle returned.
     """
@@ -229,6 +237,10 @@ def _march(mode, prob, sch, x0, spec):
     b_eval, at = prob.b1.eval, sch.at
     psi1, psi2 = prob.psi1, prob.psi2
     has_psi = psi1 is not None
+    # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
+    # of one buffer rewritten each step; cap and the recorder keep the floats
+    vals = np.empty(5)
+    zlam, zeps, zbet, zgam, zh = (vals[j, ...] for j in range(5))
     t, k, i, n = 0.0, 0, 0, None
     while True:
         lam, eps, bet, gam = at(t)
@@ -238,10 +250,12 @@ def _march(mode, prob, sch, x0, spec):
                 raise ParameterError("step size collapsed to zero")
             if t + h >= t_end or k + 1 == max_steps:
                 n = k + 1  # this is the last step
+            vals[4] = h
         else:
             res = res_checked
+        vals[0], vals[1], vals[2], vals[3] = lam, eps, bet, gam
         bx = b_eval(x)
-        dx, p, q = step(res, x, bx, lam, eps, bet, gam)
+        dx, p, q = step(res, x, bx, zlam, zeps, zbet, zgam)
         if k % every == 0 or n is not None:
             if i == rows:
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
@@ -258,7 +272,7 @@ def _march(mode, prob, sch, x0, spec):
             i += 1
         if k == n:
             break
-        x = x + h * dx
+        x = x + zh * dx
         if k % 64 == 0 or k + 1 == n:
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio

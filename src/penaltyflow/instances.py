@@ -42,7 +42,11 @@ def _segment(lo, hi, name):
 
 def _skew_box():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    d = LipschitzOperator(eval=lambda x: m @ x, eta=1.0, cocoercive=False,
+    # x.dot(m.T) rounds as m @ x here, row by row on a (B, 2) stack too, and
+    # skips the matmul gufunc's per-call cost; affine_op keeps @, since for a
+    # 1x1 M and x = [-0.0], M @ x is [+0.0] but M.dot(x) is [-0.0]
+    mt = np.ascontiguousarray(m.T)
+    d = LipschitzOperator(eval=lambda x: x.dot(mt), eta=1.0, cocoercive=False,
                           affine=(m, np.zeros(2)))
     lo = np.array([-1.0, -1.0])
     hi = np.array([1.0, 1.0])

@@ -84,7 +84,9 @@ class MonotoneOperator:
         Descriptor tag ("zero", "box", "l1", "product", "inverse", "affine",
         "pair-ball", or any other name for a custom oracle).
     resolvent_fn : callable
-        Map (lam, x) -> y with x - y in lam * op(y).
+        Map (lam, x) -> y with x - y in lam * op(y). The integrators pass lam
+        as a 0-d float64 array, valid only during the call; ``resolvent``
+        passes a float.
     eval_fn : callable, optional
         Pointwise evaluation when the operator is single-valued.
     dim : int, optional

@@ -3,15 +3,16 @@
     python tests/digests.py          # print the digests as JSON
     python tests/digests.py --write  # rewrite tests/data/digests.json
 
-Three config shapes, each on seeds 0 and 1, at horizons short enough for a
+Four config shapes, each on seeds 0 and 1, at horizons short enough for a
 few seconds in total: 1-D full splitting (SFBP) with a trajectory CSV,
 skew-box FBF with tracking, path CSV and checkpoint (its state reaches the
-subnormal range, where a flipped sign of zero would show), and 64x64 TV
-deblurring with images and the ISNR series. The seed picks ``x0`` of the
-canonical runs and the noise seed of the deblurring run. BLAS reductions
-split across threads change the last bits of some norms, so the digests are
-recorded with one OpenBLAS thread, which is the default here when the
-environment sets none.
+subnormal range, where a flipped sign of zero would show), forward-backward
+(FB) on the segment with a geometric grid and the cos-inverse relaxation,
+also tracked and checkpointed, and 64x64 TV deblurring with images and the
+ISNR series. The seed picks ``x0`` of the canonical runs and the noise seed
+of the deblurring run. BLAS reductions split across threads change the last
+bits of some norms, so the digests are recorded with one OpenBLAS thread,
+which is the default here when the environment sets none.
 """
 
 import hashlib
@@ -53,6 +54,19 @@ def _skew(rng):
                         "report_json": True}}
 
 
+def _fb_segment(rng):
+    return {"instance": "segment", "mode": "FB",
+            "schedule": dict(_schedule(0.05, 0.25, 1, 0.9),
+                             gamma_kind="cos-inverse"),
+            "grid": {"kind": "geometric", "h0": 0.05, "ratio": 1.001,
+                     "T": 2000},
+            "store_every": 25,
+            "x0": [rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)],
+            "outputs": {"trajectory_csv": True, "path_csv": True,
+                        "tracking": True, "checkpoint": True,
+                        "report_json": True}}
+
+
 def _deblur(rng):
     return {"instance": {"deblur": {"image": "checkerboard", "size": 64,
                                     "kernel_size": 9, "sigma": 4.0,
@@ -66,7 +80,8 @@ def _deblur(rng):
                         "isnr_csv": True, "report_json": True}}
 
 
-CONFIGS = {"sfbp-1d": _sfbp, "fbf-skew-track": _skew, "tv-deblur-64": _deblur}
+CONFIGS = {"sfbp-1d": _sfbp, "fbf-skew-track": _skew,
+           "fb-segment-track": _fb_segment, "tv-deblur-64": _deblur}
 
 
 def compute():

@@ -546,7 +546,8 @@ class TestCliCommands:
         assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 4
 
     @pytest.mark.parametrize("overrides, says", [
-        ({"grid": {"kind": "uniform", "h": -1, "T": 1e3}}, "h > 0"),
+        ({"grid": {"kind": "uniform", "h": -1, "T": 1e3}},
+         "grid h must be > 0, got -1.0"),
         ({"safety_factor": 2}, "safety_factor"),
         ({"store_every": 0}, "store_every"),
         ({"max_steps": 0}, "max_steps"),

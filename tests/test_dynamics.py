@@ -246,6 +246,51 @@ class TestForwardBackwardForward:
         assert not np.signbit(dx[0])
 
 
+class TestStepMapsTakeZeroDimValues:
+    """The marching loop hands the step maps lam, eps, beta and gamma as 0-d
+    float64 arrays; every step map and oracle must round as with floats."""
+
+    @pytest.mark.parametrize("mode, instance", [
+        ("FB", "scalar"), ("FB", "segment"), ("FBF", "skew-box"),
+        ("FBF", "deblur-4"), ("SFBP", "sfbp-two-penalty")])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_python_floats(self, mode, instance, data):
+        prob = (pf.build_tv_deblur(pf.make_test_image("checkerboard", 4)).problem
+                if instance == "deblur-4" else pf.build_canonical(instance))
+        _, step, res, res_checked = _kernel(mode, prob, pf.IntegratorSpec(
+            grid=pf.UniformGrid(h=1.0, T=1.0)))
+        entry = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-3, 3).map(float))
+        x = np.array(data.draw(st.lists(entry, min_size=prob.dim, max_size=prob.dim)))
+        bx = prob.b1.eval(x)
+        for vals in ((0.5, 0.0, 0.0, 1.0), (1.0, 0.25, 1.0, 0.5), (2.0, 1.0, 3.0, 0.9)):
+            for r in (res, res_checked):
+                want = step(r, x, bx, *vals)
+                got = step(r, x, bx, *map(np.array, vals))
+                for a, b in zip(got, want):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_fast_oracle_gets_zero_dim_lam(self):
+        prob = pf.build_canonical("skew-box")
+        fn, seen = prob.a._resolvent_fn, []
+
+        def spy(lam, x):
+            seen.append((type(lam), np.shape(lam), np.result_type(lam)))
+            return fn(lam, x)
+
+        a = pf.MonotoneOperator(prob.a.kind, spy, dim=prob.a.dim, params=prob.a.params)
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0))
+        traj = pf.integrate_fbf(dataclasses.replace(prob, a=a), sch,
+                                np.array([0.5, -0.5]), spec)
+        # one fast call per step, then the validated call of the final sample
+        assert len(seen) == traj.n_steps_total + 1
+        assert set(seen[:-1]) == {(np.ndarray, (), np.dtype(np.float64))}
+        assert seen[-1][0] is float
+
+
 class TestFullSplitting:
     def test_projection_recursion_matches_reference(self):
         prob = projection_sfbp_problem()
@@ -598,6 +643,25 @@ class TestSpecAndStorage:
         for max_steps in (0, -3):
             with pytest.raises(ParameterError, match="max_steps"):
                 pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), max_steps=max_steps)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(grid=pf.UniformGrid(h=-1.0, T=1.0)), "grid h must be > 0, got -1.0"),
+        (dict(grid=pf.UniformGrid(h=1.0, T=0.0)), "grid T must be > 1e-12, got 0.0"),
+        (dict(grid=pf.GeometricGrid(h0=0.0, ratio=1.1, T=1.0)),
+         "grid h0 must be > 0, got 0.0"),
+        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=0.5, T=1.0)),
+         "grid ratio must be >= 1, got 0.5"),
+        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=1.1, T=1e-13)),
+         "grid T must be > 1e-12, got 1e-13"),
+        (dict(safety_factor=1.5), "safety_factor must be in (0, 1], got 1.5"),
+        (dict(store_every=0), "store_every must be >= 1, got 0"),
+        (dict(max_steps=-3), "max_steps must be >= 1, got -3"),
+    ], ids=["h", "T", "h0", "ratio", "geometric-T", "safety_factor", "store_every",
+            "max_steps"])
+    def test_invalid_field_named_with_its_value(self, kwargs, message):
+        with pytest.raises(ParameterError) as exc:
+            pf.IntegratorSpec(**{"grid": pf.UniformGrid(h=1.0, T=1.0), **kwargs})
+        assert str(exc.value) == message
 
     def test_geometric_grid_grows(self):
         prob = pf.build_canonical("scalar")

@@ -37,6 +37,19 @@ class TestCanonicalInstances:
                                    samples=500, seed=0, dim=2)
         assert ok.passed
 
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]),
+        st.floats(allow_nan=False, allow_infinity=False)), min_size=2, max_size=2),
+        min_size=1, max_size=4))
+    def test_skew_field_has_the_bits_of_matmul(self, rows):
+        prob = pf.build_canonical("skew-box")
+        m = prob.d.affine[0]
+        want = [(m @ x).tobytes() for x in np.array(rows)]
+        assert [prob.d.eval(x).tobytes() for x in np.array(rows)] == want
+        # a (B, 2) stack maps row by row
+        assert prob.d.eval(np.array(rows)).tobytes() == b"".join(want)
+
     @pytest.mark.parametrize("name", pf.CANONICAL_NAMES)
     def test_penalty_vanishes_on_projected_points(self, name):
         prob = pf.build_canonical(name)
