@@ -18,7 +18,10 @@ array an operator or oracle returned. Step maps, and the raw oracles they
 call, get lam, eps, beta and gamma as 0-d float64 arrays that the loop
 rewrites each step, so they are valid only during the call: numpy converts a
 Python float operand on every ufunc call but takes a 0-d array as is, and at
-dimension 1-2 that conversion is a large share of a step. FB and FBF steps are
+dimension 1-2 that conversion is a large share of a step. For the same reason
+a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx, and the recorder
+stores the points the penalty potentials are taken at and evaluates psi1 and
+psi2 once, on the stack of them, after the march. FB and FBF steps are
 capped by the local Lipschitz bound of the vector field unless the caller
 disables it (needed when a test pins an exact recursion); FB keeps
 gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that X+ stays a convex
@@ -76,6 +79,10 @@ class IntegratorSpec:
         else:
             raise ParameterError("grid must be UniformGrid or GeometricGrid")
         sf, every, most = self.safety_factor, self.store_every, self.max_steps
+        for name, value in (("store_every", every),
+                            ("max_steps", 1 if most is None else most)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         # one check per field, naming it and its value (NaN fails each); T
         # must exceed the 1e-12 that the march stops short of it
         for name, value, ok, need in (
@@ -219,7 +226,8 @@ def _march(mode, prob, sch, x0, spec):
     same values. The iteration after the last step (k = n) takes no step and
     records the final state with a freshly evaluated field. Samples go into
     buffers sized from the uncapped step count and doubled when a binding cap
-    takes more steps.
+    takes more steps; the potentials of the stored points are taken after the
+    march, in one call each.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
@@ -232,11 +240,13 @@ def _march(mode, prob, sch, x0, spec):
     uncapped = (T / h_req if ratio == 1.0
                 else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
-    cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, psi sum
-    vecs = np.empty((3 if mode == "FBF" else 2, rows, prob.dim))  # x, dx, p
-    b_eval, at = prob.b1.eval, sch.at
     psi1, psi2 = prob.psi1, prob.psi2
     has_psi = psi1 is not None
+    cols = np.empty((7, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|
+    # x, dx, then p (FBF) and the points q the potentials are taken at
+    slot_p, slot_q = 2, 3 if mode == "FBF" else 2
+    vecs = np.empty((slot_q + 1 if has_psi else slot_q, rows, prob.dim))
+    b_eval, at = prob.b1.eval, sch.at
     # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
     # of one buffer rewritten each step; cap and the recorder keep the floats
     vals = np.empty(5)
@@ -261,26 +271,32 @@ def _march(mode, prob, sch, x0, spec):
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
                 vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
                 rows *= 2
-            psi = 0.0
-            if has_psi:
-                q = x + dx if q is None else q
-                psi = math.nan if psi2 is None else psi1(q) + psi2(q)
-            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), psi
+            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx)
             vecs[0, i], vecs[1, i] = x, dx
             if p is not None:
-                vecs[2, i] = p
+                vecs[slot_p, i] = p
+            if has_psi:
+                vecs[slot_q, i] = x + dx if q is None else q
             i += 1
         if k == n:
             break
-        x = x + zh * dx
+        # 1.0*dx is dx bit for bit, and SFBP on a unit grid steps by 1.0
+        x = x + dx if h == 1.0 else x + zh * dx
         if k % 64 == 0 or k + 1 == n:
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
-    times, hs, lam, eps, bet, gam, b1n, psi = cols[:, :i]
+    times, hs, lam, eps, bet, gam, b1n = cols[:, :i]
+    psi = None
+    if has_psi:
+        qs = vecs[slot_q, :i]
+        psi = np.full(i, math.nan) if psi2 is None else psi1(qs) + psi2(qs)
+        if np.shape(psi) != (i,):
+            raise ParameterError(f"psi1 + psi2 on a ({i}, {prob.dim}) stack must have "
+                                 f"shape ({i},), got {np.shape(psi)}")
     return Trajectory(
         mode=mode, times=times, states=vecs[0, :i], step_sizes=hs,
-        xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi if has_psi else None,
-        aux_points=vecs[2, :i] if mode == "FBF" else None, lam=lam, eps=eps,
+        xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi,
+        aux_points=vecs[slot_p, :i] if mode == "FBF" else None, lam=lam, eps=eps,
         beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
         n_steps_total=n, step_indices=np.unique(np.r_[0:n:every, n - 1, n]))
 
@@ -298,8 +314,9 @@ def integrate_fbf(prob, sch, x0, spec):
 def integrate_sfbp(prob, sch, x0, spec):
     """Full-splitting marching with the second penalty inside the backward step.
 
-    Records ||B1(x)|| and the penalty sum (psi1+psi2)(x + xdot) per stored
-    step; x + xdot is exactly the resolvent output of the discrete scheme.
+    Records ||B1(x)|| per stored step and the penalty sum (psi1+psi2)(j) at
+    the step's resolvent output j; the potentials are evaluated once, on the
+    stack of stored j, after the march.
     """
     return _march("SFBP", prob, sch, x0, spec)
 

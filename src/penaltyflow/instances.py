@@ -64,11 +64,12 @@ def _sfbp_two_penalty():
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
     b2 = box_normal_cone(np.array([-_INF]), np.array([1.0]), dim=1)
 
+    # values at each point x[..., :] of a stack, bitwise the one-point values
     def psi1(x):
-        return 0.5 * float(np.add.reduce(np.maximum(x, zero) ** 2))
+        return 0.5 * np.add.reduce(np.maximum(x, zero) ** 2, axis=-1)
 
     def psi2(x):
-        return 0.0 if (x <= 1.0 + 1e-9).all() else math.inf
+        return np.where((x <= 1.0 + 1e-9).all(axis=-1), 0.0, math.inf)
 
     return ProblemInstance(a=zero_op(1), d=d, b1=b1, b2=b2, dim=1,
                            psi1=psi1, psi2=psi2, name="sfbp-two-penalty",

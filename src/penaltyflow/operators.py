@@ -36,10 +36,25 @@ def as_vector(x, dim=None):
     return v
 
 
+_TINY = np.finfo(float).smallest_normal
+
+
 def norm(v):
-    """Euclidean norm of a contiguous 1-D float array as a Python float; bitwise
-    ``np.linalg.norm(v)``, whose own 1-D path this is (the dot reduces in BLAS)."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a contiguous 1-D float array as a Python float.
+
+    Where the sum of squares is a normal float this is ``math.sqrt(v.dot(v))``,
+    bitwise ``np.linalg.norm(v)`` (the dot reduces in BLAS). Below that, squares
+    of a nonzero vector may underflow to zero, so ``v`` is first divided by its
+    largest magnitude.
+    """
+    s = v.dot(v)
+    if s >= _TINY:
+        return math.sqrt(s)
+    m = float(np.abs(v).max(initial=0.0))
+    if not m > 0.0:  # zero or NaN
+        return math.sqrt(s)
+    w = v / m
+    return m * math.sqrt(w.dot(w))
 
 
 def soft_threshold(x, tau):
@@ -136,6 +151,21 @@ def zero_op(dim=None):
                             dim=dim, params={})
 
 
+def box_clamp(lo, hi):
+    """The map x -> x.clip(lo, hi), bitwise, for float arrays lo <= hi.
+
+    A side unbounded in every coordinate is left out: one ``np.minimum`` or
+    ``np.maximum`` returns the same bytes as ``clip`` and skips numpy's Python
+    wrapper around it, about half of a clamp's cost on a short vector.
+    """
+    lo, hi = np.broadcast_arrays(lo, hi)  # the output shape clip would give
+    if np.all(lo == -math.inf):
+        return lambda x: np.minimum(x, hi)
+    if np.all(hi == math.inf):
+        return lambda x: np.maximum(x, lo)
+    return lambda x: x.clip(lo, hi)
+
+
 def box_normal_cone(lo, hi, dim=None):
     """Normal cone of the box [lo, hi]; resolvent is the clamp, for any lam."""
     lo = np.asarray(lo, dtype=float)
@@ -144,7 +174,8 @@ def box_normal_cone(lo, hi, dim=None):
         raise ParameterError("box has lo > hi in some coordinate")
     if dim is None and lo.ndim > 0:
         dim = lo.size if lo.size > 1 else None
-    return MonotoneOperator("box", lambda lam, x: x.clip(lo, hi),
+    clamp = box_clamp(lo, hi)
+    return MonotoneOperator("box", lambda lam, x: clamp(x),
                             dim=dim, params={"lo": lo, "hi": hi})
 
 

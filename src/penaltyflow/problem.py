@@ -6,7 +6,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .operators import MonotoneOperator, require_finite
+from .operators import MonotoneOperator, box_clamp, require_finite
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,10 @@ class ProblemInstance:
     """Operator data (A, D, B1[, B2]) on R^dim.
 
     B2, when present, is the subgradient of a second penalty potential and is
-    handled inside the backward step; psi1/psi2 supply potential values for
-    diagnostics.
+    handled inside the backward step. psi1/psi2 supply potential values for
+    diagnostics: each maps an array of points, shape (..., dim), to their
+    values, shape (...); the integrators call them once, on the (n, dim) stack
+    of stored samples.
     """
 
     a: MonotoneOperator
@@ -115,8 +117,8 @@ class ProblemInstance:
         a, b2 = self.a, self.b2
         if a.kind == "zero" and b2.kind == "box":
             # the box clamp takes no parameter; call it without the wrappers below
-            lo, hi = b2.params["lo"], b2.params["hi"]
-            return lambda lam, beta, x: x.clip(lo, hi)
+            clamp = box_clamp(b2.params["lo"], b2.params["hi"])
+            return lambda lam, beta, x: clamp(x)
         if a.kind == "zero":
             fn = b2._resolvent_fn
             return lambda lam, beta, x: fn(lam * beta, x)
@@ -129,7 +131,8 @@ class ProblemInstance:
             hi = np.minimum(a.params["hi"], b2.params["hi"])
             if np.any(lo > hi):
                 raise PreconditionError("box constraints of A and B2 do not intersect")
-            return lambda lam, beta, x: x.clip(lo, hi)
+            clamp = box_clamp(lo, hi)
+            return lambda lam, beta, x: clamp(x)
         if a.kind == "affine" and b2.kind == "affine":
             ma, qa = a.params["M"], a.params["q"]
             mb, qb = b2.params["M"], b2.params["q"]

@@ -45,17 +45,22 @@ class ExitReport:
                            "metrics": self.metrics}, indent=2, sort_keys=True)
 
 
-def _fmt(x):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+def _field(x):
+    """One CSV field: empty for None and a float NaN, else the round-trip repr."""
+    if x is None or (isinstance(x, float) and x != x):
         return ""
     return repr(float(x))
 
 
+def _csv_rows(*columns):
+    """Rows of CSV fields, formatted lazily, one column iterable each."""
+    return zip(*(map(_field, col) for col in columns))
+
+
 def emit_csv(path, columns, rows):
-    """Write a CSV with exactly the given header; floats via repr (round-trip)."""
+    """Write a CSV with exactly the given header; ``rows`` yields string fields."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+    lines.extend(map(",".join, rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -100,12 +105,13 @@ def _prepare(cfg):
 
 
 def _trajectory_rows(traj, gaps):
-    """The TRAJECTORY_COLUMNS rows of ``traj``, built lazily; ``gaps`` may be None."""
-    n = traj.times.size
-    return zip(traj.times.tolist(), traj.step_sizes.tolist(), map(norm, traj.states),
-               repeat(None, n) if gaps is None else gaps.tolist(), traj.b1_norms.tolist(),
-               repeat(math.nan, n) if traj.psi_sums is None else traj.psi_sums.tolist(),
-               repeat(None, n) if traj.aux_points is None else map(norm, traj.aux_points))
+    """The TRAJECTORY_COLUMNS rows of ``traj``, formatted lazily; ``gaps`` may be None."""
+    empty = repeat(None)  # endless, so columns may share it; zip stops at times
+    return _csv_rows(
+        traj.times.tolist(), traj.step_sizes.tolist(), map(norm, traj.states),
+        empty if gaps is None else gaps.tolist(), traj.b1_norms.tolist(),
+        empty if traj.psi_sums is None else traj.psi_sums.tolist(),
+        empty if traj.aux_points is None else map(norm, traj.aux_points))
 
 
 def _finish(report, cfg, out_dir):
@@ -171,14 +177,15 @@ def run_experiment(cfg, out_dir, seed_override=None):
             report.artifacts.append(p)
 
         if cfg.outputs["path_csv"] and path_points is not None:
-            rows = [(pt.t, pt.eps, pt.beta, norm(pt.xbar), norm(prob.b1.eval(pt.xbar)),
-                     pt.residual, pt.iterations) for pt in path_points]
+            rows = _csv_rows(*zip(*[
+                (pt.t, pt.eps, pt.beta, norm(pt.xbar), norm(prob.b1.eval(pt.xbar)),
+                 pt.residual, pt.iterations) for pt in path_points]))
             p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
             report.artifacts.append(p)
 
         if deblur_inst is not None and cfg.outputs["isnr_csv"]:
             series = isnr_series(deblur_inst, traj)
-            rows = zip(traj.step_indices, traj.times, series)
+            rows = _csv_rows(traj.step_indices, traj.times, series)
             p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
             report.artifacts.append(p)
             report.metrics["final_isnr_db"] = float(series[-1])

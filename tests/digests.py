@@ -3,8 +3,9 @@
     python tests/digests.py          # print the digests as JSON
     python tests/digests.py --write  # rewrite tests/data/digests.json
 
-Four config shapes, each on seeds 0 and 1, at horizons short enough for a
-few seconds in total: 1-D full splitting (SFBP) with a trajectory CSV,
+Five config shapes, each on seeds 0 and 1, at horizons short enough for a
+few seconds in total: 1-D full splitting (SFBP) with a trajectory CSV, on a
+unit grid and on a geometric grid whose steps grow to the cap of 1,
 skew-box FBF with tracking, path CSV and checkpoint (its state reaches the
 subnormal range, where a flipped sign of zero would show), forward-backward
 (FB) on the segment with a geometric grid and the cos-inverse relaxation,
@@ -39,6 +40,17 @@ def _sfbp(rng):
     return {"instance": "sfbp-two-penalty", "mode": "SFBP",
             "schedule": _schedule(0.65, 0.6, 1000, 0.9),
             "grid": {"kind": "uniform", "h": 1.0, "T": 20000},
+            "store_every": 10, "x0": [rng.uniform(-1.0, 1.0)],
+            "outputs": {"trajectory_csv": True, "report_json": True}}
+
+
+def _sfbp_geometric(rng):
+    # h grows from 0.05 to the SFBP cap of exactly 1 at t ~ 950, so the run
+    # takes fractional steps, unit steps and a final partial step
+    return {"instance": "sfbp-two-penalty", "mode": "SFBP",
+            "schedule": _schedule(0.65, 0.6, 1000, 0.9),
+            "grid": {"kind": "geometric", "h0": 0.05, "ratio": 1.001,
+                     "T": 5000},
             "store_every": 10, "x0": [rng.uniform(-1.0, 1.0)],
             "outputs": {"trajectory_csv": True, "report_json": True}}
 
@@ -80,7 +92,8 @@ def _deblur(rng):
                         "isnr_csv": True, "report_json": True}}
 
 
-CONFIGS = {"sfbp-1d": _sfbp, "fbf-skew-track": _skew,
+CONFIGS = {"sfbp-1d": _sfbp, "sfbp-geometric": _sfbp_geometric,
+           "fbf-skew-track": _skew,
            "fb-segment-track": _fb_segment, "tv-deblur-64": _deblur}
 
 

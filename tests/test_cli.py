@@ -312,6 +312,21 @@ class TestConfigParsing:
         assert type(cfg.max_steps) is int and cfg.x0 == [1.0]
 
 
+def reference_fmt(x):
+    """Reference for ``runner._field``: the per-value formatter it replaced."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return ""
+    return repr(float(x))
+
+
+def reference_csv_bytes(columns, rows):
+    """The CSV bytes of a header and rows of values, formatted value by value."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(reference_fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def per_row_trajectory_rows(traj, gaps):
     """Reference for ``runner._trajectory_rows``: one eager tuple per sample."""
     rows = []
@@ -346,9 +361,24 @@ class TestTrajectoryRows:
             gaps[1] = math.nan
         new = runner.emit_csv(tmp_path / "new.csv", TRAJECTORY_COLUMNS,
                               runner._trajectory_rows(traj, gaps))
-        old = runner.emit_csv(tmp_path / "old.csv", TRAJECTORY_COLUMNS,
-                              per_row_trajectory_rows(traj, gaps))
-        assert Path(new).read_bytes() == Path(old).read_bytes()
+        assert Path(new).read_bytes() == reference_csv_bytes(
+            TRAJECTORY_COLUMNS, per_row_trajectory_rows(traj, gaps))
+
+    @given(st.lists(st.one_of(
+        st.none(), st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         2.2250738585072014e-308, np.float64(-0.0), np.float64(math.nan),
+                         np.float64(1e-310), np.float64(-7.25), np.int64(0),
+                         np.int64(-3), np.int64(2**53 + 1)]),
+        st.floats(allow_nan=False).map(np.float64),
+        st.integers(-2**63, 2**63 - 1).map(np.int64)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_fields_equal_the_per_value_formatter(self, values):
+        assert [runner._field(v) for v in values] == [reference_fmt(v) for v in values]
+        # two columns, each formatted by its own map, give the per-row fields
+        rows = list(runner._csv_rows(values, values[::-1]))
+        assert rows == [(reference_fmt(a), reference_fmt(b))
+                        for a, b in zip(values, values[::-1])]
 
 
 class TestRunExperiment:

@@ -30,8 +30,8 @@ def projection_sfbp_problem():
                          zero_set_box=(np.array([-INF]), np.array([INF])))
     b2 = pf.box_normal_cone(np.array([-INF]), np.array([0.0]), dim=1)
     return ProblemInstance(a=pf.zero_op(1), d=d, b1=b1, b2=b2, dim=1,
-                           psi1=lambda x: 0.0,
-                           psi2=lambda x: 0.0 if np.all(x <= 1e-9) else INF,
+                           psi1=lambda x: np.zeros(x.shape[:-1]),
+                           psi2=lambda x: np.where(np.all(x <= 1e-9, axis=-1), 0.0, INF),
                            name="projection-sfbp")
 
 
@@ -345,6 +345,16 @@ class TestFullSplitting:
         assert cert.distance_to(erg) <= 0.1
         assert traj.b1_norms[-1] <= 0.01
         assert traj.psi_sums[-1] <= 1e-3
+
+    def test_potentials_must_map_a_stack_to_one_value_per_point(self):
+        # psi1/psi2 are called once, on the (n, d) stack of sampled points
+        prob = dataclasses.replace(projection_sfbp_problem(), psi1=lambda x: 0.0,
+                                   psi2=lambda x: 0.0 if np.all(x <= 1e-9) else INF)
+        sch = pf.constant_schedule(eps=0.5, beta=1.0, lam=0.3)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=2.0))
+        with pytest.raises(ParameterError, match=r"on a \(5, 1\) stack must have "
+                                                 r"shape \(5,\), got \(\)"):
+            pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
 
 
 def _fb_reference(prob, x, h, lam, eps, bet, gam):
@@ -663,6 +673,28 @@ class TestSpecAndStorage:
             pf.IntegratorSpec(**{"grid": pf.UniformGrid(h=1.0, T=1.0), **kwargs})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("value", [2.5, 1e9, 2.0, True, "2", np.float64(3.0)])
+    def test_store_every_must_be_an_integer(self, value):
+        # 2.5 and 1e9 used to end in a raw TypeError from the recorder's np.empty
+        with pytest.raises(ParameterError) as exc:
+            pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), store_every=value)
+        assert str(exc.value) == f"store_every must be an integer, got {value!r}"
+        assert pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0),
+                                 store_every=np.int64(2)).store_every == 2
+
+    @pytest.mark.parametrize("value", [2.5, 60.0, False, "60", np.float64(60.0)])
+    def test_max_steps_must_be_an_integer(self, value):
+        # max_steps=2.5 used to be ignored: a scalar FB run took all 329 steps
+        with pytest.raises(ParameterError) as exc:
+            pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0), max_steps=value)
+        assert str(exc.value) == f"max_steps must be an integer, got {value!r}"
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0),
+                                 max_steps=np.int32(3))
+        traj = pf.integrate_fb(pf.build_canonical("scalar"),
+                               pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0),
+                               np.zeros(1), spec)
+        assert traj.n_steps_total == 3
+
     def test_geometric_grid_grows(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
@@ -698,7 +730,8 @@ class TestExactStationarity:
         prob = ProblemInstance(a=pf.l1_subgradient(1.0, dim=1), d=d, b1=b1,
                                b2=pf.box_normal_cone(np.array([-INF]),
                                                      np.array([0.0]), dim=1),
-                               psi1=lambda x: 0.0, psi2=lambda x: 0.0, dim=1)
+                               psi1=lambda x: np.zeros(x.shape[:-1]),
+                               psi2=lambda x: np.zeros(x.shape[:-1]), dim=1)
         sch = pf.constant_schedule(eps=0.5, beta=1.0, lam=0.3)
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=2.0))
         with pytest.raises(PreconditionError):

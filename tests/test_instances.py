@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,10 @@ from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInsta
 def _two_penalty(a, b2):
     """D = 0 and B1 = 0 around the given A and B2 pair."""
     zero = lambda x: np.zeros_like(x)
+    no_potential = lambda x: np.zeros(x.shape[:-1])
     return ProblemInstance(a=a, d=LipschitzOperator(eval=zero, eta=np.inf),
                            b1=PenaltyOperator(eval=zero, mu=np.inf), b2=b2,
-                           dim=b2.dim or a.dim, psi1=zero, psi2=zero)
+                           dim=b2.dim or a.dim, psi1=no_potential, psi2=no_potential)
 
 
 class TestCanonicalInstances:
@@ -93,6 +96,31 @@ class TestCanonicalInstances:
         for _ in range(100):
             x = rng.standard_normal(1) * 3
             assert prob.psi1(x) >= 0.0
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.5,
+                         math.inf, -math.inf, math.nan]),
+        st.floats(-1e150, 1e150)), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_potentials_equal_per_point_values(self, values):
+        prob = pf.build_canonical("sfbp-two-penalty")
+        zero = np.array([0.0])
+
+        def psi1_point(x):  # the per-point potentials the stacked ones replace
+            return 0.5 * float(np.add.reduce(np.maximum(x, zero) ** 2))
+
+        def psi2_point(x):
+            return 0.0 if (x <= 1.0 + 1e-9).all() else math.inf
+
+        stack = np.array(values)[:, None]
+        want1 = np.array([psi1_point(x) for x in stack])
+        want2 = np.array([psi2_point(x) for x in stack])
+        got1, got2 = prob.psi1(stack), prob.psi2(stack)
+        assert got1.shape == got2.shape == (len(values),)
+        assert got1.tobytes() == want1.tobytes()
+        assert got2.tobytes() == want2.tobytes()
+        assert (got1 + got2).tobytes() == np.array(
+            [psi1_point(x) + psi2_point(x) for x in stack]).tobytes()
 
     def test_combined_resolvent_is_projection(self):
         prob = pf.build_canonical("sfbp-two-penalty")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import penaltyflow as pf
 from penaltyflow.errors import ConvergenceFailure, ParameterError
-from penaltyflow.operators import as_vector
+from penaltyflow.operators import as_vector, box_clamp, norm
 
 
 def seeded_points(dim, n, seed=0, radius=3.0):
@@ -148,6 +149,31 @@ class TestProjections:
         with pytest.raises(ParameterError):
             pf.box_normal_cone(1.0, 0.0)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_clamp_has_the_bytes_of_clip(self, data):
+        # lengths 1 and 2 run numpy's scalar loops, 17 and 64 its SIMD ones
+        n = data.draw(st.sampled_from([1, 2, 17, 64]))
+        sides = data.draw(st.sampled_from(["upper", "lower", "both", "none"]))
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, math.inf, -math.inf]
+        bound = st.one_of(st.sampled_from(special), st.floats(allow_nan=False))
+        a = data.draw(hnp.arrays(float, n, elements=bound))
+        b = data.draw(hnp.arrays(float, n, elements=bound))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if sides in ("upper", "none"):
+            lo = np.full(n, -math.inf)
+        if sides in ("lower", "none"):
+            hi = np.full(n, math.inf)
+        if data.draw(st.booleans()):  # an unbounded side given as one 0-d value
+            lo = np.array(-math.inf) if sides in ("upper", "none") else lo
+            hi = np.array(math.inf) if sides in ("lower", "none") else hi
+        x = data.draw(hnp.arrays(float, n, elements=st.one_of(
+            st.sampled_from(special + [math.nan]), st.floats())))
+        want = x.clip(lo, hi)
+        for got in (box_clamp(lo, hi)(x), pf.box_normal_cone(lo, hi)._resolvent_fn(1.0, x)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_pair_ball_examples(self):
         u, v = pf.project_pair_ball(np.array([3.0]), np.array([4.0]))
         assert u[0] == pytest.approx(0.6) and v[0] == pytest.approx(0.8)
@@ -266,6 +292,26 @@ class TestVectors:
     def test_rejects_wrong_dim(self):
         with pytest.raises(ParameterError):
             as_vector(np.arange(3.0), 2)
+
+    def test_norm_of_a_subnormal_vector(self):
+        # its squares underflow to 0.0; the final state of a skew-box FBF run
+        v = np.array([-7.4e-323, 1.5e-323])
+        assert math.sqrt(v.dot(v)) == 0.0
+        assert abs(norm(v) - math.hypot(*v)) <= 5e-324
+        assert norm(v) > 0.0
+        assert norm(np.zeros(3)) == 0.0 and math.isnan(norm(np.array([math.nan, 1.0])))
+
+    @given(st.lists(st.one_of(st.floats(-1e150, 1e150),
+                              st.floats(-1e-160, 1e-160)),
+                    min_size=1, max_size=40).map(np.array))
+    @settings(max_examples=300, deadline=None)
+    def test_norm_keeps_the_dot_bits_in_the_normal_range(self, v):
+        s = v.dot(v)
+        if s >= np.finfo(float).smallest_normal:
+            assert norm(v) == math.sqrt(s)
+        elif np.any(v):
+            assert norm(v) == pytest.approx(math.hypot(*v), rel=1e-12, abs=5e-324)
+
 
 class TestCustomOracle:
     def test_divergent_custom_oracle_reports_failure(self):
