@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, ParameterError
-from .operators import as_vector
+from .operators import as_vector, norm
 
 
 @dataclass
@@ -24,7 +24,6 @@ class CentralPathPoint:
     residual: float
     iterations: int
     t: Optional[float] = None
-    residual_history: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def _internal_step(prob, eps, beta):
     return min(0.9 / lips, eps / lips ** 2)
 
 
-def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None,
-                    keep_history=False):
+def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None):
     """Solve the eps-strongly-monotone auxiliary inclusion.
 
     Iterates the forward-backward step x <- J_{lam*A}(x - lam*V(x)) with a
@@ -74,26 +72,22 @@ def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None,
     lam = _internal_step(prob, eps, beta)
     resolvent = prob.a.resolvent
     vfield = prob.vfield
-    history = [] if keep_history else None
     for k in range(int(max_iter)):
         x_next = resolvent(lam, x - lam * vfield(eps, beta, x))
-        res = float(np.linalg.norm(x - x_next))
-        if history is not None:
-            history.append(res)
+        res = norm(x - x_next)
         x = x_next
         if res <= tol:
-            return CentralPathPoint(eps, beta, x, res, k + 1,
-                                    residual_history=None if history is None
-                                    else np.asarray(history))
+            return CentralPathPoint(eps, beta, x, res, k + 1)
     raise ConvergenceFailure(
         f"auxiliary solve at (eps={eps:g}, beta={beta:g}) stalled at residual {res:.3e}",
         residual=res)
 
 
-def central_path(prob, sch, times, tol=1e-10, max_iter=200000, x0=None):
+def central_path(prob, sch, times, tol=1e-10):
     """Solve the auxiliary problem along (eps(t), beta(t)), warm-starting each solve.
 
-    Returns a list of CentralPathPoint with the time attached.
+    The first solve starts at the origin. Returns a list of CentralPathPoint
+    with the time attached.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -101,12 +95,12 @@ def central_path(prob, sch, times, tol=1e-10, max_iter=200000, x0=None):
     if np.any(np.diff(times) <= 0) and times.size > 1:
         raise ParameterError("times must be strictly increasing")
     points = []
-    warm = x0
+    warm = None
     for t in times:
         eps = float(sch.eps(t))
         beta = float(sch.beta(t))
         try:
-            pt = solve_auxiliary(prob, eps, beta, tol=tol, max_iter=max_iter, x0=warm)
+            pt = solve_auxiliary(prob, eps, beta, tol=tol, x0=warm)
         except ConvergenceFailure as exc:
             raise ConvergenceFailure(f"central path solve failed at t={t:g}: {exc}",
                                      residual=exc.residual) from exc
@@ -118,35 +112,37 @@ def central_path(prob, sch, times, tol=1e-10, max_iter=200000, x0=None):
 
 _DIAG_EPS_EXP = -0.25
 _DIAG_BETA_EXP = 0.5
+_DIAG_LEVELS = 60
+_CHECK_SOLVER_TOL = 1e-12  # auxiliary-solve tolerance of the two path checks
+_CHECK_TOL = 1e-9  # their absolute slack
 
 
-def _diagonal_points(prob, tol, solver_tol, max_levels=60):
-    """Solved points along the diagonal eps=n^-1/4, beta=n^1/2 with n doubling.
+def _diagonal_points(prob, tol):
+    """Solved points, each to 0.01 * ``tol``, along the diagonal eps=n^-1/4,
+    beta=n^1/2 with n doubling.
 
     Doubling the index keeps consecutive gaps proportional to the remaining
     distance, so the Cauchy test at ``tol`` certifies a comparable accuracy;
     stepping n by one would make the gaps vanish much faster than the error.
     """
     points = []
-    warm = None
-    prev = None
+    prev = None  # the last solved point, which warm-starts the next solve
     n = 1.0
-    for _ in range(max_levels):
+    for _ in range(_DIAG_LEVELS):
         eps = n ** _DIAG_EPS_EXP
         beta = n ** _DIAG_BETA_EXP
-        pt = solve_auxiliary(prob, eps, beta, tol=solver_tol, x0=warm)
+        pt = solve_auxiliary(prob, eps, beta, tol=0.01 * tol, x0=prev)
         points.append(pt)
         if prev is not None and float(np.linalg.norm(pt.xbar - prev)) <= tol:
             return points
         prev = pt.xbar
-        warm = pt.xbar
         n *= 2.0
     raise ConvergenceFailure(
         "diagonal sequence not Cauchy within the level budget",
         residual=float(np.linalg.norm(points[-1].xbar - points[-2].xbar)))
 
 
-def funnel_diagnostics(prob, tol=1e-4, solver_tol=None):
+def funnel_diagnostics(prob, tol=1e-4):
     """Least-norm limit plus the norm bounds of the visited funnel points.
 
     Returns
@@ -155,8 +151,7 @@ def funnel_diagnostics(prob, tol=1e-4, solver_tol=None):
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
-    solver_tol = 0.01 * tol if solver_tol is None else solver_tol
-    points = _diagonal_points(prob, tol, solver_tol)
+    points = _diagonal_points(prob, tol)
     sol = points[-1].xbar
     r_est = float(np.linalg.norm(sol))
     b_sup = max(float(np.linalg.norm(prob.b1.eval(p.xbar))) for p in points)
@@ -181,35 +176,31 @@ class RegularityReport:
     passed_ell: bool
 
 
-def path_regularity_check(prob, sigma1, sigma2, tol=1e-9, diagnostics=None,
-                          solver_tol=1e-12):
+def path_regularity_check(prob, sigma1, sigma2):
     """Compare the distance of two solved points with its Lipschitz majorants.
 
     The sharp bound uses |beta2-beta1|/eps1 * ||B1(x1)|| + |eps2-eps1|/eps1 *
-    ||x2||; the coarser one replaces both norms by an ell constant taken from
-    the funnel diagnostics joined with the two solved points.
+    ||x2||; the coarser one replaces both norms by an ell constant, the
+    largest of ||x1||, ||x2||, ||B1(x1)|| and ||B1(x2)||.
     """
     e1, b1 = sigma1
     e2, b2 = sigma2
     if e1 <= 0 or e2 <= 0 or b1 <= 0 or b2 <= 0:
         raise ParameterError("both parameter pairs must be strictly positive")
-    p1 = solve_auxiliary(prob, e1, b1, tol=solver_tol)
-    p2 = solve_auxiliary(prob, e2, b2, tol=solver_tol)
+    p1 = solve_auxiliary(prob, e1, b1, tol=_CHECK_SOLVER_TOL)
+    p2 = solve_auxiliary(prob, e2, b2, tol=_CHECK_SOLVER_TOL)
     lhs = float(np.linalg.norm(p2.xbar - p1.xbar))
     bnorm1 = float(np.linalg.norm(prob.b1.eval(p1.xbar)))
     xnorm2 = float(np.linalg.norm(p2.xbar))
     rhs_sharp = (abs(b2 - b1) * bnorm1 + abs(e2 - e1) * xnorm2) / e1
-    if diagnostics is None:
-        ell = max(bnorm1, xnorm2,
-                  float(np.linalg.norm(prob.b1.eval(p2.xbar))),
-                  float(np.linalg.norm(p1.xbar)))
-    else:
-        ell = max(diagnostics.ell_estimate, bnorm1, xnorm2)
+    ell = max(bnorm1, xnorm2,
+              float(np.linalg.norm(prob.b1.eval(p2.xbar))),
+              float(np.linalg.norm(p1.xbar)))
     rhs_ell = ell / e1 * (abs(b2 - b1) + abs(e2 - e1))
     slack = 1.0 + 1e-6
     return RegularityReport(lhs, rhs_sharp, rhs_ell, ell,
-                            lhs <= rhs_sharp * slack + tol,
-                            lhs <= rhs_ell * slack + tol)
+                            lhs <= rhs_sharp * slack + _CHECK_TOL,
+                            lhs <= rhs_ell * slack + _CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -222,26 +213,26 @@ class DerivativeReport:
     passed: bool
 
 
-def path_derivative_check(prob, sch, t, rel_step=1e-4, slack=0.05, tol=1e-9,
-                          solver_tol=1e-12):
+def path_derivative_check(prob, sch, t, slack=0.05):
     """Central finite difference of the path at ``t`` against the speed bound.
 
     The bound is dbeta/eps * ||B1(xbar)|| + |deps|/eps * ||xbar||; the check
-    passes when the finite-difference speed does not exceed it by more than
-    ``slack`` relatively.
+    passes when the finite-difference speed (step 1e-4 * t) does not exceed it
+    by more than ``slack`` relatively.
     """
     if t <= 0:
         raise ParameterError("t must be positive")
-    h = rel_step * t
+    h = 1e-4 * t
     pts = {}
     warm = None
     for tt in (t - h, t, t + h):
         pt = solve_auxiliary(prob, float(sch.eps(tt)), float(sch.beta(tt)),
-                             tol=solver_tol, x0=warm)
+                             tol=_CHECK_SOLVER_TOL, x0=warm)
         pts[tt] = pt.xbar
         warm = pt.xbar
     fd = float(np.linalg.norm(pts[t + h] - pts[t - h]) / (2.0 * h))
     eps = float(sch.eps(t))
     bound = (float(sch.dbeta(t)) / eps * float(np.linalg.norm(prob.b1.eval(pts[t])))
              + abs(float(sch.deps(t))) / eps * float(np.linalg.norm(pts[t])))
-    return DerivativeReport(float(t), fd, bound, fd <= bound * (1.0 + slack) + tol)
+    return DerivativeReport(float(t), fd, bound,
+                            fd <= bound * (1.0 + slack) + _CHECK_TOL)

@@ -25,7 +25,8 @@ psi2 once, on the stack of them, after the march. FB and FBF steps are
 capped by the local Lipschitz bound of the vector field unless the caller
 disables it (needed when a test pins an exact recursion); FB keeps
 gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that X+ stays a convex
-combination.
+combination. Each mode calls one backward-step oracle on every step, and the
+loop checks the final dx once for non-finite entries (ConvergenceFailure).
 """
 
 import math
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, PreconditionError
-from .operators import as_vector, norm
+from .operators import as_vector, norm, require_finite
 
 _BLOWUP = 1e12
 
@@ -142,43 +143,46 @@ def check_mode(mode, prob):
     if mode == "FB" and not prob.d.cocoercive:
         raise PreconditionError("FB mode needs a cocoercive smooth part; "
                                 f"instance '{prob.name}' is not")
-    if mode == "SFBP" and prob.b2 is None:
-        raise PreconditionError("SFBP mode needs a two-penalty instance")
-    if mode != "SFBP" and prob.b2 is not None:
+    if mode == "SFBP":
+        if prob.b2 is None:
+            raise PreconditionError("SFBP mode needs a two-penalty instance")
+        prob.shifted_resolvent_fn()  # raises unless (A, B2) has a combined resolvent
+    elif prob.b2 is not None:
         raise PreconditionError(f"{mode} mode cannot handle a second penalty; "
                                 "use SFBP")
 
 
 def _kernel(mode, prob, spec):
-    """The mode's step cap, its step map and its backward-step resolvents.
+    """The mode's step cap and its step map.
 
     ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values the
-    step itself uses. ``step(res, x, bx, lam, eps, beta, gam)`` forms the
-    field V(x) from bx = B1(x) and returns the update direction dx, the
-    auxiliary point (FBF only) and the point the penalty sum is taken at (None
-    for x + dx, which is then formed only for stored samples). ``res`` is the
-    fast resolvent on every step and the validated one (which rejects
-    non-finite output) on the final sample. ``step`` and its oracles get the
-    schedule values as 0-d float64 arrays valid only during the call (see the
-    module docstring), ``cap`` as floats. FBF assembles its arrays in place,
-    but only arrays it allocated itself; no step map writes into ``x``, ``bx``
-    or anything an operator or oracle returned.
+    step itself uses. ``step(x, bx, lam, eps, beta, gam)`` forms the field
+    V(x) from bx = B1(x) and returns the update direction dx, the auxiliary
+    point (FBF only) and the point the penalty sum is taken at (None for
+    x + dx, which is then formed only for stored samples). ``step`` closes
+    over the mode's one backward-step oracle: the raw oracle of A, or the
+    combined resolvent of A + beta*B2 built once here. ``step`` and its oracle
+    get the schedule values as 0-d float64 arrays valid only during the call
+    (see the module docstring), ``cap`` as floats. FBF assembles its arrays
+    in place, but only arrays it allocated itself; no step map writes into
+    ``x``, ``bx`` or anything an operator or oracle returned.
     """
     d_eval, b_eval = prob.d.eval, prob.b1.eval
     # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
     inv_eta, mu = 1.0 / prob.d.eta, prob.b1.mu
     cap_steps, safety = spec.cap_steps, spec.safety_factor
+    res = prob.shifted_resolvent_fn() if mode == "SFBP" else prob.a._resolvent_fn
     if mode == "SFBP":
         def cap(lam, eps, bet, gam):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
             return 1.0
 
-        def step(res, x, bx, lam, eps, bet, gam):
+        def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             j = res(lam, bet, x - lam * v)
             return j - x, None, j
 
-        return cap, step, prob.shifted_resolvent_fn(), prob.resolvent_shifted
+        return cap, step
 
     if mode == "FB":
         def cap(lam, eps, bet, gam):
@@ -187,7 +191,7 @@ def _kernel(mode, prob, spec):
                 return h_relax
             return min(h_relax, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
 
-        def step(res, x, bx, lam, eps, bet, gam):
+        def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             return gam * (res(lam, x - lam * v) - x), None, None
     else:
@@ -196,7 +200,7 @@ def _kernel(mode, prob, spec):
                 return math.inf
             return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
 
-        def step(res, x, bx, lam, eps, bet, gam):
+        def step(x, bx, lam, eps, bet, gam):
             # p - x + lam*(v - vp) with v = D(x) + eps*x + beta*B1(x), and vp
             # the same field at p; a + b == b + a bitwise, so each sum may
             # start from the product it owns, but (vp - v) * -lam would turn
@@ -215,7 +219,7 @@ def _kernel(mode, prob, spec):
             dx += vp
             return dx, p, None
 
-    return cap, step, prob.a._resolvent_fn, prob.a.resolvent
+    return cap, step
 
 
 def _march(mode, prob, sch, x0, spec):
@@ -231,7 +235,7 @@ def _march(mode, prob, sch, x0, spec):
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
-    cap, step, res, res_checked = _kernel(mode, prob, spec)
+    cap, step = _kernel(mode, prob, spec)
     g, every = spec.grid, spec.store_every
     h_req, ratio = (g.h, 1.0) if isinstance(g, UniformGrid) else (g.h0, g.ratio)
     T = g.T
@@ -242,7 +246,7 @@ def _march(mode, prob, sch, x0, spec):
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
     psi1, psi2 = prob.psi1, prob.psi2
     has_psi = psi1 is not None
-    cols = np.empty((7, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|
+    cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, k
     # x, dx, then p (FBF) and the points q the potentials are taken at
     slot_p, slot_q = 2, 3 if mode == "FBF" else 2
     vecs = np.empty((slot_q + 1 if has_psi else slot_q, rows, prob.dim))
@@ -261,17 +265,15 @@ def _march(mode, prob, sch, x0, spec):
             if t + h >= t_end or k + 1 == max_steps:
                 n = k + 1  # this is the last step
             vals[4] = h
-        else:
-            res = res_checked
         vals[0], vals[1], vals[2], vals[3] = lam, eps, bet, gam
         bx = b_eval(x)
-        dx, p, q = step(res, x, bx, zlam, zeps, zbet, zgam)
+        dx, p, q = step(x, bx, zlam, zeps, zbet, zgam)
         if k % every == 0 or n is not None:
             if i == rows:
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
                 vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
                 rows *= 2
-            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx)
+            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), k
             vecs[0, i], vecs[1, i] = x, dx
             if p is not None:
                 vecs[slot_p, i] = p
@@ -279,13 +281,14 @@ def _march(mode, prob, sch, x0, spec):
                 vecs[slot_q, i] = x + dx if q is None else q
             i += 1
         if k == n:
+            require_finite(dx, "final step")
             break
         # 1.0*dx is dx bit for bit, and SFBP on a unit grid steps by 1.0
         x = x + dx if h == 1.0 else x + zh * dx
         if k % 64 == 0 or k + 1 == n:
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
-    times, hs, lam, eps, bet, gam, b1n = cols[:, :i]
+    times, hs, lam, eps, bet, gam, b1n, ks = cols[:, :i]
     psi = None
     if has_psi:
         qs = vecs[slot_q, :i]
@@ -298,7 +301,7 @@ def _march(mode, prob, sch, x0, spec):
         xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi,
         aux_points=vecs[slot_p, :i] if mode == "FBF" else None, lam=lam, eps=eps,
         beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
-        n_steps_total=n, step_indices=np.unique(np.r_[0:n:every, n - 1, n]))
+        n_steps_total=n, step_indices=ks.astype(np.intp))
 
 
 def integrate_fb(prob, sch, x0, spec):

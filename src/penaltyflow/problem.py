@@ -6,7 +6,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .operators import MonotoneOperator, box_clamp, require_finite
+from .operators import MonotoneOperator, box_clamp
 
 
 @dataclass(frozen=True)
@@ -92,18 +92,6 @@ class ProblemInstance:
     def lipschitz_bound(self, eps, beta):
         """Lipschitz modulus 1/eta + eps + beta/mu of the regularized field."""
         return 1.0 / self.d.eta + eps + beta / self.b1.mu
-
-    def resolvent_shifted(self, lam, beta, x):
-        """Resolvent of lam * (A + beta*B2) at x (validated entry point).
-
-        Rejects negative parameters and raises ConvergenceFailure on
-        non-finite output.
-        """
-        fn = self.shifted_resolvent_fn()
-        if lam < 0 or beta < 0:
-            raise ParameterError("resolvent parameters must be nonnegative")
-        return require_finite(fn(lam, beta, np.asarray(x, dtype=float)),
-                              "combined resolvent")
 
     def shifted_resolvent_fn(self):
         """Specialized (lam, beta, x) -> y closure for the combined resolvent.

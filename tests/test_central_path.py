@@ -43,12 +43,20 @@ class TestSolveAuxiliary:
         # per-iteration residual ratio <= sqrt(1 - 2 lam eps + (lam L)^2) + 1e-6
         prob = pf.build_canonical("scalar")
         for eps, beta in ((1.0, 1.0), (0.1, 10.0), (0.5, 3.0)):
-            pt = pf.solve_auxiliary(prob, eps, beta, tol=1e-12,
-                                    x0=np.array([5.0]), keep_history=True)
+            # the residual of iteration k is the one a max_iter=k solve fails with
+            hist = []
+            while True:
+                try:
+                    pt = pf.solve_auxiliary(prob, eps, beta, tol=1e-12,
+                                            max_iter=len(hist) + 1, x0=np.array([5.0]))
+                except ConvergenceFailure as exc:
+                    hist.append(exc.residual)
+                    continue
+                hist.append(pt.residual)
+                break
             lips = prob.lipschitz_bound(eps, beta)
             lam = 0.9 / lips
             bound = math.sqrt(max(1.0 - 2 * lam * eps + (lam * lips) ** 2, 0.0))
-            hist = pt.residual_history
             for a, b in zip(hist[:-1], hist[1:]):
                 if a > 1e-13:
                     assert b / a <= bound + 1e-6

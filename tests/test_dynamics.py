@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.dynamics import Trajectory, _kernel, check_mode
-from penaltyflow.errors import (DivergenceError, ParameterError,
-                                PreconditionError)
+from penaltyflow.errors import (ConvergenceFailure, DivergenceError,
+                                ParameterError, PreconditionError)
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
 INF = math.inf
@@ -54,10 +54,9 @@ def read_only_problem(prob):
 def assert_textbook_fbf_step(prob, x, lam, eps, bet):
     """One FBF step map equals the module docstring's expression bit for bit,
     and leaves ``x`` as it was; returns dx."""
-    cap, step, res, _ = _kernel("FBF", prob, pf.IntegratorSpec(
-        grid=pf.UniformGrid(h=1.0, T=1.0)))
+    cap, step = _kernel("FBF", prob, pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0)))
     before = x.tobytes()
-    dx, p, _ = step(res, x, prob.b1.eval(x), lam, eps, bet, 1.0)
+    dx, p, _ = step(x, prob.b1.eval(x), lam, eps, bet, 1.0)
     v = prob.d.eval(x) + eps * x + bet * prob.b1.eval(x)
     p_ref = prob.a.resolvent(lam, x - lam * v)
     vp = prob.d.eval(p_ref) + eps * p_ref + bet * prob.b1.eval(p_ref)
@@ -258,19 +257,17 @@ class TestStepMapsTakeZeroDimValues:
     def test_same_bits_as_python_floats(self, mode, instance, data):
         prob = (pf.build_tv_deblur(pf.make_test_image("checkerboard", 4)).problem
                 if instance == "deblur-4" else pf.build_canonical(instance))
-        _, step, res, res_checked = _kernel(mode, prob, pf.IntegratorSpec(
-            grid=pf.UniformGrid(h=1.0, T=1.0)))
+        _, step = _kernel(mode, prob, pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0)))
         entry = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-3, 3).map(float))
         x = np.array(data.draw(st.lists(entry, min_size=prob.dim, max_size=prob.dim)))
         bx = prob.b1.eval(x)
         for vals in ((0.5, 0.0, 0.0, 1.0), (1.0, 0.25, 1.0, 0.5), (2.0, 1.0, 3.0, 0.9)):
-            for r in (res, res_checked):
-                want = step(r, x, bx, *vals)
-                got = step(r, x, bx, *map(np.array, vals))
-                for a, b in zip(got, want):
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            want = step(x, bx, *vals)
+            got = step(x, bx, *map(np.array, vals))
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_fast_oracle_gets_zero_dim_lam(self):
         prob = pf.build_canonical("skew-box")
@@ -285,10 +282,46 @@ class TestStepMapsTakeZeroDimValues:
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0))
         traj = pf.integrate_fbf(dataclasses.replace(prob, a=a), sch,
                                 np.array([0.5, -0.5]), spec)
-        # one fast call per step, then the validated call of the final sample
+        # one call per step and one for the final sample, all with a 0-d lam
         assert len(seen) == traj.n_steps_total + 1
-        assert set(seen[:-1]) == {(np.ndarray, (), np.dtype(np.float64))}
-        assert seen[-1][0] is float
+        assert set(seen) == {(np.ndarray, (), np.dtype(np.float64))}
+
+
+def _nan_after(fn, n):
+    """``fn``, and the list of its calls, returning NaN from call n + 1 on."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        y = fn(*args)
+        return y if len(calls) <= n else np.full_like(y, np.nan)
+    return wrapped, calls
+
+
+class TestNonFiniteFinalStep:
+    """The march checks the final sample's dx once; an oracle that turns
+    non-finite on that last call ends the run in ConvergenceFailure."""
+
+    @pytest.mark.parametrize("integrate, instance", [
+        (pf.integrate_fb, "scalar"), (pf.integrate_fbf, "skew-box"),
+        (pf.integrate_sfbp, "sfbp-two-penalty")])
+    def test_nan_on_the_final_call(self, integrate, instance):
+        prob, n = pf.build_canonical(instance), 10
+        if prob.b2 is not None:
+            # with A = 0 the combined resolvent is B2's oracle at lam*beta
+            oracle, calls = _nan_after(prob.b2._resolvent_fn, n)
+            prob = dataclasses.replace(
+                prob, b2=pf.MonotoneOperator("custom", oracle, dim=1))
+        else:
+            oracle, calls = _nan_after(prob.a._resolvent_fn, n)
+            prob = dataclasses.replace(prob, a=pf.MonotoneOperator(
+                prob.a.kind, oracle, dim=prob.a.dim, params=prob.a.params))
+        sch = pf.constant_schedule(eps=0.1, beta=1.0, lam=0.5, gamma=1.0)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=0.5 * n),
+                                 cap_steps=False)
+        with pytest.raises(ConvergenceFailure, match="final step"):
+            integrate(prob, sch, np.full(prob.dim, 0.5), spec)
+        assert len(calls) == n + 1
 
 
 class TestFullSplitting:
@@ -368,7 +401,7 @@ def _fbf_reference(prob, x, h, lam, eps, bet, gam):
 
 
 def _sfbp_reference(prob, x, h, lam, eps, bet, gam):
-    j = prob.resolvent_shifted(lam, bet, x - lam * prob.vfield(eps, bet, x))
+    j = prob.shifted_resolvent_fn()(lam, bet, x - lam * prob.vfield(eps, bet, x))
     return (1.0 - h) * x + h * j
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import penaltyflow as pf
-from penaltyflow.errors import ConvergenceFailure, ParameterError, PreconditionError
+from penaltyflow.dynamics import check_mode
+from penaltyflow.errors import ParameterError, PreconditionError
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
 
@@ -123,19 +124,16 @@ class TestCanonicalInstances:
             [psi1_point(x) + psi2_point(x) for x in stack]).tobytes()
 
     def test_combined_resolvent_is_projection(self):
-        prob = pf.build_canonical("sfbp-two-penalty")
+        fn = pf.build_canonical("sfbp-two-penalty").shifted_resolvent_fn()
         for beta in (0.5, 7.0, 1e4):
-            out = prob.resolvent_shifted(0.3, beta, np.array([4.0]))
+            out = fn(0.3, beta, np.array([4.0]))
             assert out[0] == pytest.approx(1.0)  # clamp above at 1
-            out = prob.resolvent_shifted(0.3, beta, np.array([-2.0]))
+            out = fn(0.3, beta, np.array([-2.0]))
             assert out[0] == pytest.approx(-2.0)
 
     def test_combined_resolvent_requires_b2(self):
-        prob = pf.build_canonical("scalar")
         with pytest.raises(PreconditionError):
-            prob.resolvent_shifted(0.3, 1.0, np.array([0.0]))
-        with pytest.raises(PreconditionError):
-            prob.shifted_resolvent_fn()
+            pf.build_canonical("scalar").shifted_resolvent_fn()
 
     @pytest.mark.parametrize("a, b2, x, expected", [
         # zero A: the resolvent of lam*beta*B2, here a projection
@@ -150,11 +148,7 @@ class TestCanonicalInstances:
          [3.0, -0.5], [(3.0 - 0.3) / 2.5, (-0.5 - 0.6) / 2.5]),
     ])
     def test_combined_resolvent_pairs(self, a, b2, x, expected):
-        prob = _two_penalty(a, b2)
-        fn = prob.shifted_resolvent_fn()
-        x = np.array(x)
-        out = prob.resolvent_shifted(0.3, 2.0, x)
-        assert np.array_equal(out, fn(0.3, 2.0, x))
+        out = _two_penalty(a, b2).shifted_resolvent_fn()(0.3, 2.0, np.array(x))
         np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
@@ -169,7 +163,6 @@ class TestCanonicalInstances:
         x = np.array(x)
         want = b2.resolvent(lam * beta, x)
         assert np.array_equal(prob.shifted_resolvent_fn()(lam, beta, x), want)
-        assert np.array_equal(prob.resolvent_shifted(lam, beta, x), want)
 
     @pytest.mark.parametrize("a, b2", [
         (pf.l1_subgradient(1.0, dim=1), pf.box_normal_cone(-1.0, 1.0, dim=1)),
@@ -179,16 +172,9 @@ class TestCanonicalInstances:
         prob = _two_penalty(a, b2)
         with pytest.raises(PreconditionError):
             prob.shifted_resolvent_fn()
+        # the mode check the march and the runner share rejects it up front
         with pytest.raises(PreconditionError):
-            prob.resolvent_shifted(0.3, 1.0, np.array([0.0]))
-
-    def test_combined_resolvent_is_validated(self):
-        prob = pf.build_canonical("sfbp-two-penalty")
-        for lam, beta in ((-0.1, 1.0), (0.3, -1.0)):
-            with pytest.raises(ParameterError):
-                prob.resolvent_shifted(lam, beta, np.array([0.0]))
-        with pytest.raises(ConvergenceFailure):
-            prob.resolvent_shifted(0.3, 1.0, np.array([np.nan]))
+            check_mode("SFBP", prob)
 
     def test_feasible_boxes(self):
         prob = pf.build_canonical("segment")

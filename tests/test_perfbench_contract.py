@@ -73,6 +73,18 @@ def test_traced_run_counts_every_layer(tmp_path, name):
         assert metrics[metric][0] > 0, metric
 
 
+@pytest.mark.parametrize("name, oracle", [
+    ("sfbp", "problem.shifted_resolvent_calls"),
+    ("deblur", "operators.resolvent_calls")])
+def test_one_backward_step_per_step_and_final_sample(tmp_path, name, oracle):
+    # the march calls its one backward-step oracle on each step and once
+    # more for the final sample
+    proc, result = _run_traced(tmp_path, CONFIGS[name])
+    assert proc.returncode == 0, proc.stderr
+    metrics = _load_traced().layer_metrics(json.loads(result.read_text()))
+    assert metrics[oracle][0] == metrics["dynamics.steps"][0] + 1
+
+
 def test_traced_failing_run_exits_with_its_code(tmp_path):
     # FB needs a cocoercive D, which skew-box lacks: a precondition error
     proc, result = _run_traced(tmp_path, dict(CONFIGS["skew-box-tracking"], mode="FB"))

@@ -287,17 +287,17 @@ class TestOneEvaluation:
 class TestAttouchCzarnecki:
     def test_integrable_power_pair(self):
         sch = power_schedule(lam_exp=-0.8, beta_exp=0.5)
-        est, ok = pf.attouch_czarnecki_check(sch, rho_star=2.0, horizon=1e6)
+        est, ok = pf.attouch_czarnecki_check(sch)
         assert ok and math.isfinite(est)
 
     def test_divergent_power_pair(self):
         sch = power_schedule(lam_exp=-0.3, beta_exp=0.5)
-        est, ok = pf.attouch_czarnecki_check(sch, rho_star=2.0, horizon=1e6)
+        est, ok = pf.attouch_czarnecki_check(sch)
         assert not ok and est == math.inf
 
     def test_constant_lambda_fast_beta(self):
         sch = power_schedule(lam_exp=0.0, beta_exp=2.0)
-        est, ok = pf.attouch_czarnecki_check(sch, rho_star=2.0, horizon=1e6)
+        est, ok = pf.attouch_czarnecki_check(sch)
         assert ok and math.isfinite(est)
 
     def test_polynomial_exact_rule(self):
@@ -305,10 +305,6 @@ class TestAttouchCzarnecki:
         assert pf.attouch_czarnecki_check(ok_sch)[1]
         bad_sch = pf.polynomial_schedule(0.3, 0.4, 1.0, 0.9, 1.0)
         assert not pf.attouch_czarnecki_check(bad_sch)[1]
-
-    def test_horizon_precondition(self):
-        with pytest.raises(ParameterError):
-            pf.attouch_czarnecki_check(power_schedule(-0.8, 0.5), horizon=1e3)
 
 
 class TestSerialization:
