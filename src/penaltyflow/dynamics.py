@@ -1,32 +1,36 @@
 """Explicit Euler integrators for the three splitting flows and their diagnostics.
 
-The discrete schemes are
+The discrete schemes are, written in the association the code rounds in,
 
-  FB    X+ = (1 - gamma*h) X + gamma*h * J_{lam A}(X - lam V(X))
-  FBF   P  = J_{lam A}(X - lam V(X));  X+ = X + h (P - X + lam (V(X) - V(P)))
-  SFBP  X+ = (1 - h) X + h * J_{lam (A + beta B2)}(X - lam V(X))
+  FB    J  = J_{lam A}(X - lam V(X));  X+ = X + h*(gamma*(J - X))
+  FBF   P  = J_{lam A}(X - lam V(X));  X+ = X + h*(P - X + lam*(V(X) - V(P)))
+  SFBP  J  = J_{lam (A + beta B2)}(X - lam V(X));  X+ = X + h*(J - X)
 
-with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. All three
-share one marching loop, ``_march``, which builds the time grid as it goes:
-each step evaluates the schedule once at the current time, sizes the step from
-those values and takes it with the same values. A mode only supplies its step
-cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which forms V(X)
-and returns the update direction dx of X+ = X + h*dx. The FBF step map does its
-full-length arithmetic in place, on temporaries it allocated itself, and
-rounds exactly as the formula above; no step map writes into X, V(X) or an
-array an operator or oracle returned. Step maps, and the raw oracles they
-call, get lam, eps, beta and gamma as 0-d float64 arrays that the loop
-rewrites each step, so they are valid only during the call: numpy converts a
-Python float operand on every ufunc call but takes a 0-d array as is, and at
-dimension 1-2 that conversion is a large share of a step. For the same reason
-a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx, and the recorder
-stores the points the penalty potentials are taken at and evaluates psi1 and
-psi2 once, on the stack of them, after the march. FB and FBF steps are
-capped by the local Lipschitz bound of the vector field unless the caller
+with V(x) = D(x) + eps*x + beta*B1(x) evaluated on the schedule. The relaxed
+forms (1 - gamma*h) X + gamma*h*J and (1 - h) X + h*J are the same maps but
+round differently; tests/reference_march.py states the march bit for bit.
+
+All three share one marching loop, ``_march``, which builds the time grid as
+it goes: each step evaluates the schedule once at the current time, sizes the
+step from those values and takes it with the same values. A mode only supplies
+its step cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which
+forms V(X) and returns the update direction dx of X+ = X + h*dx. The FBF step
+map does its full-length arithmetic in place, on temporaries it allocated
+itself, and rounds exactly as the formula above; no step map writes into X,
+V(X) or an array an operator or oracle returned. Step maps, and the raw
+oracles they call, get lam, eps, beta and gamma as 0-d float64 arrays that the
+loop rewrites each step, so they are valid only during the call: numpy
+converts a Python float operand on every ufunc call but takes a 0-d array as
+is, and at dimension 1-2 that conversion is a large share of a step. For the
+same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx, and the
+recorder stores the points the penalty potentials are taken at and evaluates
+psi1 and psi2 once, on the stack of them, after the march. FB and FBF steps
+are capped by the local Lipschitz bound of the vector field unless the caller
 disables it (needed when a test pins an exact recursion); FB keeps
 gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that X+ stays a convex
-combination. Each mode calls one backward-step oracle on every step, and the
-loop checks the final dx once for non-finite entries (ConvergenceFailure).
+combination.
+Each mode calls one backward-step oracle on every step, and the loop checks
+the final dx once for non-finite entries (ConvergenceFailure).
 """
 
 import math
@@ -134,8 +138,9 @@ class Trajectory:
 def _check_state(x, k):
     nx = norm(x)
     if not math.isfinite(nx) or nx > _BLOWUP:
-        raise DivergenceError(f"state norm {nx:.3e} exceeded {_BLOWUP:g} at step {k}",
-                              step_index=k, norm=nx)
+        what = (f"norm {nx:.3e} exceeded {_BLOWUP:g}" if np.isfinite(x).all()
+                else "is not finite")
+        raise DivergenceError(f"state {what} at step {k}", step_index=k, norm=nx)
 
 
 def check_mode(mode, prob):
@@ -260,7 +265,7 @@ def _march(mode, prob, sch, x0, spec):
         lam, eps, bet, gam = at(t)
         if n is None:
             h = min(h_req, cap(lam, eps, bet, gam), T - t)
-            if h <= 0:
+            if h <= 0:  # an infinite beta or lam makes the cap 0
                 raise ParameterError("step size collapsed to zero")
             if t + h >= t_end or k + 1 == max_steps:
                 n = k + 1  # this is the last step
