@@ -14,7 +14,6 @@ keys "family", "r" and "s"; every other key takes the default shown):
   "grid": {"kind": "uniform", "h": 0.2, "T": 1e3}
           | {"kind": "geometric", "h0": 0.01, "ratio": 1.001, "T": 1e4},
   "safety_factor": 0.5,
-  "cap_steps": true,
   "store_every": 1,
   "max_steps": null,
   "x0": "default" | [..numbers..],
@@ -30,7 +29,9 @@ bool; numbers are never bools or strings, and never NaN or Infinity, which
 Python's json module would otherwise accept; null only for "max_steps"), and
 a grid takes the fields of the dataclass its "kind" names. The schedule's
 family and ranges (such as r in (0, 1)) are checked where the runner's
-preflight builds it, so that a bad schedule writes report.json. "safety_factor" is
+preflight builds it, so that a bad schedule writes report.json; so are the
+outputs an instance kind cannot write ("tracking" and "path_csv" need a
+canonical instance, "isnr_csv" and "images" a deblur one). "safety_factor" is
 rejected with "SFBP", whose only step bound h <= 1 it would not scale. Errors
 name their path, such as $.grid.h or $.instance.deblur.size.
 """
@@ -65,8 +66,8 @@ _OUTPUTS = {"trajectory_csv": (bool, True), "path_csv": (bool, False),
 _TOP = {"instance": (object, _REQUIRED), "mode": (str, _REQUIRED),
         "schedule": (_SCHEDULE, _REQUIRED),
         "grid": (object, {"kind": "uniform", "h": 0.2, "T": 1e3}),
-        "safety_factor": (float, 0.5), "cap_steps": (bool, True),
-        "store_every": (int, 1), "max_steps": (int, None),
+        "safety_factor": (float, 0.5), "store_every": (int, 1),
+        "max_steps": (int, None),
         "x0": (object, "default"), "seed": (int, 0),
         "outputs": (_OUTPUTS, {})}
 
@@ -81,7 +82,6 @@ class ExperimentConfig:
     schedule: dict
     grid: object
     safety_factor: float
-    cap_steps: bool
     store_every: int
     max_steps: Optional[int]
     x0: object

@@ -25,10 +25,9 @@ is, and at dimension 1-2 that conversion is a large share of a step. For the
 same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx, and the
 recorder stores the points the penalty potentials are taken at and evaluates
 psi1 and psi2 once, on the stack of them, after the march. FB and FBF steps
-are capped by the local Lipschitz bound of the vector field unless the caller
-disables it (needed when a test pins an exact recursion); FB keeps
-gamma*h <= 1 and SFBP keeps h <= 1 regardless, so that X+ stays a convex
-combination.
+are capped by the local Lipschitz bound of the vector field scaled by the
+safety factor; FB also keeps gamma*h <= 1 and SFBP keeps h <= 1, so that X+
+stays a convex combination.
 Each mode calls one backward-step oracle on every step, and the loop checks
 the final dx once for non-finite entries (ConvergenceFailure).
 """
@@ -62,15 +61,13 @@ class GeometricGrid:
 class IntegratorSpec:
     """How to march: grid request, stability cap, storage thinning.
 
-    safety_factor scales the Lipschitz step cap of FB and FBF; cap_steps=False
-    keeps the requested steps untouched (the relaxation bounds gamma*h <= 1 of
-    FB and h <= 1 of SFBP still apply).
+    safety_factor scales the Lipschitz step cap of FB and FBF, which always
+    applies; SFBP steps are bounded by h <= 1 alone.
     max_steps, when set, truncates the run after that many (>= 1) steps.
     """
 
     grid: object
     safety_factor: float = 0.5
-    cap_steps: bool = True
     store_every: int = 1
     max_steps: Optional[int] = None
 
@@ -80,7 +77,7 @@ class IntegratorSpec:
             steps = (("grid h", g.h, g.h > 0, "> 0"),)
         elif isinstance(g, GeometricGrid):
             steps = (("grid h0", g.h0, g.h0 > 0, "> 0"),
-                     ("grid ratio", g.ratio, g.ratio >= 1.0, ">= 1"))
+                     ("grid ratio", g.ratio, 1.0 <= g.ratio < math.inf, "finite and >= 1"))
         else:
             raise ParameterError("grid must be UniformGrid or GeometricGrid")
         sf, every, most = self.safety_factor, self.store_every, self.max_steps
@@ -175,7 +172,7 @@ def _kernel(mode, prob, spec):
     d_eval, b_eval = prob.d.eval, prob.b1.eval
     # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
     inv_eta, mu = 1.0 / prob.d.eta, prob.b1.mu
-    cap_steps, safety = spec.cap_steps, spec.safety_factor
+    safety = spec.safety_factor
     res = prob.shifted_resolvent_fn() if mode == "SFBP" else prob.a._resolvent_fn
     if mode == "SFBP":
         def cap(lam, eps, bet, gam):
@@ -191,18 +188,15 @@ def _kernel(mode, prob, spec):
 
     if mode == "FB":
         def cap(lam, eps, bet, gam):
-            h_relax = 1.0 / gam  # keeps the relaxation a convex combination
-            if not cap_steps:
-                return h_relax
-            return min(h_relax, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
+            # 1/gam keeps the relaxation a convex combination; the Lipschitz
+            # cap, at most safety/(2*gam), is below it whenever both are finite
+            return min(1.0 / gam, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
 
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             return gam * (res(lam, x - lam * v) - x), None, None
     else:
         def cap(lam, eps, bet, gam):
-            if not cap_steps:
-                return math.inf
             return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
 
         def step(x, bx, lam, eps, bet, gam):

@@ -18,7 +18,7 @@ from .deblur import build_tv_deblur, isnr_series
 from .dynamics import (IntegratorSpec, check_mode, ergodic_average,
                        integrate_fb, integrate_fbf, integrate_sfbp,
                        tracking_report)
-from .errors import PenaltyflowError
+from .errors import ConfigError, PenaltyflowError
 from .imaging import make_test_image
 from .instances import build_canonical
 from .operators import as_vector, norm
@@ -84,6 +84,12 @@ def _prepare(cfg):
     (prob, deblur_inst, sch, checks, spec, x0), with ``checks`` the schedule
     checks of report.json, and ``spec`` and ``x0`` None unless all passed."""
     prob, deblur_inst = _build_instance(cfg)
+    # tracking and path.csv need the central path, solved for canonical
+    # instances only; isnr.csv and images exist only for deblurring
+    kind = "canonical" if deblur_inst is None else "deblur"
+    for key in ("isnr_csv", "images") if deblur_inst is None else ("tracking", "path_csv"):
+        if cfg.outputs[key]:
+            raise ConfigError(f"not written for a {kind} instance", field=f"$.outputs.{key}")
     check_mode(cfg.mode, prob)
     sch = cfg.schedule_obj()
     vrep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
@@ -98,8 +104,7 @@ def _prepare(cfg):
     if not all(c["passed"] for c in checks):
         return prob, deblur_inst, sch, checks, None, None
     spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
-                          cap_steps=cfg.cap_steps, store_every=cfg.store_every,
-                          max_steps=cfg.max_steps)
+                          store_every=cfg.store_every, max_steps=cfg.max_steps)
     x0 = prob.x0_default if cfg.x0 == "default" else cfg.x0
     return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 
@@ -145,14 +150,10 @@ def run_experiment(cfg, out_dir, seed_override=None):
 
         integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
                       "SFBP": integrate_sfbp}[cfg.mode]
-        want_tracking = cfg.outputs["tracking"] or cfg.outputs["path_csv"]
-        path_points = None
         traj = integrator(prob, sch, x0, spec)
-        if want_tracking and deblur_inst is None:
-            path_points = central_path(prob, sch, traj.times, tol=1e-10)
-
         gaps = None
-        if path_points is not None:
+        if cfg.outputs["tracking"] or cfg.outputs["path_csv"]:
+            path_points = central_path(prob, sch, traj.times, tol=1e-10)
             gaps = np.array([norm(x - p.xbar) for x, p in zip(traj.states, path_points)])
             trep = tracking_report(traj, path_points)
             report.metrics["tracking"] = {
@@ -176,21 +177,21 @@ def run_experiment(cfg, out_dir, seed_override=None):
                          TRAJECTORY_COLUMNS, _trajectory_rows(traj, gaps))
             report.artifacts.append(p)
 
-        if cfg.outputs["path_csv"] and path_points is not None:
+        if cfg.outputs["path_csv"]:
             rows = _csv_rows(*zip(*[
                 (pt.t, pt.eps, pt.beta, norm(pt.xbar), norm(prob.b1.eval(pt.xbar)),
                  pt.residual, pt.iterations) for pt in path_points]))
             p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
             report.artifacts.append(p)
 
-        if deblur_inst is not None and cfg.outputs["isnr_csv"]:
+        if cfg.outputs["isnr_csv"]:
             series = isnr_series(deblur_inst, traj)
             rows = _csv_rows(traj.step_indices, traj.times, series)
             p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
             report.artifacts.append(p)
             report.metrics["final_isnr_db"] = float(series[-1])
 
-        if deblur_inst is not None and cfg.outputs["images"]:
+        if cfg.outputs["images"]:
             pd = os.path.join(out_dir, "degraded.pgm")
             write_pgm(pd, deblur_inst.observed)
             pr = os.path.join(out_dir, "restored.pgm")

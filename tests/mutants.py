@@ -1,0 +1,158 @@
+"""Textual mutants of penaltyflow, each run against the tests that should kill it.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named ones
+    python tests/mutants.py --list      # names and files only
+
+Each mutant replaces one exact snippet of one file under src/penaltyflow in a
+temporary copy of src/, tests/, README.md and pyproject.toml, and runs
+``pytest -x`` on SUBSET there. It is killed when pytest fails and survives when
+it passes; a snippet that no longer occurs once in its file is reported as
+stale, so that a rewrite of the program shows up here instead of silently
+testing nothing. A surviving mutant takes about 30 s on two cores. pytest does
+not collect this file, and it uses the standard library only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBSET = ["tests/test_dynamics.py", "tests/test_operators.py", "tests/test_schedules.py",
+          "tests/test_cli.py", "tests/test_instances.py", "tests/test_digests.py"]
+
+# (name, file under src/penaltyflow, snippet, replacement)
+MUTANTS = [
+    # the march
+    ("check-every-128", "dynamics.py",
+     "if k % 64 == 0 or k + 1 == n:", "if k % 128 == 0 or k + 1 == n:"),
+    ("last-step-strict", "dynamics.py",
+     "if t + h >= t_end or", "if t + h > t_end or"),
+    ("t-end-1e-9", "dynamics.py", "t_end = T - 1e-12", "t_end = T - 1e-9"),
+    ("buffer-plus-1", "dynamics.py", "// every + 3, 4096)", "// every + 1, 4096)"),
+    ("collapse-h-lt-0", "dynamics.py", "if h <= 0:", "if h < 0:"),
+    ("check-state-no-isfinite", "dynamics.py",
+     "if not math.isfinite(nx) or nx > _BLOWUP:", "if nx > _BLOWUP:"),
+    ("blowup-1e13", "dynamics.py", "_BLOWUP = 1e12", "_BLOWUP = 1e13"),
+    ("unit-step-skips-h", "dynamics.py",
+     "x = x + dx if h == 1.0 else x + zh * dx", "x = x + dx"),
+    ("final-dx-unchecked", "dynamics.py",
+     'require_finite(dx, "final step")', "pass"),
+    ("sample-skips-last", "dynamics.py",
+     "if k % every == 0 or n is not None:", "if k % every == 0:"),
+    # the step caps and step maps
+    ("cap-no-safety", "dynamics.py",
+     "safety = spec.safety_factor", "safety = 1.0"),
+    ("fbf-cap-lam", "dynamics.py",
+     "safety / (2.0 + 2.0 * lam *", "safety / (2.0 + lam *"),
+    ("fb-cap-no-gam", "dynamics.py",
+     "safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))",
+     "safety / (2.0 + lam * (inv_eta + eps + bet / mu))"),
+    ("fb-cap-assoc", "dynamics.py",
+     "(gam * (2.0 + lam * (inv_eta + eps + bet / mu)))",
+     "(gam * (2.0 + lam * (inv_eta + (eps + bet / mu))))"),
+    ("fb-no-relaxation-bound", "dynamics.py",
+     "return min(1.0 / gam, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))",
+     "return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))"),
+    ("sfbp-cap-0.999", "dynamics.py",
+     "            return 1.0\n", "            return 0.999\n"),
+    ("fb-gam-distributed", "dynamics.py",
+     "return gam * (res(lam, x - lam * v) - x), None, None",
+     "return gam * res(lam, x - lam * v) - gam * x, None, None"),
+    ("fbf-neg-lam", "dynamics.py",
+     "np.subtract(v, vp, out=vp)\n            vp *= lam",
+     "np.subtract(vp, v, out=vp)\n            vp *= -lam"),
+    ("ratio-inf-accepted", "dynamics.py",
+     "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
+    # operators and problem data
+    ("norm-strict-tiny", "operators.py", "if s >= _TINY:", "if s > _TINY:"),
+    ("norm-no-rescale", "operators.py",
+     "    w = v / m\n    return m * math.sqrt(w.dot(w))",
+     "    return math.sqrt(s)"),
+    ("clamp-drops-lower", "operators.py",
+     "    return lambda x: x.clip(lo, hi)\n", "    return lambda x: np.minimum(x, hi)\n"),
+    ("lipschitz-no-eps", "problem.py",
+     "return 1.0 / self.d.eta + eps + beta / self.b1.mu",
+     "return 1.0 / self.d.eta + beta / self.b1.mu"),
+    ("shifted-lam-only", "problem.py",
+     "return lambda lam, beta, x: fn(lam * beta, x)",
+     "return lambda lam, beta, x: fn(lam, x)"),
+    # schedules
+    ("fused-lam-rewritten", "schedules.py",
+     "return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)",
+     "return lambda_bar / bt / (1 + lambda_bar * et / bt), et, bt, gamma(t)"),
+    ("fb-band-closed", "schedules.py", "r + s < 0.5, r + s", "r + s <= 0.5, r + s"),
+    ("fbf-band-fb", "schedules.py",
+     "r + s < 1.0 / 3.0, r + s", "r + s < 0.5, r + s"),
+    ("sfbp-s-open", "schedules.py", "0.5 < s <= 1.0, s", "0.5 < s < 1.0, s"),
+    ("step-bound-tail-1e6", "schedules.py", "tail = GRID >= 1e7", "tail = GRID >= 1e6"),
+    ("attouch-closed", "schedules.py",
+     'passed = sch.params["s"] * _RHO_STAR > 1.0',
+     'passed = sch.params["s"] * _RHO_STAR >= 1.0'),
+    # the runner
+    ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
+     "        if False:\n"),
+    ("path-tol-1e-6", "runner.py", "traj.times, tol=1e-10)", "traj.times, tol=1e-6)"),
+    ("report-first-b1", "runner.py",
+     'float(traj.b1_norms[-1])', 'float(traj.b1_norms[0])'),
+]
+
+
+def _copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    for name in ("README.md", "pyproject.toml"):
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def run(name, path, old, new):
+    """'killed', 'survived' or 'stale', the seconds pytest took and the
+    first failing test."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        target = dest / "src" / "penaltyflow" / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return "stale", 0.0, ""
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p",
+                               "no:cacheprovider", *SUBSET], cwd=dest, env=env,
+                              capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+        if proc.returncode == 0:
+            return "survived", seconds, ""
+        failed = [line.split()[1] for line in proc.stdout.splitlines()
+                  if line.startswith("FAILED ")]
+        return "killed", seconds, failed[0] if failed else f"exit {proc.returncode}"
+
+
+def main(argv):
+    if argv == ["--list"]:
+        for name, path, _, _ in MUTANTS:
+            print(f"{name:28s} {path}")
+        return 0
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    counts = {"killed": 0, "survived": 0, "stale": 0}
+    for name, path, old, new in chosen:
+        verdict, seconds, by = run(name, path, old, new)
+        counts[verdict] += 1
+        print(f"{verdict:8s} {name:28s} {path:13s} {seconds:6.1f} s  {by}", flush=True)
+    scored = counts["killed"] + counts["survived"]
+    print(f"score {counts['killed']}/{scored} killed; {counts['stale']} stale")
+    return 1 if counts["stale"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

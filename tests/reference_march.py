@@ -12,9 +12,9 @@ from penaltyflow.operators import norm
 
 
 def _cap(mode, spec, lam, gam, lips):
-    """FB and FBF: the Lipschitz cap unless it is off; FB: gam*h <= 1; SFBP: h <= 1."""
+    """FB and FBF: the Lipschitz cap; FB: gam*h <= 1; SFBP: h <= 1."""
     cap = math.inf
-    if spec.cap_steps and mode != "SFBP":
+    if mode != "SFBP":
         cap = spec.safety_factor / (gam * (2.0 + lam * lips) if mode == "FB"
                                     else 2.0 + 2.0 * lam * lips)
     return {"FB": min(1.0 / gam, cap), "FBF": cap, "SFBP": 1.0}[mode]

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -236,7 +237,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(dict(base, safety_factor=0.1))
         assert exc.value.field == "$.safety_factor"
-        assert parse_config(dict(base, cap_steps=False)).cap_steps is False
+        assert parse_config(base).mode == "SFBP"
 
     @pytest.mark.parametrize("key, value, field", [
         ("store_every", "abc", "$.store_every"),
@@ -245,8 +246,8 @@ class TestConfigParsing:
         ("max_steps", "x", "$.max_steps"),
         ("seed", [1], "$.seed"),
         ("safety_factor", "half", "$.safety_factor"),
-        ("cap_steps", "no", "$.cap_steps"),
-        ("cap_steps", 0, "$.cap_steps"),
+        ("cap_steps", False, "$.cap_steps"),  # unknown: FB and FBF steps are always capped
+        ("max_steps", True, "$.max_steps"),
         ("x0", ["a"], "$.x0[0]"),
         ("x0", [False], "$.x0[0]"),
         ("grid", [1], "$.grid"),
@@ -392,7 +393,11 @@ class TestRunExperiment:
         final_gap = float(lines[-1].split(",")[3])
         assert final_gap <= 0.05
         path_csv = tmp_path / "out" / "path.csv"
-        assert path_csv.read_text().splitlines()[0] == ",".join(PATH_COLUMNS)
+        header, *rows = path_csv.read_text().splitlines()
+        assert header == ",".join(PATH_COLUMNS)
+        # the scalar path moves, so each point is a fresh solve to tol 1e-10
+        residual = PATH_COLUMNS.index("residual")
+        assert max(float(row.split(",")[residual]) for row in rows) <= 1e-10
 
     def test_schedule_failure_exit_2_names_check(self, tmp_path):
         cfg = load_config(write_config(
@@ -416,21 +421,25 @@ class TestRunExperiment:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["exit_code"] == 4 and report["messages"] == rep.messages
 
-    def test_divergence_exit_3(self, tmp_path):
-        # FBF without cocoercivity tolerates huge uncapped steps badly
+    def test_divergence_exit_3(self, tmp_path, monkeypatch):
+        # a D 1000 times steeper than its declared eta = 1 defeats the step cap
+        prob = pf.build_canonical("scalar")
+        steep = dataclasses.replace(prob, d=dataclasses.replace(
+            prob.d, eval=lambda x: 1000.0 * (x - 2.0)))
+        monkeypatch.setattr(runner, "build_canonical", lambda name: steep)
         cfg = parse_config({
-            "instance": "skew-box", "mode": "FBF",
-            "schedule": {"family": "polynomial", "r": 0.05, "s": 0.25,
-                         "b": 1, "lambda_bar": 0.9, "gamma_bar": 1.0},
-            "grid": {"kind": "uniform", "h": 40.0, "T": 1e5},
-            "cap_steps": False,
-            "x0": [1.0, 1.0],
-            "outputs": {"trajectory_csv": False, "path_csv": False,
-                        "tracking": False},
+            "instance": "scalar", "mode": "FB",
+            "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2},
+            "grid": {"kind": "uniform", "h": 1.0, "T": 1e5},
+            "outputs": {"trajectory_csv": False},
         })
         rep = run_experiment(cfg, str(tmp_path / "out3"))
         assert rep.exit_code == 3
-        assert any("diverged" in m for m in rep.messages)
+        assert len(rep.messages) == 1
+        assert re.fullmatch(r"integration diverged: state norm \S+ exceeded 1e\+12 "
+                            r"at step 64", rep.messages[0])
+        report = json.loads((tmp_path / "out3" / "report.json").read_text())
+        assert report["exit_code"] == 3 and report["messages"] == rep.messages
 
     def test_deblur_pipeline_artifacts(self, tmp_path):
         cfg = parse_config({
@@ -589,8 +598,12 @@ class TestCliCommands:
          "noise_std -0.5"),
         ({"schedule": {"family": "polynomial", "r": 2, "s": 0.2}},
          "$.schedule: r must lie in (0, 1)"),
+        (dict(SMALL_DEBLUR, outputs={"path_csv": True, "tracking": True}),
+         "error: $.outputs.tracking: not written for a deblur instance"),
+        ({"outputs": {"isnr_csv": True, "images": True}},
+         "error: $.outputs.isnr_csv: not written for a canonical instance"),
     ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
-            "noise", "schedule-range"])
+            "noise", "schedule-range", "deblur-tracking", "canonical-isnr"])
     def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
                                              says):
         p = write_config(tmp_path, **overrides)

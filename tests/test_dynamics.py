@@ -12,6 +12,7 @@ from penaltyflow import config, runner
 from penaltyflow.dynamics import Trajectory, check_mode
 from penaltyflow.errors import (ConvergenceFailure, DivergenceError,
                                 ParameterError, PreconditionError)
+from penaltyflow.operators import norm
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 from reference_march import reference_march
 
@@ -119,8 +120,7 @@ _SCHEDULES = st.builds(
 _GRIDS = (st.builds(pf.UniformGrid, h=st.sampled_from([1.0, 0.37]) | st.floats(0.01, 2.0), T=_T)
           | st.builds(pf.GeometricGrid, h0=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1.3), T=_T))
 _SPECS = st.builds(pf.IntegratorSpec, grid=_GRIDS, safety_factor=st.floats(0.1, 1.0),
-                   cap_steps=st.booleans(), store_every=st.integers(1, 6),
-                   max_steps=st.none() | st.integers(1, 60))
+                   store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60))
 # x0 repeats these entries to the instance's dimension
 _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(-3.0, 3.0),
                     min_size=1, max_size=6)
@@ -148,17 +148,18 @@ class TestForwardBackward:
     def test_linear_recursion_exact(self):
         prob = trivial_problem()
         sch = pf.constant_schedule(eps=0.1, beta=0.0, lam=0.1, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=100.0),
-                                 cap_steps=False)
+        # h = 0.25 is under the cap 1/(2 + lam*eps) = 0.4975
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=25.0), safety_factor=1.0)
         traj = pf.integrate_fb(prob, sch, np.array([1.0]), spec)
+        # J = (1 - lam*eps) X: X+ = (1 - h*0.01) X
         assert traj.n_steps_total == 100
-        assert traj.final_state[0] == pytest.approx(0.99 ** 100, rel=1e-12)
+        assert traj.final_state[0] == pytest.approx(0.9975 ** 100, rel=1e-12)
 
     def test_origin_is_stationary(self):
         prob = trivial_problem(2)
         sch = pf.constant_schedule(eps=0.3, beta=0.0, lam=0.2, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=20.0),
-                                 cap_steps=False)
+        # h = 0.25 is under the cap 1/(2 + lam*eps) = 0.485
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=20.0), safety_factor=1.0)
         traj = pf.integrate_fb(prob, sch, np.zeros(2), spec)
         assert np.all(traj.states == 0.0)
 
@@ -188,13 +189,17 @@ class TestForwardBackward:
             pf.integrate_fb(prob, sch, np.zeros(1), spec)
 
     def test_blowup_raises_divergence(self):
+        # D 100 times steeper than its declared eta = 1: the cap 1/32 it
+        # sizes steps from leaves X+ = X - h*lam*V(X) about -30 X
         prob = pf.build_canonical("scalar")
+        prob = dataclasses.replace(prob, d=dataclasses.replace(
+            prob.d, eval=lambda x: 100.0 * (x - 2.0)))
         sch = pf.constant_schedule(eps=1.0, beta=1.0, lam=10.0, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4),
-                                 cap_steps=False)
-        with pytest.raises(DivergenceError) as exc:
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4), safety_factor=1.0)
+        with pytest.raises(DivergenceError, match=r"^state norm .* exceeded 1e\+12 "
+                                                  r"at step 64$") as exc:
             pf.integrate_fb(prob, sch, np.array([1.0]), spec)
-        assert exc.value.step_index is not None
+        assert exc.value.step_index == 64 and math.isfinite(exc.value.norm)
 
     def test_step_map_lipschitz_bound(self):
         prob = pf.build_canonical("scalar")
@@ -220,9 +225,10 @@ class TestForwardBackward:
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
         finals = []
+        # lam*(1 + eps + beta) <= 1.43, so every h is under the cap 1/3.43
         for h in (0.2, 0.1, 0.05):
             spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=50.0),
-                                     cap_steps=False, store_every=1000)
+                                     safety_factor=1.0, store_every=1000)
             finals.append(pf.integrate_fb(prob, sch, np.array([3.0]), spec)
                           .final_state[0])
         e1 = abs(finals[0] - finals[1])
@@ -235,11 +241,12 @@ class TestForwardBackwardForward:
     def test_linear_recursion_exact(self):
         prob = trivial_problem()
         sch = pf.constant_schedule(eps=0.2, beta=0.0, lam=0.5, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0),
-                                 cap_steps=False)
+        # h = 0.25 is under the cap 1/(2 + 2*lam*eps) = 0.4545
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=10.0), safety_factor=1.0)
         traj = pf.integrate_fbf(prob, sch, np.array([1.0]), spec)
-        # lam*eps = 0.1: X+ = (1 - 0.1*(1 - 0.1)) X = 0.91 X
-        assert traj.final_state[0] == pytest.approx(0.91 ** 10, rel=1e-12)
+        # lam*eps = 0.1: X+ = (1 - h*0.1*(1 - 0.1)) X = 0.9775 X
+        assert traj.n_steps_total == 40
+        assert traj.final_state[0] == pytest.approx(0.9775 ** 40, rel=1e-12)
 
     def test_skew_box_converges(self):
         prob = pf.build_canonical("skew-box")
@@ -340,8 +347,9 @@ class TestNonFiniteFinalStep:
             prob = dataclasses.replace(prob, a=pf.MonotoneOperator(
                 prob.a.kind, oracle, dim=prob.a.dim, params=prob.a.params))
         sch = pf.constant_schedule(eps=0.1, beta=1.0, lam=0.5, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=0.5 * n),
-                                 cap_steps=False)
+        # h = 0.125 is under the FB cap 1/3.05 and the FBF cap 1/4.1
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.125, T=0.125 * n),
+                                 safety_factor=1.0)
         with pytest.raises(ConvergenceFailure, match="final step"):
             integrate(prob, sch, np.full(prob.dim, 0.5), spec)
         assert len(calls) == n + 1
@@ -390,8 +398,7 @@ class TestFullSplitting:
         prob = projection_sfbp_problem()
         lam, eps, h = 0.3, 0.5, 0.5
         sch = pf.constant_schedule(eps=eps, beta=1.0, lam=lam, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=5.0),
-                                 cap_steps=False)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=5.0))
         for x0 in (3.0, -1.0):
             traj = pf.integrate_sfbp(prob, sch, np.array([x0]), spec)
             x = x0
@@ -403,8 +410,7 @@ class TestFullSplitting:
         prob = projection_sfbp_problem()
         lam, eps, h = 0.3, 0.5, 0.25
         sch = pf.constant_schedule(eps=eps, beta=1.0, lam=lam, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=4.0),
-                                 cap_steps=False)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=4.0))
         traj = pf.integrate_sfbp(prob, sch, np.array([-1.0]), spec)
         factor = (1.0 - h * lam * eps) ** traj.n_steps_total
         assert traj.final_state[0] == pytest.approx(-factor, rel=1e-12)
@@ -544,6 +550,84 @@ class TestTracking:
             pf.tracking_report(traj, pts)
 
 
+# every canonical (instance, mode) pair that check_mode allows
+_CANONICAL_CASES = [case for case in _CASES if case[0] in pf.CANONICAL_NAMES]
+
+
+@st.composite
+def accepted_schedules(draw, mode, prob):
+    """A polynomial schedule inside ``mode``'s exponent band, with lambda_bar
+    under the step bound the validator checks. lambda_bar takes at least half
+    its range and gamma_bar at least 1/2: a run that starts on the path lags
+    it by about 1/(gamma*lam*L) times the path's speed, and with a tenth of
+    either the lag at T = 1e3 exceeds the 1e-3 the soundness test allows."""
+    u, v = (draw(st.floats(0.02, 0.98)) for _ in range(2))
+    w = draw(st.floats(0.5, 0.98))
+    b, mu = draw(st.floats(1.0, 1000.0)), prob.b1.mu
+    if mode == "SFBP":  # 1/2 < s < r < 1 and lam*beta < 2*mu
+        s = 0.5 + 0.5 * u
+        r, lambda_bar = s + (1.0 - s) * v, 2.0 * mu * w
+    else:  # 0 < r < s and r + s < 1/2 (FB) or 1/3 (FBF)
+        band = 0.5 if mode == "FB" else 1.0 / 3.0
+        s = band * u
+        r = min(s, band - s) * v
+        # lam*(1/eta + eps + beta/mu) < 1 for t >= 1e7 holds for every
+        # lambda_bar < mu*beta/(mu/eta + beta) at t = 1e7
+        bt = (1e7 + b) ** s
+        lambda_bar = w * mu * bt / (mu / prob.d.eta + bt)
+    return pf.polynomial_schedule(r, s, b, lambda_bar, draw(st.floats(0.5, 1.0)),
+                                  draw(st.sampled_from(["constant", "cos-inverse"])))
+
+
+def max_lam_l(prob, sch, T):
+    """The largest lam*L over 64 times in [0, T]."""
+    return max(float(sch.lam(t)) * prob.lipschitz_bound(float(sch.eps(t)), float(sch.beta(t)))
+               for t in np.linspace(0.0, T, 64))
+
+
+class TestSoundness:
+    T = 1000.0  # at most about 4 000 steps a run, 3 s for the 50 examples
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_accepted_schedule_ends_near_the_path(self, data):
+        """From any x0 in [-5, 5]^d, a run under an accepted schedule stays
+        bounded and ends no farther from the central path than it started,
+        up to 1e-3. The validator bounds lam*L only for t >= 1e7, so FBF
+        draws whose lam*L reaches 1 on [0, T] are discarded: there the path
+        point can repel (see the next test)."""
+        name, mode = data.draw(st.sampled_from(_CANONICAL_CASES))
+        prob = pf.build_canonical(name)
+        sch = data.draw(accepted_schedules(mode, prob))
+        assert pf.validate_schedule(sch, mode, (prob.d.eta, prob.b1.mu)).overall
+        assert mode != "SFBP" or pf.attouch_czarnecki_check(sch)[1]
+        x0 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=prob.dim,
+                                         max_size=prob.dim)))
+        assume(mode != "FBF" or max_lam_l(prob, sch, self.T) < 1.0)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=self.T), safety_factor=1.0,
+                                 store_every=1000)
+        traj = _MODES[mode][0](prob, sch, x0, spec)
+        start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
+        assert np.isfinite(traj.final_state).all()
+        assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
+
+    @pytest.mark.xfail(raises=DivergenceError, strict=True,
+                       reason="validate_schedule bounds lam*L < 1 only for t >= 1e7")
+    def test_fbf_leaves_the_path_while_lam_l_exceeds_1(self):
+        """An accepted scalar FBF schedule whose lam*L falls from 1.24 at t = 0
+        to 1.10 at t = 500 and below 1 only near t = 1e5. While lam*L > 1 the
+        path point repels: from x0 = 0.7 the run diverges at step 3136, and
+        from x0 = 0 it ends at -0.133, against 0.608 on the path."""
+        prob, x0 = pf.build_canonical("scalar"), np.array([0.7])
+        sch = pf.polynomial_schedule(0.07, 0.08, 1.0, 0.7)
+        assert pf.validate_schedule(sch, "FBF", (prob.d.eta, prob.b1.mu)).overall
+        assert max_lam_l(prob, sch, 500.0) > 1.0
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=500.0))
+        traj = pf.integrate_fbf(prob, sch, x0, spec)
+        start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
+        assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
+
+
 class TestSpecAndStorage:
     def test_max_steps_budget(self):
         prob = pf.build_canonical("scalar")
@@ -595,13 +679,15 @@ class TestSpecAndStorage:
         (dict(grid=pf.GeometricGrid(h0=0.0, ratio=1.1, T=1.0)),
          "grid h0 must be > 0, got 0.0"),
         (dict(grid=pf.GeometricGrid(h0=0.1, ratio=0.5, T=1.0)),
-         "grid ratio must be >= 1, got 0.5"),
+         "grid ratio must be finite and >= 1, got 0.5"),
+        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=INF, T=10.0)),
+         "grid ratio must be finite and >= 1, got inf"),
         (dict(grid=pf.GeometricGrid(h0=0.1, ratio=1.1, T=1e-13)),
          "grid T must be > 1e-12, got 1e-13"),
         (dict(safety_factor=1.5), "safety_factor must be in (0, 1], got 1.5"),
         (dict(store_every=0), "store_every must be >= 1, got 0"),
         (dict(max_steps=-3), "max_steps must be >= 1, got -3"),
-    ], ids=["h", "T", "h0", "ratio", "geometric-T", "safety_factor", "store_every",
+    ], ids=["h", "T", "h0", "ratio", "ratio-inf", "geometric-T", "safety_factor", "store_every",
             "max_steps"])
     def test_invalid_field_named_with_its_value(self, kwargs, message):
         with pytest.raises(ParameterError) as exc:
@@ -633,8 +719,8 @@ class TestSpecAndStorage:
     def test_geometric_grid_grows(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.GeometricGrid(h0=0.01, ratio=1.5, T=10.0),
-                                 cap_steps=False)
+        # the first five steps, 0.01 to 0.051, are under the cap 0.5/3.43
+        spec = pf.IntegratorSpec(grid=pf.GeometricGrid(h0=0.01, ratio=1.5, T=10.0))
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         hs = traj.step_sizes[:-2]
         assert np.all(np.diff(hs[:5]) > 0)

@@ -146,6 +146,8 @@ class TestCanonicalInstances:
         # two affine maps: (I + lam (M1 + beta M2)) y = x - lam (q1 + beta q2)
         (pf.affine_op(np.eye(2), [1.0, 0.0]), pf.affine_op(2.0 * np.eye(2), [0.0, 1.0]),
          [3.0, -0.5], [(3.0 - 0.3) / 2.5, (-0.5 - 0.6) / 2.5]),
+        # zero A: shrinkage by lam*beta for an l1 B2
+        (pf.zero_op(2), pf.l1_subgradient(1.0, dim=2), [3.0, -0.5], [2.4, 0.0]),
     ])
     def test_combined_resolvent_pairs(self, a, b2, x, expected):
         out = _two_penalty(a, b2).shifted_resolvent_fn()(0.3, 2.0, np.array(x))

@@ -162,6 +162,9 @@ class TestValidators:
         bad = pf.polynomial_schedule(0.4, 0.6, 1.0, 0.9, 1.0)
         rep = pf.validate_schedule(bad, "SFBP", (1.0, 1.0))
         assert not rep.overall and "1/2<r<1" in rep.failed_names()
+        # s = 1 is inside the band, r > s is then impossible
+        edge = pf.polynomial_schedule(0.99, 1.0, 1.0, 0.9, 1.0)
+        assert pf.validate_schedule(edge, "SFBP", (1.0, 1.0)).failed_names() == ["r>s"]
 
     def test_exponent_and_numeric_agree_on_subgrid(self):
         # the full 20x20 sweep runs in the acceptance suite
@@ -305,6 +308,9 @@ class TestAttouchCzarnecki:
         assert pf.attouch_czarnecki_check(ok_sch)[1]
         bad_sch = pf.polynomial_schedule(0.3, 0.4, 1.0, 0.9, 1.0)
         assert not pf.attouch_czarnecki_check(bad_sch)[1]
+        # s * rho* = 1: lam * beta^(1 - rho*) ~ 1/t is not integrable
+        edge_sch = pf.polynomial_schedule(0.75, 0.5, 1.0, 0.9, 1.0)
+        assert not pf.attouch_czarnecki_check(edge_sch)[1]
 
 
 class TestSerialization:
