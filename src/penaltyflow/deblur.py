@@ -8,7 +8,6 @@ penalty block drives theta into the data-fit solution set of the blur system.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,7 @@ class DeblurInstance:
     shape: tuple
     kernel: np.ndarray
     sigma: float
-    original: Optional[np.ndarray]
+    original: np.ndarray
     observed: np.ndarray
     noise_std: float
     seed: int
@@ -129,8 +128,6 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
 
 def isnr_series(instance, traj):
     """ISNR of the stored theta samples against the original/observed pair."""
-    if instance.original is None:
-        raise ParameterError("instance carries no original image")
     out = np.empty(traj.times.size)
     for i in range(traj.times.size):
         theta = instance.theta_of(traj.states[i])

@@ -22,12 +22,13 @@ oracles they call, get lam, eps, beta and gamma as 0-d float64 arrays that the
 loop rewrites each step, so they are valid only during the call: numpy
 converts a Python float operand on every ufunc call but takes a 0-d array as
 is, and at dimension 1-2 that conversion is a large share of a step. For the
-same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx, and the
-recorder stores the points the penalty potentials are taken at and evaluates
-psi1 and psi2 once, on the stack of them, after the march. FB and FBF steps
-are capped by the local Lipschitz bound of the vector field scaled by the
-safety factor; FB also keeps gamma*h <= 1 and SFBP keeps h <= 1, so that X+
-stays a convex combination.
+same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. Besides
+X and dx the recorder stores the step's second point, P (FBF) or J (SFBP);
+only SFBP carries the penalty potentials, and the loop evaluates psi1 + psi2
+once, on the stack of stored J, after the march. FB and FBF steps are capped
+by the local Lipschitz bound of the vector field scaled by the safety factor,
+which for FB is at most safety/(2*gamma), so gamma*h <= 1/2; SFBP keeps h <= 1.
+Either way X+ stays a convex combination of X and the resolvent point.
 Each mode calls one backward-step oracle on every step, and the loop checks
 the final dx once for non-finite entries (ConvergenceFailure).
 """
@@ -104,7 +105,9 @@ class Trajectory:
     before the final step and the final state); ``step_indices`` holds the
     step number of each sample and parallel arrays hold the schedule values
     the step at each sample used, the step vector field (xdots) and per-step
-    diagnostics at those samples.
+    diagnostics at those samples. ``aux_points`` holds the FBF step's point p
+    and ``psi_sums`` the SFBP penalty sum (psi1 + psi2)(j) at the step's
+    resolvent output j; each is None in the other modes.
     """
 
     mode: str
@@ -159,10 +162,9 @@ def _kernel(mode, prob, spec):
 
     ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values the
     step itself uses. ``step(x, bx, lam, eps, beta, gam)`` forms the field
-    V(x) from bx = B1(x) and returns the update direction dx, the auxiliary
-    point (FBF only) and the point the penalty sum is taken at (None for
-    x + dx, which is then formed only for stored samples). ``step`` closes
-    over the mode's one backward-step oracle: the raw oracle of A, or the
+    V(x) from bx = B1(x) and returns the update direction dx and the step's
+    second point y: FBF's p, SFBP's resolvent output j, None for FB. ``step``
+    closes over the mode's one backward-step oracle: the raw oracle of A, or the
     combined resolvent of A + beta*B2 built once here. ``step`` and its oracle
     get the schedule values as 0-d float64 arrays valid only during the call
     (see the module docstring), ``cap`` as floats. FBF assembles its arrays
@@ -182,19 +184,18 @@ def _kernel(mode, prob, spec):
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             j = res(lam, bet, x - lam * v)
-            return j - x, None, j
+            return j - x, j
 
         return cap, step
 
     if mode == "FB":
         def cap(lam, eps, bet, gam):
-            # 1/gam keeps the relaxation a convex combination; the Lipschitz
-            # cap, at most safety/(2*gam), is below it whenever both are finite
-            return min(1.0 / gam, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))
+            # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
+            return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))
 
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
-            return gam * (res(lam, x - lam * v) - x), None, None
+            return gam * (res(lam, x - lam * v) - x), None
     else:
         def cap(lam, eps, bet, gam):
             return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
@@ -216,7 +217,7 @@ def _kernel(mode, prob, spec):
             vp *= lam
             dx = p - x
             dx += vp
-            return dx, p, None
+            return dx, p
 
     return cap, step
 
@@ -229,8 +230,8 @@ def _march(mode, prob, sch, x0, spec):
     same values. The iteration after the last step (k = n) takes no step and
     records the final state with a freshly evaluated field. Samples go into
     buffers sized from the uncapped step count and doubled when a binding cap
-    takes more steps; the potentials of the stored points are taken after the
-    march, in one call each.
+    takes more steps; the SFBP potentials of the stored resolvent points are
+    taken after the march, in one call each.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
@@ -243,12 +244,9 @@ def _march(mode, prob, sch, x0, spec):
     uncapped = (T / h_req if ratio == 1.0
                 else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
-    psi1, psi2 = prob.psi1, prob.psi2
-    has_psi = psi1 is not None
     cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, k
-    # x, dx, then p (FBF) and the points q the potentials are taken at
-    slot_p, slot_q = 2, 3 if mode == "FBF" else 2
-    vecs = np.empty((slot_q + 1 if has_psi else slot_q, rows, prob.dim))
+    # x, dx and, but for FB, the step's second point y
+    vecs = np.empty((2 if mode == "FB" else 3, rows, prob.dim))
     b_eval, at = prob.b1.eval, sch.at
     # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
     # of one buffer rewritten each step; cap and the recorder keep the floats
@@ -266,7 +264,7 @@ def _march(mode, prob, sch, x0, spec):
             vals[4] = h
         vals[0], vals[1], vals[2], vals[3] = lam, eps, bet, gam
         bx = b_eval(x)
-        dx, p, q = step(x, bx, zlam, zeps, zbet, zgam)
+        dx, y = step(x, bx, zlam, zeps, zbet, zgam)
         if k % every == 0 or n is not None:
             if i == rows:
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
@@ -274,10 +272,8 @@ def _march(mode, prob, sch, x0, spec):
                 rows *= 2
             cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), k
             vecs[0, i], vecs[1, i] = x, dx
-            if p is not None:
-                vecs[slot_p, i] = p
-            if has_psi:
-                vecs[slot_q, i] = x + dx if q is None else q
+            if y is not None:
+                vecs[2, i] = y
             i += 1
         if k == n:
             require_finite(dx, "final step")
@@ -288,17 +284,17 @@ def _march(mode, prob, sch, x0, spec):
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
     times, hs, lam, eps, bet, gam, b1n, ks = cols[:, :i]
+    ys = None if mode == "FB" else vecs[2, :i]
     psi = None
-    if has_psi:
-        qs = vecs[slot_q, :i]
-        psi = np.full(i, math.nan) if psi2 is None else psi1(qs) + psi2(qs)
+    if mode == "SFBP":  # check_mode and ProblemInstance ensure B2, psi1 and psi2
+        psi = prob.psi1(ys) + prob.psi2(ys)
         if np.shape(psi) != (i,):
             raise ParameterError(f"psi1 + psi2 on a ({i}, {prob.dim}) stack must have "
                                  f"shape ({i},), got {np.shape(psi)}")
     return Trajectory(
         mode=mode, times=times, states=vecs[0, :i], step_sizes=hs,
         xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi,
-        aux_points=vecs[slot_p, :i] if mode == "FBF" else None, lam=lam, eps=eps,
+        aux_points=ys if mode == "FBF" else None, lam=lam, eps=eps,
         beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
         n_steps_total=n, step_indices=ks.astype(np.intp))
 
@@ -384,7 +380,7 @@ def tracking_report(traj, path):
         theta[j] = 0.5 * float(diff @ diff)
         lam, eps, gam, lips = traj.lam[i], traj.eps[i], traj.gamma[i], traj.lips[i]
         xdot = traj.xdots[i]
-        if traj.mode == "FBF" and traj.aux_points is not None:
+        if traj.mode == "FBF":
             # <x - xbar, xdot> <= (lam L - 1)||x - p||^2 - lam eps ||p - xbar||^2
             p = traj.aux_points[i]
             lhs = float(diff @ xdot)

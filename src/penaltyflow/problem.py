@@ -63,10 +63,11 @@ class ProblemInstance:
     """Operator data (A, D, B1[, B2]) on R^dim.
 
     B2, when present, is the subgradient of a second penalty potential and is
-    handled inside the backward step. psi1/psi2 supply potential values for
-    diagnostics: each maps an array of points, shape (..., dim), to their
-    values, shape (...); the integrators call them once, on the (n, dim) stack
-    of stored samples.
+    handled inside the backward step. psi1/psi2, given together with B2 and
+    only with it, supply the two potential values for diagnostics: each maps
+    an array of points, shape (..., dim), to their values, shape (...); the
+    full-splitting integrator calls them once, on the (n, dim) stack of stored
+    resolvent points.
     """
 
     a: MonotoneOperator
@@ -82,8 +83,9 @@ class ProblemInstance:
     def __post_init__(self):
         if self.dim < 1:
             raise ParameterError("dim must be >= 1")
-        if self.b2 is not None and (self.psi1 is None or self.psi2 is None):
-            raise ParameterError("two-penalty instances must carry psi1 and psi2 values")
+        has_b2 = self.b2 is not None
+        if (self.psi1 is not None) != has_b2 or (self.psi2 is not None) != has_b2:
+            raise ParameterError("psi1 and psi2 are given with B2 and only with it")
 
     def vfield(self, eps, beta, x):
         """The regularized field D(x) + eps*x + beta*B1(x)."""

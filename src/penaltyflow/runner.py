@@ -201,10 +201,9 @@ def run_experiment(cfg, out_dir, seed_override=None):
             atomic_write_text(meta, json.dumps(deblur_inst.metadata(),
                                                indent=2, sort_keys=True))
             report.artifacts.append(meta)
-            if deblur_inst.original is not None:
-                po = os.path.join(out_dir, "original.pgm")
-                write_pgm(po, deblur_inst.original)
-                report.artifacts.append(po)
+            po = os.path.join(out_dir, "original.pgm")
+            write_pgm(po, deblur_inst.original)
+            report.artifacts.append(po)
 
         if cfg.outputs["checkpoint"]:
             p = os.path.join(out_dir, "checkpoint.json")

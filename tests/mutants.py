@@ -55,17 +55,17 @@ MUTANTS = [
     ("fb-cap-assoc", "dynamics.py",
      "(gam * (2.0 + lam * (inv_eta + eps + bet / mu)))",
      "(gam * (2.0 + lam * (inv_eta + (eps + bet / mu))))"),
-    ("fb-no-relaxation-bound", "dynamics.py",
-     "return min(1.0 / gam, safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu))))",
-     "return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))"),
     ("sfbp-cap-0.999", "dynamics.py",
      "            return 1.0\n", "            return 0.999\n"),
     ("fb-gam-distributed", "dynamics.py",
-     "return gam * (res(lam, x - lam * v) - x), None, None",
-     "return gam * res(lam, x - lam * v) - gam * x, None, None"),
+     "return gam * (res(lam, x - lam * v) - x), None",
+     "return gam * res(lam, x - lam * v) - gam * x, None"),
     ("fbf-neg-lam", "dynamics.py",
      "np.subtract(v, vp, out=vp)\n            vp *= lam",
      "np.subtract(vp, v, out=vp)\n            vp *= -lam"),
+    ("psi-at-state", "dynamics.py",
+     "psi = prob.psi1(ys) + prob.psi2(ys)",
+     "psi = prob.psi1(vecs[0, :i]) + prob.psi2(vecs[0, :i])"),
     ("ratio-inf-accepted", "dynamics.py",
      "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
     # operators and problem data
@@ -78,6 +78,9 @@ MUTANTS = [
     ("lipschitz-no-eps", "problem.py",
      "return 1.0 / self.d.eta + eps + beta / self.b1.mu",
      "return 1.0 / self.d.eta + beta / self.b1.mu"),
+    ("potentials-one-way", "problem.py",
+     "if (self.psi1 is not None) != has_b2 or (self.psi2 is not None) != has_b2:",
+     "if has_b2 and (self.psi1 is None or self.psi2 is None):"),
     ("shifted-lam-only", "problem.py",
      "return lambda lam, beta, x: fn(lam * beta, x)",
      "return lambda lam, beta, x: fn(lam, x)"),

@@ -657,6 +657,18 @@ class TestSpecAndStorage:
         assert traj.n_steps_total > 3 * 100
         assert_same_trajectory(traj, reference_march("FBF", prob, sch, x0, spec))
 
+    def test_step_ending_just_short_of_T_is_taken(self):
+        # three unit steps end 5e-10 short of T, more than the 1e-12 the march
+        # stops short of, so a fourth step of about 5e-10 lands on T exactly
+        prob = pf.build_canonical("sfbp-two-penalty")
+        sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, 1.0)
+        T = 3.0 + 5e-10
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=T))
+        traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
+        assert traj.n_steps_total == 4 and traj.final_time == T
+        assert 4.9e-10 < traj.step_sizes[-1] < 5.1e-10
+        assert_same_trajectory(traj, reference_march("SFBP", prob, sch, np.zeros(1), spec))
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
             pf.IntegratorSpec(grid=pf.UniformGrid(h=0.0, T=1.0))

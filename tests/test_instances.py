@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ class TestCanonicalInstances:
         for _ in range(100):
             x = rng.standard_normal(1) * 3
             assert prob.psi1(x) >= 0.0
+
+    @pytest.mark.parametrize("changes", [
+        {"psi1": None}, {"psi2": None}, {"psi1": None, "psi2": None},
+        {"b2": None, "psi2": None}, {"b2": None, "psi1": None}, {"b2": None}],
+        ids=["B2-without-psi1", "B2-without-psi2", "B2-without-potentials",
+             "psi1-without-B2", "psi2-without-B2", "potentials-without-B2"])
+    def test_potentials_come_with_b2_and_only_with_it(self, changes):
+        prob = pf.build_canonical("sfbp-two-penalty")
+        with pytest.raises(ParameterError, match="^psi1 and psi2 are given with B2 "
+                                                 "and only with it$"):
+            dataclasses.replace(prob, **changes)
 
     @given(st.lists(st.one_of(
         st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.5,
