@@ -23,9 +23,10 @@ loop rewrites each step, so they are valid only during the call: numpy
 converts a Python float operand on every ufunc call but takes a 0-d array as
 is, and at dimension 1-2 that conversion is a large share of a step. For the
 same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. Besides
-X and dx the recorder stores the step's second point, P (FBF) or J (SFBP);
-only SFBP carries the penalty potentials, and the loop evaluates psi1 + psi2
-once, on the stack of stored J, after the march. FB and FBF steps are capped
+X the recorder stores dx and the step's second point, P (FBF) or J (SFBP),
+unless the spec's keep_step_vectors is off; SFBP keeps J either way, as only
+SFBP carries the penalty potentials, and the loop evaluates psi1 + psi2 once,
+on the stack of stored J, after the march. FB and FBF steps are capped
 by the local Lipschitz bound of the vector field scaled by the safety factor,
 which for FB is at most safety/(2*gamma), so gamma*h <= 1/2; SFBP keeps h <= 1.
 Either way X+ stays a convex combination of X and the resolvent point.
@@ -65,12 +66,17 @@ class IntegratorSpec:
     safety_factor scales the Lipschitz step cap of FB and FBF, which always
     applies; SFBP steps are bounded by h <= 1 alone.
     max_steps, when set, truncates the run after that many (>= 1) steps.
+    keep_step_vectors (a bool) stores each sample's dx and FBF's p, which
+    only tracking_report and the trajectory CSV's p_norm read; off, the
+    Trajectory's xdots and aux_points are None and the recorder holds x
+    alone, and SFBP's j.
     """
 
     grid: object
     safety_factor: float = 0.5
     store_every: int = 1
     max_steps: Optional[int] = None
+    keep_step_vectors: bool = True
 
     def __post_init__(self):
         g = self.grid
@@ -86,6 +92,9 @@ class IntegratorSpec:
                             ("max_steps", 1 if most is None else most)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.keep_step_vectors, bool):
+            raise ParameterError("keep_step_vectors must be a bool, "
+                                 f"got {self.keep_step_vectors!r}")
         # one check per field, naming it and its value (NaN fails each); T
         # must exceed the 1e-12 that the march stops short of it
         for name, value, ok, need in (
@@ -107,14 +116,15 @@ class Trajectory:
     the step at each sample used, the step vector field (xdots) and per-step
     diagnostics at those samples. ``aux_points`` holds the FBF step's point p
     and ``psi_sums`` the SFBP penalty sum (psi1 + psi2)(j) at the step's
-    resolvent output j; each is None in the other modes.
+    resolvent output j; each is None in the other modes. ``xdots`` and
+    ``aux_points`` are also None when the spec's keep_step_vectors is off.
     """
 
     mode: str
     times: np.ndarray
     states: np.ndarray
     step_sizes: np.ndarray
-    xdots: np.ndarray
+    xdots: Optional[np.ndarray]
     b1_norms: np.ndarray
     psi_sums: Optional[np.ndarray]
     aux_points: Optional[np.ndarray]
@@ -245,8 +255,11 @@ def _march(mode, prob, sch, x0, spec):
                 else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
     cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, k
-    # x, dx and, but for FB, the step's second point y
-    vecs = np.empty((2 if mode == "FB" else 3, rows, prob.dim))
+    # x, then dx if kept, then the step's second point y (last) if kept, but
+    # for FB; SFBP keeps y = j always, for its potentials
+    keep = spec.keep_step_vectors
+    keep_y = mode == "SFBP" or (keep and mode == "FBF")
+    vecs = np.empty((1 + keep + keep_y, rows, prob.dim))
     b_eval, at = prob.b1.eval, sch.at
     # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
     # of one buffer rewritten each step; cap and the recorder keep the floats
@@ -271,9 +284,11 @@ def _march(mode, prob, sch, x0, spec):
                 vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
                 rows *= 2
             cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), k
-            vecs[0, i], vecs[1, i] = x, dx
-            if y is not None:
-                vecs[2, i] = y
+            vecs[0, i] = x
+            if keep:
+                vecs[1, i] = dx
+            if keep_y:
+                vecs[-1, i] = y
             i += 1
         if k == n:
             require_finite(dx, "final step")
@@ -284,7 +299,7 @@ def _march(mode, prob, sch, x0, spec):
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
     times, hs, lam, eps, bet, gam, b1n, ks = cols[:, :i]
-    ys = None if mode == "FB" else vecs[2, :i]
+    ys = vecs[-1, :i] if keep_y else None
     psi = None
     if mode == "SFBP":  # check_mode and ProblemInstance ensure B2, psi1 and psi2
         psi = prob.psi1(ys) + prob.psi2(ys)
@@ -293,7 +308,7 @@ def _march(mode, prob, sch, x0, spec):
                                  f"shape ({i},), got {np.shape(psi)}")
     return Trajectory(
         mode=mode, times=times, states=vecs[0, :i], step_sizes=hs,
-        xdots=vecs[1, :i], b1_norms=b1n, psi_sums=psi,
+        xdots=vecs[1, :i] if keep else None, b1_norms=b1n, psi_sums=psi,
         aux_points=ys if mode == "FBF" else None, lam=lam, eps=eps,
         beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
         n_steps_total=n, step_indices=ks.astype(np.intp))
@@ -364,10 +379,15 @@ def tracking_report(traj, path):
 
     Emits theta(t) = ||x - xbar||^2 / 2, the mode's differential inequality
     residual evaluated with the discrete derivative, the first index after
-    which theta is nonincreasing (1e-8 slack), and the final gap.
+    which theta is nonincreasing (1e-8 slack), and the final gap. Needs the
+    step vectors, which a march keeps unless keep_step_vectors is off.
     """
     if not path:
         raise ParameterError("path is empty")
+    if traj.xdots is None or (traj.mode == "FBF" and traj.aux_points is None):
+        raise ParameterError("tracking_report needs the trajectory's step vectors "
+                             "(xdots, and aux_points for FBF); march with "
+                             "keep_step_vectors=True")
     if any(p.t is None for p in path):
         raise ParameterError("path points need times attached")
     p_times = np.array([p.t for p in path], dtype=float)

@@ -1,7 +1,6 @@
 """Binary PGM (P5, maxval 255) reading/writing and atomic file emission."""
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -9,10 +8,21 @@ from .errors import FormatError, ParameterError
 
 
 def atomic_write_bytes(path, data):
-    """Write bytes to ``path`` via a temp file and rename; no partial files."""
+    """Write bytes to ``path`` via a temp file and rename; no partial files.
+
+    The file gets the mode a plain ``open(path, "wb")`` gives a new file,
+    0o666 less the umask, which ``tempfile.mkstemp``'s 0o600 would not.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

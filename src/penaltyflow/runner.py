@@ -103,8 +103,12 @@ def _prepare(cfg):
                        "witness_value": _finite(est), "witness_time": None})
     if not all(c["passed"] for c in checks):
         return prob, deblur_inst, sch, checks, None, None
+    # the step vectors are read by tracking_report (tracking and path.csv)
+    # and by trajectory.csv's p_norm column alone
     spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
-                          store_every=cfg.store_every, max_steps=cfg.max_steps)
+                          store_every=cfg.store_every, max_steps=cfg.max_steps,
+                          keep_step_vectors=any(cfg.outputs[k] for k in (
+                              "tracking", "path_csv", "trajectory_csv")))
     x0 = prob.x0_default if cfg.x0 == "default" else cfg.x0
     return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 

@@ -66,6 +66,19 @@ MUTANTS = [
     ("psi-at-state", "dynamics.py",
      "psi = prob.psi1(ys) + prob.psi2(ys)",
      "psi = prob.psi1(vecs[0, :i]) + prob.psi2(vecs[0, :i])"),
+    # what the recorder keeps
+    ("lean-sfbp-drops-j", "dynamics.py",
+     'keep_y = mode == "SFBP" or (keep and mode == "FBF")',
+     'keep_y = keep and mode != "FB"'),
+    ("lean-fills-dx", "dynamics.py",
+     "if keep:\n                vecs[1, i] = dx", "if True:\n                vecs[1, i] = dx"),
+    ("lean-allocates-dx", "dynamics.py",
+     "np.empty((1 + keep + keep_y,", "np.empty((2 + keep_y,"),
+    ("tracking-unchecked", "dynamics.py",
+     'if traj.xdots is None or (traj.mode == "FBF" and traj.aux_points is None):',
+     "if False:"),
+    ("spec-keep-unchecked", "dynamics.py",
+     "if not isinstance(self.keep_step_vectors, bool):", "if False:"),
     ("ratio-inf-accepted", "dynamics.py",
      "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
     # operators and problem data
@@ -100,6 +113,14 @@ MUTANTS = [
     ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
      "        if False:\n"),
     ("path-tol-1e-6", "runner.py", "traj.times, tol=1e-10)", "traj.times, tol=1e-6)"),
+    ("keep-without-trajectory-csv", "runner.py",
+     '"tracking", "path_csv", "trajectory_csv")', '"tracking", "path_csv")'),
+    ("keep-without-path-csv", "runner.py",
+     '"tracking", "path_csv", "trajectory_csv")', '"tracking", "trajectory_csv")'),
+    ("keep-always", "runner.py",
+     "keep_step_vectors=any(", "keep_step_vectors=True or any("),
+    ("artifact-mode-0600", "pgmio.py", "fd = os.open(tmp, flags, 0o666)",
+     "fd = os.open(tmp, flags, 0o600)"),
     ("report-first-b1", "runner.py",
      'float(traj.b1_norms[-1])', 'float(traj.b1_norms[0])'),
 ]

@@ -48,8 +48,10 @@ def reference_march(mode, prob, sch, x0, spec):
     t, h, lam, eps, bet, gam, b1n, ks, xs, dxs, ps, qs = map(np.array, zip(*rows))
     psi = None if prob.psi1 is None else (
         np.full(len(rows), math.nan) if prob.psi2 is None else prob.psi1(qs) + prob.psi2(qs))
+    keep = spec.keep_step_vectors
     return pf.Trajectory(
-        mode=mode, times=t, states=xs, step_sizes=h, xdots=dxs, b1_norms=b1n, psi_sums=psi,
-        aux_points=ps if mode == "FBF" else None, lam=lam, eps=eps, beta=bet, gamma=gam,
+        mode=mode, times=t, states=xs, step_sizes=h, xdots=dxs if keep else None,
+        b1_norms=b1n, psi_sums=psi,
+        aux_points=ps if keep and mode == "FBF" else None, lam=lam, eps=eps, beta=bet, gamma=gam,
         lips=prob.lipschitz_bound(eps, bet), n_steps_total=last,
         step_indices=ks.astype(np.intp))

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -201,6 +202,17 @@ class TestPgmRoundTrip:
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):
             pf.write_pgm(p, np.array([[0.5, np.nan]]))
         assert not p.exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        # a plain open() gives 0o666 less the umask; a mkstemp file kept 0o600
+        old = os.umask(umask)
+        try:
+            pf.write_pgm(tmp_path / "m.pgm", np.zeros((2, 2)))
+        finally:
+            os.umask(old)
+        assert (tmp_path / "m.pgm").stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [f.name for f in tmp_path.iterdir()] == ["m.pgm"]
 
 
 class TestConfigParsing:
@@ -473,6 +485,25 @@ class TestRunExperiment:
         assert steps == [float(k) for k in range(0, 500, 50)] + [499.0, 500.0]
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert set(ckpt) == {"t", "x"} and len(ckpt["x"]) == 3 * 32 * 32
+
+    @pytest.mark.parametrize("outputs, keep", [
+        ({"trajectory_csv": False}, False),
+        ({"trajectory_csv": False, "checkpoint": True, "report_json": False}, False),
+        ({}, True),  # trajectory_csv is on by default
+        ({"trajectory_csv": False, "tracking": True}, True),
+        ({"trajectory_csv": False, "path_csv": True}, True)])
+    def test_step_vectors_kept_for_the_outputs_that_read_them(self, tmp_path, outputs,
+                                                              keep):
+        cfg = load_config(write_config(tmp_path, instance="skew-box", mode="FBF",
+                                       store_every=200, outputs=outputs))
+        assert runner._prepare(cfg)[4].keep_step_vectors is keep
+        out = tmp_path / "out"
+        assert run_experiment(cfg, str(out)).exit_code == 0
+        if cfg.outputs["trajectory_csv"]:
+            # every FBF sample has its p_norm
+            header, *rows = (out / "trajectory.csv").read_text().splitlines()
+            p_norm = header.split(",").index("p_norm")
+            assert rows and all(row.split(",")[p_norm] for row in rows)
 
     def test_seed_override_leaves_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, store_every=200,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ _SCHEDULES = st.builds(
 _GRIDS = (st.builds(pf.UniformGrid, h=st.sampled_from([1.0, 0.37]) | st.floats(0.01, 2.0), T=_T)
           | st.builds(pf.GeometricGrid, h0=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1.3), T=_T))
 _SPECS = st.builds(pf.IntegratorSpec, grid=_GRIDS, safety_factor=st.floats(0.1, 1.0),
-                   store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60))
+                   store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60),
+                   keep_step_vectors=st.booleans())
 # x0 repeats these entries to the instance's dimension
 _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(-3.0, 3.0),
                     min_size=1, max_size=6)
@@ -133,7 +135,9 @@ _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(
 @example(case=("scalar", "FB"), sch=pf.polynomial_schedule(0.1, 0.2, gamma_bar=0.9),
          spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0)), entries=[0.5])
 def test_march_equals_reference(case, sch, spec, entries):
-    """Every integrator returns the reference march's Trajectory byte for byte."""
+    """Every integrator returns the reference march's Trajectory byte for byte;
+    without keep_step_vectors, xdots and aux_points are None and the rest,
+    SFBP's psi_sums too, is the same."""
     name, mode = case
     prob = _instance(name)
     x0 = np.resize(entries, prob.dim)
@@ -267,10 +271,14 @@ class TestForwardBackwardForward:
     def test_aux_points_stored(self):
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=10.0))
-        traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
-        assert traj.aux_points is not None
-        assert traj.aux_points.shape == traj.states.shape
+        for keep in (True, False):
+            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=10.0),
+                                     keep_step_vectors=keep)
+            traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
+            if keep:
+                assert traj.aux_points.shape == traj.xdots.shape == traj.states.shape
+            else:
+                assert traj.aux_points is None and traj.xdots is None
 
     @pytest.mark.parametrize("build", [
         lambda: pf.build_canonical("skew-box"),
@@ -549,6 +557,16 @@ class TestTracking:
         with pytest.raises(ParameterError):
             pf.tracking_report(traj, pts)
 
+    @pytest.mark.parametrize("mode", list(_MODES))
+    def test_lean_trajectory_rejected(self, mode):
+        integrate, name, (r, s, b) = _MODES[mode]
+        prob, sch = pf.build_canonical(name), pf.polynomial_schedule(r, s, b)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0), keep_step_vectors=False)
+        traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
+        pts = pf.central_path(prob, sch, traj.times, tol=1e-10)
+        with pytest.raises(ParameterError, match="step vectors"):
+            pf.tracking_report(traj, pts)
+
 
 # every canonical (instance, mode) pair that check_mode allows
 _CANONICAL_CASES = [case for case in _CASES if case[0] in pf.CANONICAL_NAMES]
@@ -669,6 +687,25 @@ class TestSpecAndStorage:
         assert 4.9e-10 < traj.step_sizes[-1] < 5.1e-10
         assert_same_trajectory(traj, reference_march("SFBP", prob, sch, np.zeros(1), spec))
 
+    @pytest.mark.parametrize("mode", list(_MODES))
+    def test_lean_recorder_holds_no_step_vectors(self, mode):
+        """Without keep_step_vectors the march's peak allocation drops by the
+        dx slot, and by FBF's p slot: 2 000 steps, each stored, fill 2 003 rows."""
+        integrate, name, (r, s, b) = _MODES[mode]
+        prob = pf.build_canonical(name)
+        peaks = {}
+        for keep in (True, False):
+            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=2000,
+                                     keep_step_vectors=keep)
+            tracemalloc.start()
+            try:
+                integrate(prob, pf.polynomial_schedule(r, s, b), np.full(prob.dim, 0.5), spec)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        slots = 2 if mode == "FBF" else 1
+        assert peaks[True] - peaks[False] >= 0.9 * slots * 2003 * prob.dim * 8
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
             pf.IntegratorSpec(grid=pf.UniformGrid(h=0.0, T=1.0))
@@ -699,8 +736,10 @@ class TestSpecAndStorage:
         (dict(safety_factor=1.5), "safety_factor must be in (0, 1], got 1.5"),
         (dict(store_every=0), "store_every must be >= 1, got 0"),
         (dict(max_steps=-3), "max_steps must be >= 1, got -3"),
+        (dict(keep_step_vectors=1), "keep_step_vectors must be a bool, got 1"),
+        (dict(keep_step_vectors=None), "keep_step_vectors must be a bool, got None"),
     ], ids=["h", "T", "h0", "ratio", "ratio-inf", "geometric-T", "safety_factor", "store_every",
-            "max_steps"])
+            "max_steps", "keep_step_vectors-int", "keep_step_vectors-none"])
     def test_invalid_field_named_with_its_value(self, kwargs, message):
         with pytest.raises(ParameterError) as exc:
             pf.IntegratorSpec(**{"grid": pf.UniformGrid(h=1.0, T=1.0), **kwargs})
