@@ -22,13 +22,14 @@ oracles they call, get lam, eps, beta and gamma as 0-d float64 arrays that the
 loop rewrites each step, so they are valid only during the call: numpy
 converts a Python float operand on every ufunc call but takes a 0-d array as
 is, and at dimension 1-2 that conversion is a large share of a step. For the
-same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. Besides
-X the recorder stores dx and the step's second point, P (FBF) or J (SFBP),
-unless the spec's keep_step_vectors is off; SFBP keeps J either way, as only
-SFBP carries the penalty potentials, and the loop evaluates psi1 + psi2 once,
-on the stack of stored J, after the march. FB and FBF steps are capped
-by the local Lipschitz bound of the vector field scaled by the safety factor,
-which for FB is at most safety/(2*gamma), so gamma*h <= 1/2; SFBP keeps h <= 1.
+same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. The
+recorder stores states, not step vectors: X and the schedule values at each
+sample, FBF's |P| as one more scalar, and SFBP's J, as only SFBP carries the
+penalty potentials and the loop evaluates psi1 + psi2 once, on the stack of
+stored J, after the march. tracking_report recomputes dx and P at a sample
+with the same step map. FB and FBF steps are capped by the local Lipschitz
+bound of the vector field scaled by the safety factor, which for FB is at
+most safety/(2*gamma), so gamma*h <= 1/2; SFBP keeps h <= 1.
 Either way X+ stays a convex combination of X and the resolvent point.
 Each mode calls one backward-step oracle on every step, and the loop checks
 the final dx once for non-finite entries (ConvergenceFailure).
@@ -66,17 +67,12 @@ class IntegratorSpec:
     safety_factor scales the Lipschitz step cap of FB and FBF, which always
     applies; SFBP steps are bounded by h <= 1 alone.
     max_steps, when set, truncates the run after that many (>= 1) steps.
-    keep_step_vectors (a bool) stores each sample's dx and FBF's p, which
-    only tracking_report and the trajectory CSV's p_norm read; off, the
-    Trajectory's xdots and aux_points are None and the recorder holds x
-    alone, and SFBP's j.
     """
 
     grid: object
     safety_factor: float = 0.5
     store_every: int = 1
     max_steps: Optional[int] = None
-    keep_step_vectors: bool = True
 
     def __post_init__(self):
         g = self.grid
@@ -92,9 +88,6 @@ class IntegratorSpec:
                             ("max_steps", 1 if most is None else most)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.keep_step_vectors, bool):
-            raise ParameterError("keep_step_vectors must be a bool, "
-                                 f"got {self.keep_step_vectors!r}")
         # one check per field, naming it and its value (NaN fails each); T
         # must exceed the 1e-12 that the march stops short of it
         for name, value, ok, need in (
@@ -113,26 +106,25 @@ class Trajectory:
     States are kept every ``store_every`` steps plus the last two (the state
     before the final step and the final state); ``step_indices`` holds the
     step number of each sample and parallel arrays hold the schedule values
-    the step at each sample used, the step vector field (xdots) and per-step
-    diagnostics at those samples. ``aux_points`` holds the FBF step's point p
-    and ``psi_sums`` the SFBP penalty sum (psi1 + psi2)(j) at the step's
-    resolvent output j; each is None in the other modes. ``xdots`` and
-    ``aux_points`` are also None when the spec's keep_step_vectors is off.
+    the step at each sample used and per-step diagnostics at those samples.
+    ``p_norms`` holds ||p|| of the FBF step's point p and ``psi_sums`` the
+    SFBP penalty sum (psi1 + psi2)(j) at the step's resolvent output j; each
+    is None in the other modes. No step vector is stored: a step is a
+    function of the stored state and schedule values, and tracking_report
+    recomputes it where it needs it.
     """
 
     mode: str
     times: np.ndarray
     states: np.ndarray
     step_sizes: np.ndarray
-    xdots: Optional[np.ndarray]
     b1_norms: np.ndarray
     psi_sums: Optional[np.ndarray]
-    aux_points: Optional[np.ndarray]
+    p_norms: Optional[np.ndarray]
     lam: np.ndarray
     eps: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    lips: np.ndarray
     n_steps_total: int
     step_indices: np.ndarray
 
@@ -167,49 +159,50 @@ def check_mode(mode, prob):
                                 "use SFBP")
 
 
-def _kernel(mode, prob, spec):
-    """The mode's step cap and its step map.
-
-    ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values the
-    step itself uses. ``step(x, bx, lam, eps, beta, gam)`` forms the field
-    V(x) from bx = B1(x) and returns the update direction dx and the step's
-    second point y: FBF's p, SFBP's resolvent output j, None for FB. ``step``
-    closes over the mode's one backward-step oracle: the raw oracle of A, or the
-    combined resolvent of A + beta*B2 built once here. ``step`` and its oracle
-    get the schedule values as 0-d float64 arrays valid only during the call
-    (see the module docstring), ``cap`` as floats. FBF assembles its arrays
-    in place, but only arrays it allocated itself; no step map writes into
-    ``x``, ``bx`` or anything an operator or oracle returned.
-    """
-    d_eval, b_eval = prob.d.eval, prob.b1.eval
+def _cap(mode, prob, safety):
+    """The mode's step cap ``cap(lam, eps, beta, gam)``, which bounds the step
+    from the schedule values, as floats, that the step itself uses."""
     # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
     inv_eta, mu = 1.0 / prob.d.eta, prob.b1.mu
-    safety = spec.safety_factor
-    res = prob.shifted_resolvent_fn() if mode == "SFBP" else prob.a._resolvent_fn
     if mode == "SFBP":
         def cap(lam, eps, bet, gam):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
             return 1.0
+    elif mode == "FB":
+        def cap(lam, eps, bet, gam):
+            # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
+            return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))
+    else:
+        def cap(lam, eps, bet, gam):
+            return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
+    return cap
 
+
+def _step_map(mode, prob):
+    """The mode's step map, shared by the march and tracking_report.
+
+    ``step(x, bx, lam, eps, beta, gam)`` forms the field V(x) from
+    bx = B1(x) and returns the update direction dx and the step's second
+    point y: FBF's p, SFBP's resolvent output j, None for FB. ``step`` closes
+    over the mode's one backward-step oracle: the raw oracle of A, or the
+    combined resolvent of A + beta*B2 built once here. It and its oracle get
+    the schedule values as 0-d float64 arrays valid only during the call (see
+    the module docstring). FBF assembles its arrays in place, but only arrays
+    it allocated itself; no step map writes into ``x``, ``bx`` or anything an
+    operator or oracle returned.
+    """
+    d_eval, b_eval = prob.d.eval, prob.b1.eval
+    res = prob.shifted_resolvent_fn() if mode == "SFBP" else prob.a._resolvent_fn
+    if mode == "SFBP":
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             j = res(lam, bet, x - lam * v)
             return j - x, j
-
-        return cap, step
-
-    if mode == "FB":
-        def cap(lam, eps, bet, gam):
-            # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
-            return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))
-
+    elif mode == "FB":
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             return gam * (res(lam, x - lam * v) - x), None
     else:
-        def cap(lam, eps, bet, gam):
-            return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
-
         def step(x, bx, lam, eps, bet, gam):
             # p - x + lam*(v - vp) with v = D(x) + eps*x + beta*B1(x), and vp
             # the same field at p; a + b == b + a bitwise, so each sum may
@@ -228,8 +221,7 @@ def _kernel(mode, prob, spec):
             dx = p - x
             dx += vp
             return dx, p
-
-    return cap, step
+    return step
 
 
 def _march(mode, prob, sch, x0, spec):
@@ -245,7 +237,7 @@ def _march(mode, prob, sch, x0, spec):
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
-    cap, step = _kernel(mode, prob, spec)
+    cap, step = _cap(mode, prob, spec.safety_factor), _step_map(mode, prob)
     g, every = spec.grid, spec.store_every
     h_req, ratio = (g.h, 1.0) if isinstance(g, UniformGrid) else (g.h0, g.ratio)
     T = g.T
@@ -254,12 +246,10 @@ def _march(mode, prob, sch, x0, spec):
     uncapped = (T / h_req if ratio == 1.0
                 else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
     rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
-    cols = np.empty((8, rows))  # t, h, lam, eps, beta, gamma, |B1(x)|, k
-    # x, then dx if kept, then the step's second point y (last) if kept, but
-    # for FB; SFBP keeps y = j always, for its potentials
-    keep = spec.keep_step_vectors
-    keep_y = mode == "SFBP" or (keep and mode == "FBF")
-    vecs = np.empty((1 + keep + keep_y, rows, prob.dim))
+    # t, h, lam, eps, beta, gamma, |B1(x)|, k, and FBF's |p|; x, and SFBP's j
+    fbf, sfbp = mode == "FBF", mode == "SFBP"
+    cols = np.empty((8 + fbf, rows))
+    vecs = np.empty((1 + sfbp, rows, prob.dim))
     b_eval, at = prob.b1.eval, sch.at
     # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
     # of one buffer rewritten each step; cap and the recorder keep the floats
@@ -283,12 +273,12 @@ def _march(mode, prob, sch, x0, spec):
                 cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
                 vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
                 rows *= 2
-            cols[:, i] = t, h, lam, eps, bet, gam, norm(bx), k
+            cols[:8, i] = t, h, lam, eps, bet, gam, norm(bx), k
             vecs[0, i] = x
-            if keep:
-                vecs[1, i] = dx
-            if keep_y:
-                vecs[-1, i] = y
+            if fbf:
+                cols[8, i] = norm(y)
+            elif sfbp:
+                vecs[1, i] = y
             i += 1
         if k == n:
             require_finite(dx, "final step")
@@ -298,20 +288,18 @@ def _march(mode, prob, sch, x0, spec):
         if k % 64 == 0 or k + 1 == n:
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
-    times, hs, lam, eps, bet, gam, b1n, ks = cols[:, :i]
-    ys = vecs[-1, :i] if keep_y else None
+    times, hs, lam, eps, bet, gam, b1n, ks = cols[:8, :i]
     psi = None
-    if mode == "SFBP":  # check_mode and ProblemInstance ensure B2, psi1 and psi2
-        psi = prob.psi1(ys) + prob.psi2(ys)
+    if sfbp:  # check_mode and ProblemInstance ensure B2, psi1 and psi2
+        js = vecs[1, :i]
+        psi = prob.psi1(js) + prob.psi2(js)
         if np.shape(psi) != (i,):
             raise ParameterError(f"psi1 + psi2 on a ({i}, {prob.dim}) stack must have "
                                  f"shape ({i},), got {np.shape(psi)}")
     return Trajectory(
-        mode=mode, times=times, states=vecs[0, :i], step_sizes=hs,
-        xdots=vecs[1, :i] if keep else None, b1_norms=b1n, psi_sums=psi,
-        aux_points=ys if mode == "FBF" else None, lam=lam, eps=eps,
-        beta=bet, gamma=gam, lips=prob.lipschitz_bound(eps, bet),
-        n_steps_total=n, step_indices=ks.astype(np.intp))
+        mode=mode, times=times, states=vecs[0, :i], step_sizes=hs, b1_norms=b1n,
+        psi_sums=psi, p_norms=cols[8, :i] if fbf else None, lam=lam, eps=eps,
+        beta=bet, gamma=gam, n_steps_total=n, step_indices=ks.astype(np.intp))
 
 
 def integrate_fb(prob, sch, x0, spec):
@@ -374,37 +362,37 @@ def _match_indices(traj_times, path_times):
     return np.asarray(out, dtype=int)
 
 
-def tracking_report(traj, path):
-    """Compare a trajectory with central-path points sampled on its grid.
+def tracking_report(prob, traj, path):
+    """Compare a trajectory of ``prob`` with central-path points sampled on its grid.
 
     Emits theta(t) = ||x - xbar||^2 / 2, the mode's differential inequality
     residual evaluated with the discrete derivative, the first index after
-    which theta is nonincreasing (1e-8 slack), and the final gap. Needs the
-    step vectors, which a march keeps unless keep_step_vectors is off.
+    which theta is nonincreasing (1e-8 slack), and the final gap. At each
+    path point it recomputes the step, dx and FBF's p, with the march's own
+    step map from the stored x and schedule values, which gives the march's
+    bits; L is prob.lipschitz_bound at the stored eps and beta.
     """
     if not path:
         raise ParameterError("path is empty")
-    if traj.xdots is None or (traj.mode == "FBF" and traj.aux_points is None):
-        raise ParameterError("tracking_report needs the trajectory's step vectors "
-                             "(xdots, and aux_points for FBF); march with "
-                             "keep_step_vectors=True")
     if any(p.t is None for p in path):
         raise ParameterError("path points need times attached")
     p_times = np.array([p.t for p in path], dtype=float)
     idx = _match_indices(traj.times, p_times)
+    step, b_eval = _step_map(traj.mode, prob), prob.b1.eval
+    lips = prob.lipschitz_bound(traj.eps, traj.beta)
     theta = np.empty(len(path))
     residuals = np.empty(len(path))
     for j, (i, pt) in enumerate(zip(idx, path)):
         x = traj.states[i]
         diff = x - pt.xbar
         theta[j] = 0.5 * float(diff @ diff)
-        lam, eps, gam, lips = traj.lam[i], traj.eps[i], traj.gamma[i], traj.lips[i]
-        xdot = traj.xdots[i]
+        # 0-d views of the sample's schedule values, as the march passes them
+        lam, eps, bet, gam = (a[i, ...] for a in (traj.lam, traj.eps, traj.beta, traj.gamma))
+        xdot, p = step(x, b_eval(x), lam, eps, bet, gam)
         if traj.mode == "FBF":
             # <x - xbar, xdot> <= (lam L - 1)||x - p||^2 - lam eps ||p - xbar||^2
-            p = traj.aux_points[i]
             lhs = float(diff @ xdot)
-            rhs = ((lam * lips - 1.0) * float(np.sum((x - p) ** 2))
+            rhs = ((lam * lips[i] - 1.0) * float(np.sum((x - p) ** 2))
                    - lam * eps * float(np.sum((p - pt.xbar) ** 2)))
             residuals[j] = lhs - rhs
         else:
@@ -418,5 +406,5 @@ def tracking_report(traj, path):
             burn_in = j + 1
     scale = 1.0 + theta
     frac = float(np.mean(residuals <= 1e-6 * scale))
-    return TrackingReport(traj.mode, p_times, theta, burn_in,
-                          math.sqrt(2.0 * theta[-1]), residuals, frac)
+    final_gap = norm(traj.states[idx[-1]] - path[-1].xbar)  # no underflow in theta
+    return TrackingReport(traj.mode, p_times, theta, burn_in, final_gap, residuals, frac)

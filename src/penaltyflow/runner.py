@@ -103,12 +103,8 @@ def _prepare(cfg):
                        "witness_value": _finite(est), "witness_time": None})
     if not all(c["passed"] for c in checks):
         return prob, deblur_inst, sch, checks, None, None
-    # the step vectors are read by tracking_report (tracking and path.csv)
-    # and by trajectory.csv's p_norm column alone
     spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
-                          store_every=cfg.store_every, max_steps=cfg.max_steps,
-                          keep_step_vectors=any(cfg.outputs[k] for k in (
-                              "tracking", "path_csv", "trajectory_csv")))
+                          store_every=cfg.store_every, max_steps=cfg.max_steps)
     x0 = prob.x0_default if cfg.x0 == "default" else cfg.x0
     return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
 
@@ -120,7 +116,7 @@ def _trajectory_rows(traj, gaps):
         traj.times.tolist(), traj.step_sizes.tolist(), map(norm, traj.states),
         empty if gaps is None else gaps.tolist(), traj.b1_norms.tolist(),
         empty if traj.psi_sums is None else traj.psi_sums.tolist(),
-        empty if traj.aux_points is None else map(norm, traj.aux_points))
+        empty if traj.p_norms is None else traj.p_norms.tolist())
 
 
 def _finish(report, cfg, out_dir):
@@ -159,7 +155,7 @@ def run_experiment(cfg, out_dir, seed_override=None):
         if cfg.outputs["tracking"] or cfg.outputs["path_csv"]:
             path_points = central_path(prob, sch, traj.times, tol=1e-10)
             gaps = np.array([norm(x - p.xbar) for x, p in zip(traj.states, path_points)])
-            trep = tracking_report(traj, path_points)
+            trep = tracking_report(prob, traj, path_points)
             report.metrics["tracking"] = {
                 "final_gap": trep.final_gap,
                 "burn_in_index": trep.burn_in_index,

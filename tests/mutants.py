@@ -46,7 +46,7 @@ MUTANTS = [
      "if k % every == 0 or n is not None:", "if k % every == 0:"),
     # the step caps and step maps
     ("cap-no-safety", "dynamics.py",
-     "safety = spec.safety_factor", "safety = 1.0"),
+     "_cap(mode, prob, spec.safety_factor)", "_cap(mode, prob, 1.0)"),
     ("fbf-cap-lam", "dynamics.py",
      "safety / (2.0 + 2.0 * lam *", "safety / (2.0 + lam *"),
     ("fb-cap-no-gam", "dynamics.py",
@@ -63,22 +63,18 @@ MUTANTS = [
     ("fbf-neg-lam", "dynamics.py",
      "np.subtract(v, vp, out=vp)\n            vp *= lam",
      "np.subtract(vp, v, out=vp)\n            vp *= -lam"),
-    ("psi-at-state", "dynamics.py",
-     "psi = prob.psi1(ys) + prob.psi2(ys)",
-     "psi = prob.psi1(vecs[0, :i]) + prob.psi2(vecs[0, :i])"),
-    # what the recorder keeps
-    ("lean-sfbp-drops-j", "dynamics.py",
-     'keep_y = mode == "SFBP" or (keep and mode == "FBF")',
-     'keep_y = keep and mode != "FB"'),
-    ("lean-fills-dx", "dynamics.py",
-     "if keep:\n                vecs[1, i] = dx", "if True:\n                vecs[1, i] = dx"),
-    ("lean-allocates-dx", "dynamics.py",
-     "np.empty((1 + keep + keep_y,", "np.empty((2 + keep_y,"),
-    ("tracking-unchecked", "dynamics.py",
-     'if traj.xdots is None or (traj.mode == "FBF" and traj.aux_points is None):',
-     "if False:"),
-    ("spec-keep-unchecked", "dynamics.py",
-     "if not isinstance(self.keep_step_vectors, bool):", "if False:"),
+    ("psi-at-state", "dynamics.py", "js = vecs[1, :i]", "js = vecs[0, :i]"),
+    # what the recorder keeps and what tracking recomputes from it
+    ("p-norm-of-x", "dynamics.py", "cols[8, i] = norm(y)", "cols[8, i] = norm(x)"),
+    ("recorder-extra-slot", "dynamics.py",
+     "np.empty((1 + sfbp, rows, prob.dim))", "np.empty((2 + sfbp, rows, prob.dim))"),
+    ("tracking-eps-for-beta", "dynamics.py",
+     "traj.lam, traj.eps, traj.beta, traj.gamma)", "traj.lam, traj.eps, traj.eps, traj.gamma)"),
+    ("tracking-lips-no-beta", "dynamics.py",
+     "prob.lipschitz_bound(traj.eps, traj.beta)", "prob.lipschitz_bound(traj.eps, 0.0)"),
+    ("final-gap-from-theta", "dynamics.py",
+     "final_gap = norm(traj.states[idx[-1]] - path[-1].xbar)",
+     "final_gap = math.sqrt(2.0 * theta[-1])"),
     ("ratio-inf-accepted", "dynamics.py",
      "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
     # operators and problem data
@@ -113,12 +109,6 @@ MUTANTS = [
     ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
      "        if False:\n"),
     ("path-tol-1e-6", "runner.py", "traj.times, tol=1e-10)", "traj.times, tol=1e-6)"),
-    ("keep-without-trajectory-csv", "runner.py",
-     '"tracking", "path_csv", "trajectory_csv")', '"tracking", "path_csv")'),
-    ("keep-without-path-csv", "runner.py",
-     '"tracking", "path_csv", "trajectory_csv")', '"tracking", "trajectory_csv")'),
-    ("keep-always", "runner.py",
-     "keep_step_vectors=any(", "keep_step_vectors=True or any("),
     ("artifact-mode-0600", "pgmio.py", "fd = os.open(tmp, flags, 0o666)",
      "fd = os.open(tmp, flags, 0o600)"),
     ("report-first-b1", "runner.py",

@@ -1,7 +1,8 @@
 """The reference march: what integrate_fb, integrate_fbf and integrate_sfbp
 compute, bit for bit, from public names alone and written to be read, not to
 be fast. Tests import it (``test_march_equals_reference``); pytest does not
-collect it."""
+collect it. ``reference_steps`` also returns each sample's step direction dx
+and FBF's point p, which the Trajectory does not store."""
 
 import math
 
@@ -22,6 +23,11 @@ def _cap(mode, spec, lam, gam, lips):
 
 def reference_march(mode, prob, sch, x0, spec):
     """The Trajectory of ``mode`` ("FB", "FBF" or "SFBP") on ``prob``."""
+    return reference_steps(mode, prob, sch, x0, spec)[0]
+
+
+def reference_steps(mode, prob, sch, x0, spec):
+    """(Trajectory, dx per sample, p per sample or None) of ``reference_march``."""
     g = spec.grid
     h_req, ratio = (g.h, 1.0) if isinstance(g, pf.UniformGrid) else (g.h0, g.ratio)
     x, t, k, last, rows = np.array(x0, dtype=float), 0.0, 0, None, []
@@ -48,10 +54,9 @@ def reference_march(mode, prob, sch, x0, spec):
     t, h, lam, eps, bet, gam, b1n, ks, xs, dxs, ps, qs = map(np.array, zip(*rows))
     psi = None if prob.psi1 is None else (
         np.full(len(rows), math.nan) if prob.psi2 is None else prob.psi1(qs) + prob.psi2(qs))
-    keep = spec.keep_step_vectors
-    return pf.Trajectory(
-        mode=mode, times=t, states=xs, step_sizes=h, xdots=dxs if keep else None,
-        b1_norms=b1n, psi_sums=psi,
-        aux_points=ps if keep and mode == "FBF" else None, lam=lam, eps=eps, beta=bet, gamma=gam,
-        lips=prob.lipschitz_bound(eps, bet), n_steps_total=last,
-        step_indices=ks.astype(np.intp))
+    fbf = mode == "FBF"
+    traj = pf.Trajectory(
+        mode=mode, times=t, states=xs, step_sizes=h, b1_norms=b1n, psi_sums=psi,
+        p_norms=np.array([norm(p) for p in ps]) if fbf else None, lam=lam, eps=eps,
+        beta=bet, gamma=gam, n_steps_total=last, step_indices=ks.astype(np.intp))
+    return traj, dxs, ps if fbf else None

@@ -73,7 +73,7 @@ def _fb_run(name):
     traj = pf.integrate_fb(prob, sch, x0, spec)
     elapsed = time.perf_counter() - t0
     pts = pf.central_path(prob, sch, traj.times[::20], tol=1e-12)
-    trep = pf.tracking_report(traj, pts)
+    trep = pf.tracking_report(prob, traj, pts)
     cert = pf.active_set_solve(prob)
     dist = cert.distance_to(traj.final_state)
     lnp_dist = float(np.linalg.norm(traj.final_state - cert.least_norm_point))
@@ -120,7 +120,7 @@ def test_criterion_4_fbf_noncocoercive():
     traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]), spec)
     final_norm = float(np.linalg.norm(traj.final_state))
     pts = pf.central_path(prob, sch, traj.times[1::8], tol=1e-12)
-    trep = pf.tracking_report(traj, pts)
+    trep = pf.tracking_report(prob, traj, pts)
 
     with pytest.raises(pf.PreconditionError):
         pf.integrate_fb(prob, sch, np.array([1.0, 1.0]),

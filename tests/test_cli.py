@@ -349,13 +349,12 @@ def per_row_trajectory_rows(traj, gaps):
                      None if gaps is None else gaps[i],
                      traj.b1_norms[i],
                      math.nan if traj.psi_sums is None else traj.psi_sums[i],
-                     None if traj.aux_points is None
-                     else float(np.linalg.norm(traj.aux_points[i]))))
+                     None if traj.p_norms is None else traj.p_norms[i]))
     return rows
 
 
 class TestTrajectoryRows:
-    # FBF sets aux_points, SFBP sets psi_sums, FB sets neither
+    # FBF sets p_norms, SFBP sets psi_sums, FB sets neither
     @pytest.mark.parametrize("name, mode, r, s, b", [
         ("scalar", "FB", 0.1, 0.2, 1.0), ("skew-box", "FBF", 0.05, 0.25, 1.0),
         ("sfbp-two-penalty", "SFBP", 0.65, 0.6, 1000.0)])
@@ -486,6 +485,9 @@ class TestRunExperiment:
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert set(ckpt) == {"t", "x"} and len(ckpt["x"]) == 3 * 32 * 32
 
+    # keep: some output reads step quantities (trajectory.csv's p_norm, or
+    # tracking, which path.csv runs too); the march stores no step vector
+    # either way, so the spec is the same and the readers get theirs
     @pytest.mark.parametrize("outputs, keep", [
         ({"trajectory_csv": False}, False),
         ({"trajectory_csv": False, "checkpoint": True, "report_json": False}, False),
@@ -496,14 +498,40 @@ class TestRunExperiment:
                                                               keep):
         cfg = load_config(write_config(tmp_path, instance="skew-box", mode="FBF",
                                        store_every=200, outputs=outputs))
-        assert runner._prepare(cfg)[4].keep_step_vectors is keep
+        spec = runner._prepare(cfg)[4]
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "grid", "safety_factor", "store_every", "max_steps"]
         out = tmp_path / "out"
-        assert run_experiment(cfg, str(out)).exit_code == 0
+        report = run_experiment(cfg, str(out))
+        assert report.exit_code == 0
+        written = {os.path.basename(p) for p in report.artifacts}
+        tracked = "tracking" in report.metrics
+        assert (tracked or "trajectory.csv" in written) is keep
+        assert tracked is (cfg.outputs["tracking"] or cfg.outputs["path_csv"])
+        if tracked:
+            assert 0.0 <= report.metrics["tracking"]["final_gap"] < math.inf
         if cfg.outputs["trajectory_csv"]:
             # every FBF sample has its p_norm
             header, *rows = (out / "trajectory.csv").read_text().splitlines()
             p_norm = header.split(",").index("p_norm")
             assert rows and all(row.split(",")[p_norm] for row in rows)
+
+    def test_final_gap_is_the_last_gap_to_path(self, tmp_path):
+        # x(T) and xbar(T) end about 1e-322 apart, where theta = |x - xbar|^2 / 2
+        # underflows to 0.0; final_gap used to be sqrt(2*theta) = 0.0
+        cfg = load_config(write_config(
+            tmp_path, instance="skew-box", mode="FBF",
+            schedule={"family": "polynomial", "r": 0.05, "s": 0.25, "b": 1,
+                      "lambda_bar": 0.9, "gamma_bar": 1.0},
+            grid={"kind": "uniform", "h": 1.0, "T": 1e4}, safety_factor=1.0,
+            store_every=500, x0=[-0.13130619395851073, -0.5998709521145049]))
+        out = tmp_path / "out"
+        assert run_experiment(cfg, str(out)).exit_code == 0
+        report = json.loads((out / "report.json").read_text())
+        last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
+        gap = float(last[TRAJECTORY_COLUMNS.index("gap_to_path")])
+        assert 0.0 < gap < 1e-300
+        assert report["metrics"]["tracking"]["final_gap"] == gap
 
     def test_seed_override_leaves_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, store_every=200,

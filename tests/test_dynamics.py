@@ -15,7 +15,7 @@ from penaltyflow.errors import (ConvergenceFailure, DivergenceError,
                                 ParameterError, PreconditionError)
 from penaltyflow.operators import norm
 from penaltyflow.problem import LipschitzOperator, PenaltyOperator, ProblemInstance
-from reference_march import reference_march
+from reference_march import reference_march, reference_steps
 
 INF = math.inf
 
@@ -28,13 +28,13 @@ def trivial_problem(dim=1):
     return ProblemInstance(a=pf.zero_op(dim), d=d, b1=b1, dim=dim, name="trivial")
 
 
-def projection_sfbp_problem():
-    """A = 0, second potential = indicator of (-inf, 0], D = 0, B1 = 0."""
+def projection_sfbp_problem(dim=1):
+    """A = 0, second potential = indicator of (-inf, 0]^dim, D = 0, B1 = 0."""
     d = LipschitzOperator(eval=lambda x: np.zeros_like(x), eta=INF, cocoercive=True)
     b1 = PenaltyOperator(eval=lambda x: np.zeros_like(x), mu=INF,
-                         zero_set_box=(np.array([-INF]), np.array([INF])))
-    b2 = pf.box_normal_cone(np.array([-INF]), np.array([0.0]), dim=1)
-    return ProblemInstance(a=pf.zero_op(1), d=d, b1=b1, b2=b2, dim=1,
+                         zero_set_box=(np.full(dim, -INF), np.full(dim, INF)))
+    b2 = pf.box_normal_cone(np.full(dim, -INF), np.zeros(dim), dim=dim)
+    return ProblemInstance(a=pf.zero_op(dim), d=d, b1=b1, b2=b2, dim=dim,
                            psi1=lambda x: np.zeros(x.shape[:-1]),
                            psi2=lambda x: np.where(np.all(x <= 1e-9, axis=-1), 0.0, INF),
                            name="projection-sfbp")
@@ -74,11 +74,10 @@ def manual_trajectory(times, states, lam):
     n = times.size
     ones = np.ones(n)
     return Trajectory(mode="SFBP", times=times, states=states,
-                      step_sizes=np.diff(times, prepend=0.0),
-                      xdots=np.zeros_like(states), b1_norms=np.zeros(n),
-                      psi_sums=None, aux_points=None,
+                      step_sizes=np.diff(times, prepend=0.0), b1_norms=np.zeros(n),
+                      psi_sums=None, p_norms=None,
                       lam=np.asarray(lam, dtype=float), eps=ones, beta=ones,
-                      gamma=ones, lips=ones, n_steps_total=n,
+                      gamma=ones, n_steps_total=n,
                       step_indices=np.arange(n))
 
 
@@ -121,8 +120,7 @@ _SCHEDULES = st.builds(
 _GRIDS = (st.builds(pf.UniformGrid, h=st.sampled_from([1.0, 0.37]) | st.floats(0.01, 2.0), T=_T)
           | st.builds(pf.GeometricGrid, h0=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1.3), T=_T))
 _SPECS = st.builds(pf.IntegratorSpec, grid=_GRIDS, safety_factor=st.floats(0.1, 1.0),
-                   store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60),
-                   keep_step_vectors=st.booleans())
+                   store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60))
 # x0 repeats these entries to the instance's dimension
 _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(-3.0, 3.0),
                     min_size=1, max_size=6)
@@ -135,9 +133,7 @@ _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(
 @example(case=("scalar", "FB"), sch=pf.polynomial_schedule(0.1, 0.2, gamma_bar=0.9),
          spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0)), entries=[0.5])
 def test_march_equals_reference(case, sch, spec, entries):
-    """Every integrator returns the reference march's Trajectory byte for byte;
-    without keep_step_vectors, xdots and aux_points are None and the rest,
-    SFBP's psi_sums too, is the same."""
+    """Every integrator returns the reference march's Trajectory byte for byte."""
     name, mode = case
     prob = _instance(name)
     x0 = np.resize(entries, prob.dim)
@@ -269,16 +265,13 @@ class TestForwardBackwardForward:
         assert np.linalg.norm(traj.final_state) <= 1e-12
 
     def test_aux_points_stored(self):
+        # FBF records |p| of the step's point p at every sample
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        for keep in (True, False):
-            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=10.0),
-                                     keep_step_vectors=keep)
-            traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
-            if keep:
-                assert traj.aux_points.shape == traj.xdots.shape == traj.states.shape
-            else:
-                assert traj.aux_points is None and traj.xdots is None
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=10.0))
+        traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
+        assert traj.p_norms.shape == traj.times.shape
+        assert np.all(traj.p_norms > 0.0)
 
     @pytest.mark.parametrize("build", [
         lambda: pf.build_canonical("skew-box"),
@@ -301,7 +294,6 @@ class TestForwardBackwardForward:
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=3.0))
         traj = pf.integrate_fbf(prob, sch, x0, spec)
         assert_same_trajectory(traj, reference_march("FBF", prob, sch, x0, spec))
-        assert not np.signbit(traj.xdots[0][0])
 
 
 class TestStepMapsTakeZeroDimValues:
@@ -512,6 +504,30 @@ class TestErgodicAverage:
         assert pf.ergodic_average(traj)[0] == pytest.approx(2.0 / 3.0, abs=1e-5)
 
 
+# every canonical (instance, mode) pair that check_mode allows
+_CANONICAL_CASES = [case for case in _CASES if case[0] in pf.CANONICAL_NAMES]
+
+
+def stored_vector_tracking(prob, traj, dxs, ps, sel, xbar):
+    """tracking_report's theta and residuals at the samples ``sel``, from
+    stored step directions ``dxs`` and FBF points ``ps``."""
+    lips = prob.lipschitz_bound(traj.eps, traj.beta)
+    theta, residuals = [], []
+    for i in sel:
+        x, xdot = traj.states[i], dxs[i]
+        diff = x - xbar
+        theta.append(0.5 * float(diff @ diff))
+        lam, eps, gam = traj.lam[i], traj.eps[i], traj.gamma[i]
+        if traj.mode == "FBF":
+            rhs = ((lam * lips[i] - 1.0) * float(np.sum((x - ps[i]) ** 2))
+                   - lam * eps * float(np.sum((ps[i] - xbar) ** 2)))
+            residuals.append(float(diff @ xdot) - rhs)
+        else:
+            rhs = gam * lam * eps * (lam * eps - 2.0) * float(diff @ diff)
+            residuals.append(2.0 * float(xdot @ diff) - rhs)
+    return np.array(theta), np.array(residuals)
+
+
 class TestTracking:
     def test_identical_trajectory_has_zero_theta(self):
         prob = pf.build_canonical("scalar")
@@ -521,7 +537,7 @@ class TestTracking:
         states = np.stack([p.xbar for p in pts])
         traj = manual_trajectory(times, states, np.ones(4))
         traj.mode = "FB"
-        rep = pf.tracking_report(traj, pts)
+        rep = pf.tracking_report(prob, traj, pts)
         assert np.all(rep.theta <= 1e-20)
         assert rep.final_gap <= 1e-10
         assert rep.burn_in_index == 0
@@ -534,7 +550,7 @@ class TestTracking:
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         sub = traj.times[::10]
         pts = pf.central_path(prob, sch, sub, tol=1e-12)
-        rep = pf.tracking_report(traj, pts)
+        rep = pf.tracking_report(prob, traj, pts)
         assert rep.final_gap <= 1.25e-3
         assert rep.burn_in_index <= len(sub) // 2
 
@@ -545,7 +561,7 @@ class TestTracking:
                                  store_every=5)
         traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]), spec)
         pts = pf.central_path(prob, sch, traj.times[1::7], tol=1e-12)
-        rep = pf.tracking_report(traj, pts)
+        rep = pf.tracking_report(prob, traj, pts)
         assert rep.inequality_nonpositive_fraction >= 0.99
 
     def test_grid_mismatch_rejected(self):
@@ -555,21 +571,33 @@ class TestTracking:
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         pts = pf.central_path(prob, sch, [0.123456], tol=1e-10)
         with pytest.raises(ParameterError):
-            pf.tracking_report(traj, pts)
+            pf.tracking_report(prob, traj, pts)
 
-    @pytest.mark.parametrize("mode", list(_MODES))
-    def test_lean_trajectory_rejected(self, mode):
-        integrate, name, (r, s, b) = _MODES[mode]
-        prob, sch = pf.build_canonical(name), pf.polynomial_schedule(r, s, b)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0), keep_step_vectors=False)
-        traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
-        pts = pf.central_path(prob, sch, traj.times, tol=1e-10)
-        with pytest.raises(ParameterError, match="step vectors"):
-            pf.tracking_report(traj, pts)
-
-
-# every canonical (instance, mode) pair that check_mode allows
-_CANONICAL_CASES = [case for case in _CASES if case[0] in pf.CANONICAL_NAMES]
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(_CANONICAL_CASES), sch=_SCHEDULES, spec=_SPECS,
+           entries=_ENTRIES, xbar_entries=_ENTRIES, start=st.integers(0, 3),
+           stride=st.integers(1, 4))
+    def test_recomputed_step_equals_stored_vector_formula(self, case, sch, spec, entries,
+                                                          xbar_entries, start, stride):
+        """theta and the residuals equal, byte for byte, the formula on the
+        reference march's own dx and p at each sample of a full (start 0,
+        stride 1) or subgrid path; xbar need not be on the central path."""
+        name, mode = case
+        prob = pf.build_canonical(name)
+        x0 = np.resize(entries, prob.dim)
+        try:
+            traj = _MODES[mode][0](prob, sch, x0, spec)
+        except DivergenceError:
+            assume(False)
+        ref, dxs, ps = reference_steps(mode, prob, sch, x0, spec)
+        sel = np.arange(traj.times.size)[start::stride]
+        assume(sel.size > 0)
+        xbar = np.resize(xbar_entries, prob.dim)
+        pts = [pf.CentralPathPoint(0.0, 0.0, xbar, 0.0, 0, t=t) for t in traj.times[sel]]
+        rep = pf.tracking_report(prob, traj, pts)
+        theta, residuals = stored_vector_tracking(prob, ref, dxs, ps, sel, xbar)
+        assert rep.theta.tobytes() == theta.tobytes()
+        assert rep.inequality_residuals.tobytes() == residuals.tobytes()
 
 
 @st.composite
@@ -689,22 +717,25 @@ class TestSpecAndStorage:
 
     @pytest.mark.parametrize("mode", list(_MODES))
     def test_lean_recorder_holds_no_step_vectors(self, mode):
-        """Without keep_step_vectors the march's peak allocation drops by the
-        dx slot, and by FBF's p slot: 2 000 steps, each stored, fill 2 003 rows."""
-        integrate, name, (r, s, b) = _MODES[mode]
-        prob = pf.build_canonical(name)
-        peaks = {}
-        for keep in (True, False):
-            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=2000,
-                                     keep_step_vectors=keep)
+        """The recorder holds one state slot per stored sample, and SFBP one
+        more for j, but no step vector: from 1 000 to 3 000 steps, each
+        stored, the march's peak allocation grows by 1 slot of dimension 256
+        (2 for SFBP) and the scalar rows per stored sample, under half a slot."""
+        dim = 256
+        prob = projection_sfbp_problem(dim) if mode == "SFBP" else trivial_problem(dim)
+        sch = pf.constant_schedule(eps=0.1, beta=0.0, lam=0.1, gamma=1.0)
+        peaks = []
+        for steps in (1000, 3000):
+            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=steps)
             tracemalloc.start()
             try:
-                integrate(prob, pf.polynomial_schedule(r, s, b), np.full(prob.dim, 0.5), spec)
-                peaks[keep] = tracemalloc.get_traced_memory()[1]
+                _MODES[mode][0](prob, sch, np.full(dim, -0.5), spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        slots = 2 if mode == "FBF" else 1
-        assert peaks[True] - peaks[False] >= 0.9 * slots * 2003 * prob.dim * 8
+        slots = 2 if mode == "SFBP" else 1
+        per_sample = (peaks[1] - peaks[0]) / 2000 / (8 * dim)
+        assert slots <= per_sample < slots + 0.5, per_sample
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
@@ -736,10 +767,8 @@ class TestSpecAndStorage:
         (dict(safety_factor=1.5), "safety_factor must be in (0, 1], got 1.5"),
         (dict(store_every=0), "store_every must be >= 1, got 0"),
         (dict(max_steps=-3), "max_steps must be >= 1, got -3"),
-        (dict(keep_step_vectors=1), "keep_step_vectors must be a bool, got 1"),
-        (dict(keep_step_vectors=None), "keep_step_vectors must be a bool, got None"),
     ], ids=["h", "T", "h0", "ratio", "ratio-inf", "geometric-T", "safety_factor", "store_every",
-            "max_steps", "keep_step_vectors-int", "keep_step_vectors-none"])
+            "max_steps"])
     def test_invalid_field_named_with_its_value(self, kwargs, message):
         with pytest.raises(ParameterError) as exc:
             pf.IntegratorSpec(**{"grid": pf.UniformGrid(h=1.0, T=1.0), **kwargs})
