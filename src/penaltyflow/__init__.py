@@ -2,8 +2,7 @@
 variational inequalities: operators, schedules, central paths, integrators,
 an exact small-instance oracle and a TV deblurring application."""
 
-from .central_path import (CentralPathPoint, FunnelDiagnostics, central_path,
-                           funnel_diagnostics, least_norm_solution,
+from .central_path import (CentralPathPoint, central_path, least_norm_solution,
                            path_derivative_check, path_regularity_check,
                            solve_auxiliary)
 from .deblur import DeblurInstance, build_tv_deblur, isnr_series

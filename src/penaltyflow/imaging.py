@@ -74,13 +74,14 @@ def discrete_gradient(theta, adjoint=False, out=None):
     return np.add(_adjoint_diff(u, np.empty_like(u)), out, out=out)
 
 
-def gradient_norm_estimate(size, iters=200, seed=0):
-    """Power-iteration estimate of ||L||^2 on a size x size grid."""
-    rng = np.random.default_rng(seed)
+def gradient_norm_estimate(size):
+    """Power-iteration estimate of ||L||^2 on a size x size grid: 200 iterations
+    from a standard normal start drawn with seed 0."""
+    rng = np.random.default_rng(0)
     x = rng.standard_normal((size, size))
     x /= np.linalg.norm(x)
     val = 0.0
-    for _ in range(iters):
+    for _ in range(200):
         u, v = discrete_gradient(x)
         y = discrete_gradient((u, v), adjoint=True)
         val = float(np.vdot(x, y))

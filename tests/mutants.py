@@ -23,7 +23,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBSET = ["tests/test_dynamics.py", "tests/test_operators.py", "tests/test_schedules.py",
-          "tests/test_cli.py", "tests/test_instances.py", "tests/test_digests.py"]
+          "tests/test_cli.py", "tests/test_instances.py", "tests/test_digests.py",
+          "tests/test_central_path.py"]
 
 # (name, file under src/penaltyflow, snippet, replacement)
 MUTANTS = [
@@ -105,6 +106,14 @@ MUTANTS = [
     ("attouch-closed", "schedules.py",
      'passed = sch.params["s"] * _RHO_STAR > 1.0',
      'passed = sch.params["s"] * _RHO_STAR >= 1.0'),
+    # the central path and its checks
+    ("least-norm-first-point", "central_path.py",
+     "_diagonal_points(prob, 1e-4)[-1].xbar", "_diagonal_points(prob, 1e-4)[0].xbar"),
+    ("fd-forward-pair", "central_path.py",
+     "np.linalg.norm(hi - lo)", "np.linalg.norm(hi - mid)"),
+    ("tol-guard-passes-nan", "central_path.py", "if not tol > 0:", "if tol <= 0:"),
+    ("times-finite-unchecked", "central_path.py",
+     "if not np.all(np.isfinite(times)):", "if False:"),
     # the runner
     ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
      "        if False:\n"),

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import penaltyflow as pf
+from penaltyflow.central_path import _diagonal_points
 from penaltyflow.errors import ConvergenceFailure, ParameterError
 
 
@@ -109,26 +111,21 @@ class TestLeastNorm:
     ])
     def test_matches_oracle(self, name, expected):
         prob = pf.build_canonical(name)
-        sol = pf.least_norm_solution(prob, tol=1e-4)
+        sol = pf.least_norm_solution(prob)
         assert np.linalg.norm(sol - np.array(expected)) <= 1e-3
 
     def test_penalty_vanishes_along_diagonal(self):
         prob = pf.build_canonical("scalar")
-        sol, diag, pts = pf.funnel_diagnostics(prob, tol=4e-5)
+        pts = _diagonal_points(prob, 4e-5)
         b_norms = [np.linalg.norm(prob.b1.eval(p.xbar)) for p in pts]
         assert b_norms[-1] <= 1e-4
         assert b_norms[-1] < b_norms[0]
 
     def test_funnel_norm_bound_on_tail(self):
         prob = pf.build_canonical("shifted-segment")
-        sol, diag, pts = pf.funnel_diagnostics(prob, tol=1e-4)
-        for p in pts[-3:]:
-            assert np.linalg.norm(p.xbar) <= diag.r_estimate + 1e-4
-
-    def test_ell_majorizes_r(self):
-        prob = pf.build_canonical("scalar")
-        _, diag, _ = pf.funnel_diagnostics(prob, tol=1e-4)
-        assert diag.ell_estimate >= diag.r_estimate
+        r = np.linalg.norm(pf.least_norm_solution(prob))
+        for p in _diagonal_points(prob, 1e-4)[-3:]:
+            assert np.linalg.norm(p.xbar) <= r + 1e-4
 
 
 class TestRegularity:
@@ -166,3 +163,35 @@ class TestRegularity:
         for t in np.logspace(0, 4, 9):
             rep = pf.path_derivative_check(prob, sch, float(t))
             assert rep.passed, f"t={t}: fd={rep.fd_norm} bound={rep.bound}"
+            # the path speed |d/dt 2/(1 + eps + beta)| in closed form
+            speed = (2.0 * abs(sch.deps(t) + sch.dbeta(t))
+                     / (1.0 + sch.eps(t) + sch.beta(t)) ** 2)
+            assert rep.fd_norm == pytest.approx(speed, rel=1e-6)
+
+
+_NAN = float("nan")
+_SCH = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda prob: pf.solve_auxiliary(prob, _NAN, 1.0),
+    lambda prob: pf.solve_auxiliary(prob, 0.5, _NAN),
+    lambda prob: pf.solve_auxiliary(prob, 0.5, 1.0, tol=_NAN),
+    lambda prob: pf.path_regularity_check(prob, (_NAN, 1.0), (1.0, 1.0)),
+    lambda prob: pf.path_regularity_check(prob, (1.0, _NAN), (1.0, 1.0)),
+    lambda prob: pf.path_regularity_check(prob, (1.0, 1.0), (_NAN, 1.0)),
+    lambda prob: pf.path_regularity_check(prob, (1.0, 1.0), (1.0, _NAN)),
+    lambda prob: pf.path_derivative_check(prob, _SCH, _NAN),
+    lambda prob: pf.central_path(prob, _SCH, [_NAN]),
+    lambda prob: pf.central_path(prob, _SCH, [1.0, _NAN]),
+    lambda prob: pf.central_path(prob, _SCH, [_NAN, 1.0]),
+    lambda prob: pf.central_path(prob, pf.constant_schedule(0.5, 1.0, 0.1),
+                                 [1.0, math.inf]),
+], ids=["eps", "beta", "tol", "e1", "b1", "e2", "b2", "t",
+        "time", "last-time", "first-time", "inf-time"])
+def test_nan_is_a_parameter_error(call):
+    prob = pf.build_canonical("scalar")
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        call(prob)
+    assert time.perf_counter() - start < 0.1

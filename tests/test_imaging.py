@@ -94,7 +94,7 @@ class TestDiscreteGradient:
 
     @pytest.mark.parametrize("size", [8, 16, 32])
     def test_operator_norm_bound(self, size):
-        assert pf.gradient_norm_estimate(size, iters=200) <= 8.0 + 1e-6
+        assert pf.gradient_norm_estimate(size) <= 8.0 + 1e-6
 
     def test_shape_errors(self):
         with pytest.raises(ParameterError):
