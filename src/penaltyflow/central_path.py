@@ -47,6 +47,8 @@ def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None):
 
     Raises
     ------
+    ParameterError
+        If eps <= 0, beta < 0, tol <= 0 or max_iter is not an integer >= 1.
     ConvergenceFailure
         If max_iter is exhausted; the exception carries the last residual.
     """
@@ -56,11 +58,14 @@ def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None):
         raise ParameterError("beta must be nonnegative")
     if not tol > 0:
         raise ParameterError("tol must be positive")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 1):
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     x = np.zeros(prob.dim) if x0 is None else as_vector(x0, prob.dim).copy()
     lam = _internal_step(prob, eps, beta)
     resolvent = prob.a.resolvent
     vfield = prob.vfield
-    for k in range(int(max_iter)):
+    for k in range(max_iter):
         x_next = resolvent(lam, x - lam * vfield(eps, beta, x))
         res = norm(x - x_next)
         x = x_next

@@ -342,50 +342,46 @@ class TrackingReport:
     mode: str
     times: np.ndarray
     theta: np.ndarray
+    gaps: np.ndarray
     burn_in_index: int
-    final_gap: float
     inequality_residuals: np.ndarray
     inequality_nonpositive_fraction: float
 
-
-def _match_indices(traj_times, path_times):
-    idx = np.searchsorted(traj_times, path_times)
-    idx = np.clip(idx, 0, traj_times.size - 1)
-    out = []
-    for i, tp in zip(idx, path_times):
-        best = i
-        if i > 0 and abs(traj_times[i - 1] - tp) < abs(traj_times[i] - tp):
-            best = i - 1
-        if abs(traj_times[best] - tp) > 1e-9 * max(1.0, abs(tp)):
-            raise ParameterError(f"path time {tp:g} is not on the trajectory grid")
-        out.append(best)
-    return np.asarray(out, dtype=int)
+    @property
+    def final_gap(self):
+        return float(self.gaps[-1])
 
 
 def tracking_report(prob, traj, path):
     """Compare a trajectory of ``prob`` with central-path points sampled on its grid.
 
-    Emits theta(t) = ||x - xbar||^2 / 2, the mode's differential inequality
-    residual evaluated with the discrete derivative, the first index after
-    which theta is nonincreasing (1e-8 slack), and the final gap. At each
-    path point it recomputes the step, dx and FBF's p, with the march's own
-    step map from the stored x and schedule values, which gives the march's
-    bits; L is prob.lipschitz_bound at the stored eps and beta.
+    Each path time must be a stored time, bit for bit. Emits theta(t) =
+    ||x - xbar||^2 / 2, the gap ||x - xbar||, the mode's differential inequality
+    residual evaluated with the discrete derivative, and the first index after
+    which theta is nonincreasing (1e-8 slack). At each path point it
+    recomputes the step, dx and FBF's p, with the march's own step map from
+    the stored x and schedule values, which gives the march's bits; L is
+    prob.lipschitz_bound at the stored eps and beta.
     """
     if not path:
         raise ParameterError("path is empty")
     if any(p.t is None for p in path):
         raise ParameterError("path points need times attached")
     p_times = np.array([p.t for p in path], dtype=float)
-    idx = _match_indices(traj.times, p_times)
+    idx = np.minimum(np.searchsorted(traj.times, p_times), traj.times.size - 1)
+    off = traj.times[idx] != p_times
+    if off.any():
+        raise ParameterError(f"path time {p_times[off][0]:.17g} is not on the trajectory grid")
     step, b_eval = _step_map(traj.mode, prob), prob.b1.eval
     lips = prob.lipschitz_bound(traj.eps, traj.beta)
     theta = np.empty(len(path))
+    gaps = np.empty(len(path))
     residuals = np.empty(len(path))
     for j, (i, pt) in enumerate(zip(idx, path)):
         x = traj.states[i]
         diff = x - pt.xbar
         theta[j] = 0.5 * float(diff @ diff)
+        gaps[j] = norm(diff)
         # 0-d views of the sample's schedule values, as the march passes them
         lam, eps, bet, gam = (a[i, ...] for a in (traj.lam, traj.eps, traj.beta, traj.gamma))
         xdot, p = step(x, b_eval(x), lam, eps, bet, gam)
@@ -406,5 +402,4 @@ def tracking_report(prob, traj, path):
             burn_in = j + 1
     scale = 1.0 + theta
     frac = float(np.mean(residuals <= 1e-6 * scale))
-    final_gap = norm(traj.states[idx[-1]] - path[-1].xbar)  # no underflow in theta
-    return TrackingReport(traj.mode, p_times, theta, burn_in, final_gap, residuals, frac)
+    return TrackingReport(traj.mode, p_times, theta, gaps, burn_in, residuals, frac)

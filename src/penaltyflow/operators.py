@@ -329,47 +329,34 @@ def verify_certificate(op, kind, modulus=None, samples=1000, seed=0, dim=None):
     if d is None:
         raise ParameterError("dimension required (operator does not fix one)")
     rng = np.random.default_rng(seed)
-    threshold = 1e-10 if kind == "firmly-nonexpansive-resolvent" else 1e-9
-
     if kind == "firmly-nonexpansive-resolvent":
         if not isinstance(op, MonotoneOperator):
             raise ParameterError("resolvent certificate needs a MonotoneOperator")
-        lams = (0.1, 1.0, 10.0)
-        worst = 0.0
-        for k, (x, y) in enumerate(_sample_pairs(rng, d, samples)):
-            lam = lams[(k // 3) % 3]
-            jx = op.resolvent(lam, x)
-            jy = op.resolvent(lam, y)
-            dj = jx - jy
-            gap = float(dj @ dj - dj @ (x - y))
-            scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(y)
-            worst = max(worst, gap / scale)
-        return CertificateReport(kind, None, samples, seed, float(worst),
-                                 bool(worst <= threshold), threshold)
+        modulus, threshold, lams = None, 1e-10, (0.1, 1.0, 10.0)
 
-    fn = op.eval if hasattr(op, "eval") and op.eval is not None else op
-    if not callable(fn):
-        raise ParameterError("operator has no pointwise evaluation")
-    worst = 0.0
-    for x, y in _sample_pairs(rng, d, samples):
-        fx = fn(x)
-        fy = fn(y)
-        df = fx - fy
-        dx = x - y
-        scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(y)
-        if kind == "monotone":
-            gap = -float(df @ dx)
-        elif kind == "lipschitz":
-            if modulus is None:
-                raise ParameterError("lipschitz certificate needs a modulus")
-            gap = float(np.linalg.norm(df) - modulus * np.linalg.norm(dx))
-        elif kind == "cocoercive":
-            if modulus is None:
-                raise ParameterError("cocoercive certificate needs a modulus")
-            gap = float(modulus * (df @ df) - df @ dx)
-        else:
+        def gap(k, x, y):
+            lam = lams[(k // 3) % 3]  # nine samples pair each radius with each lam
+            dj = op.resolvent(lam, x) - op.resolvent(lam, y)
+            return float(dj @ dj - dj @ (x - y))
+    else:
+        fn = op.eval if getattr(op, "eval", None) is not None else op
+        if not callable(fn):
+            raise ParameterError("operator has no pointwise evaluation")
+        if kind not in ("monotone", "lipschitz", "cocoercive"):
             raise ParameterError(f"unknown certificate kind '{kind}'")
-        worst = max(worst, gap / scale)
+        if kind != "monotone" and modulus is None:
+            raise ParameterError(f"{kind} certificate needs a modulus")
+        threshold = 1e-9
+
+        def gap(k, x, y):
+            df, dx = fn(x) - fn(y), x - y
+            if kind == "monotone":
+                return -float(df @ dx)
+            if kind == "lipschitz":
+                return float(np.linalg.norm(df) - modulus * np.linalg.norm(dx))
+            return float(modulus * (df @ df) - df @ dx)
+    worst = 0.0
+    for k, (x, y) in enumerate(_sample_pairs(rng, d, samples)):
+        worst = max(worst, gap(k, x, y) / (1.0 + np.linalg.norm(x) + np.linalg.norm(y)))
     return CertificateReport(kind, modulus, samples, seed, float(worst),
                              bool(worst <= threshold), threshold)
-

@@ -139,22 +139,19 @@ class ProblemInstance:
         argmin of the second potential (if B2 is a box normal cone). Returns
         (lo, hi) arrays or None.
         """
+        a, b2 = self.a, self.b2
+        if (a.kind not in ("box", "zero") or self.b1.zero_set_box is None
+                or (b2 is not None and b2.kind != "box")):
+            return None
+        boxes = [self.b1.zero_set_box]
+        if a.kind == "box":
+            boxes.insert(0, (a.params["lo"], a.params["hi"]))
+        if b2 is not None:
+            boxes.append((b2.params["lo"], b2.params["hi"]))
         los, his = [], []
-        if self.a.kind == "box":
-            los.append(np.broadcast_to(self.a.params["lo"], (self.dim,)).astype(float))
-            his.append(np.broadcast_to(self.a.params["hi"], (self.dim,)).astype(float))
-        elif self.a.kind != "zero":
-            return None
-        if self.b1.zero_set_box is None:
-            return None
-        lo1, hi1 = self.b1.zero_set_box
-        los.append(np.broadcast_to(np.asarray(lo1, dtype=float), (self.dim,)).astype(float))
-        his.append(np.broadcast_to(np.asarray(hi1, dtype=float), (self.dim,)).astype(float))
-        if self.b2 is not None:
-            if self.b2.kind != "box":
-                return None
-            los.append(np.broadcast_to(self.b2.params["lo"], (self.dim,)).astype(float))
-            his.append(np.broadcast_to(self.b2.params["hi"], (self.dim,)).astype(float))
+        for lo, hi in boxes:
+            los.append(np.broadcast_to(np.asarray(lo, dtype=float), (self.dim,)))
+            his.append(np.broadcast_to(np.asarray(hi, dtype=float), (self.dim,)))
         lo = np.max(np.stack(los), axis=0)
         hi = np.min(np.stack(his), axis=0)
         if np.any(lo > hi):

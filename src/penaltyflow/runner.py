@@ -154,8 +154,8 @@ def run_experiment(cfg, out_dir, seed_override=None):
         gaps = None
         if cfg.outputs["tracking"] or cfg.outputs["path_csv"]:
             path_points = central_path(prob, sch, traj.times, tol=1e-10)
-            gaps = np.array([norm(x - p.xbar) for x, p in zip(traj.states, path_points)])
             trep = tracking_report(prob, traj, path_points)
+            gaps = trep.gaps
             report.metrics["tracking"] = {
                 "final_gap": trep.final_gap,
                 "burn_in_index": trep.burn_in_index,

@@ -38,7 +38,7 @@ class Schedule:
     All callables accept scalars and numpy arrays. ``validate_schedule`` calls
     each one once on the whole GRID array; a scalar result (a constant) is
     broadcast to the grid's shape. ``at(t)`` gives the values a step uses, from
-    one fused call ``_at`` when set (bitwise the four field calls' values).
+    one fused call ``_at`` when set, which a polynomial's eps, beta, lam read.
     """
 
     eps: Callable
@@ -55,6 +55,13 @@ class Schedule:
     def at(self):
         """t -> (lam, eps, beta, gamma), without a method dispatch per call."""
         return self._at or (lambda t: (self.lam(t), self.eps(t), self.beta(t), self.gamma(t)))
+
+
+def _constant(c):
+    """t -> c at every t, inf included: a float for a scalar t, else an array
+    of t's shape."""
+    c = float(c)
+    return lambda t: c if isinstance(t, float) or np.ndim(t) == 0 else np.full(np.shape(t), c)
 
 
 def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="constant"):
@@ -86,19 +93,8 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
     if gamma_kind not in ("constant", "cos-inverse"):
         raise ParameterError("gamma_kind must be 'constant' or 'cos-inverse'")
 
-    def eps(t):
-        return (t + b) ** (-r)
-
-    def beta(t):
-        return (t + b) ** s
-
-    def lam(t):
-        bt = (t + b) ** s
-        return lambda_bar / (bt + lambda_bar * (t + b) ** (-r))
-
     if gamma_kind == "constant":
-        def gamma(t):
-            return gamma_bar + 0.0 * t  # a float for scalar t, an array for array t
+        gamma = _constant(gamma_bar)
     else:
         # cos(1/t) changes sign near 0; restrict to t >= 1 where it is positive
         def gamma(t):
@@ -115,7 +111,8 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
     def dbeta(t):
         return s * (t + b) ** (s - 1.0)
 
-    return Schedule(eps, beta, lam, gamma, deps, dbeta, family="polynomial",
+    return Schedule(lambda t: at(t)[1], lambda t: at(t)[2], lambda t: at(t)[0], gamma,
+                    deps, dbeta, family="polynomial",
                     params={"r": r, "s": s, "b": b, "lambda_bar": lambda_bar,
                             "gamma_bar": gamma_bar, "gamma_kind": gamma_kind},
                     _at=at)
@@ -123,8 +120,7 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
 
 def constant_schedule(eps, beta, lam, gamma=1.0):
     """Constant parameters; handy for frozen-recursion tests."""
-    mk = lambda c: (lambda t: c + 0.0 * t)
-    return Schedule(mk(eps), mk(beta), mk(lam), mk(gamma), mk(0.0), mk(0.0),
+    return Schedule(*map(_constant, (eps, beta, lam, gamma, 0.0, 0.0)),
                     family="custom", params={"eps": eps, "beta": beta, "lam": lam, "gamma": gamma})
 
 
@@ -227,17 +223,17 @@ def _numeric_checks(mode, eta, mu, eps, beta, lam, gam, deps, dbeta):
     return checks
 
 
-def validate_schedule(sch, mode, moduli, force_numeric=False):
+def validate_schedule(sch, mode, moduli):
     """Check the schedule against the hypotheses of the requested mode.
+
+    ``sch.family`` alone picks the route: the exact exponent tests for
+    "polynomial", the numeric grid tests for any other family.
 
     Parameters
     ----------
     sch : Schedule
     mode : {"FB", "FBF", "SFBP"}
     moduli : tuple (eta, mu)
-    force_numeric : bool
-        Run the asymptotic grid tests even for polynomial families (used to
-        cross-check the exact exponent shortcuts).
 
     Returns
     -------
@@ -251,7 +247,7 @@ def validate_schedule(sch, mode, moduli, force_numeric=False):
         raise ParameterError("moduli must be positive")
     values = _values(sch)
     eps, beta, lam = values[:3]
-    if sch.family == "polynomial" and not force_numeric:
+    if sch.family == "polynomial":
         checks = _exponent_checks(sch, mode)
     else:
         checks = _numeric_checks(mode, eta, mu, *values)

@@ -74,8 +74,10 @@ MUTANTS = [
     ("tracking-lips-no-beta", "dynamics.py",
      "prob.lipschitz_bound(traj.eps, traj.beta)", "prob.lipschitz_bound(traj.eps, 0.0)"),
     ("final-gap-from-theta", "dynamics.py",
-     "final_gap = norm(traj.states[idx[-1]] - path[-1].xbar)",
-     "final_gap = math.sqrt(2.0 * theta[-1])"),
+     "gaps[j] = norm(diff)", "gaps[j] = math.sqrt(2.0 * theta[j])"),
+    ("tracking-match-tolerant", "dynamics.py",
+     "off = traj.times[idx] != p_times",
+     "off = np.abs(traj.times[idx] - p_times) > 1e-9 * np.maximum(1.0, np.abs(p_times))"),
     ("ratio-inf-accepted", "dynamics.py",
      "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
     # operators and problem data
@@ -94,10 +96,17 @@ MUTANTS = [
     ("shifted-lam-only", "problem.py",
      "return lambda lam, beta, x: fn(lam * beta, x)",
      "return lambda lam, beta, x: fn(lam, x)"),
+    ("feasible-box-drops-b2", "problem.py",
+     'boxes.append((b2.params["lo"], b2.params["hi"]))', "pass"),
+    ("certificate-lam-cycle", "operators.py",
+     "lam = lams[(k // 3) % 3]", "lam = lams[k % 3]"),
     # schedules
     ("fused-lam-rewritten", "schedules.py",
      "return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)",
      "return lambda_bar / bt / (1 + lambda_bar * et / bt), et, bt, gamma(t)"),
+    ("route-ignores-family", "schedules.py",
+     'if sch.family == "polynomial":\n        checks = _exponent_checks',
+     'if "r" in sch.params:\n        checks = _exponent_checks'),
     ("fb-band-closed", "schedules.py", "r + s < 0.5, r + s", "r + s <= 0.5, r + s"),
     ("fbf-band-fb", "schedules.py",
      "r + s < 1.0 / 3.0, r + s", "r + s < 0.5, r + s"),

@@ -34,6 +34,16 @@ class TestSolveAuxiliary:
         with pytest.raises(ParameterError):
             pf.solve_auxiliary(pf.build_canonical("scalar"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 0.5, 2.0, True, None])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        # 0, -3 and 0.5 ran no iteration and raised UnboundLocalError
+        with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+            pf.solve_auxiliary(pf.build_canonical("scalar"), 1.0, 1.0, max_iter=max_iter)
+
+    def test_max_iter_takes_numpy_integers(self):
+        pt = pf.solve_auxiliary(pf.build_canonical("scalar"), 1.0, 1.0, max_iter=np.int64(500))
+        assert pt.iterations <= 500
+
     def test_max_iter_failure_carries_residual(self):
         prob = pf.build_canonical("scalar")
         with pytest.raises(ConvergenceFailure) as exc:

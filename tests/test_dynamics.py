@@ -572,6 +572,12 @@ class TestTracking:
         pts = pf.central_path(prob, sch, [0.123456], tol=1e-10)
         with pytest.raises(ParameterError):
             pf.tracking_report(prob, traj, pts)
+        # a path time one ulp off a stored time is off the grid too
+        for way in (-math.inf, math.inf):
+            off = float(np.nextafter(traj.times[3], way))
+            pts = pf.central_path(prob, sch, [off], tol=1e-10)
+            with pytest.raises(ParameterError, match="not on the trajectory grid"):
+                pf.tracking_report(prob, traj, pts)
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from(_CANONICAL_CASES), sch=_SCHEDULES, spec=_SPECS,
@@ -598,6 +604,8 @@ class TestTracking:
         theta, residuals = stored_vector_tracking(prob, ref, dxs, ps, sel, xbar)
         assert rep.theta.tobytes() == theta.tobytes()
         assert rep.inequality_residuals.tobytes() == residuals.tobytes()
+        gaps = np.array([norm(ref.states[i] - xbar) for i in sel])
+        assert rep.gaps.tobytes() == gaps.tobytes() and rep.final_gap == gaps[-1]
 
 
 @st.composite

@@ -198,6 +198,22 @@ class TestCanonicalInstances:
         lo, hi = prob.feasible_box()
         assert lo[0] == -np.inf and hi[0] == 0.0
 
+    def test_feasible_box_intersects_every_box(self):
+        """A's box, zer(B1) and B2's box each give one of the four bounds."""
+        inf = np.inf
+        a = pf.box_normal_cone([-1.0, -5.0], [5.0, 5.0], dim=2)
+        b1 = PenaltyOperator(eval=lambda x: np.zeros_like(x), mu=np.inf,
+                             zero_set_box=([-inf, -inf], [inf, 3.0]))
+        b2 = pf.box_normal_cone([-inf, -2.0], [2.0, inf], dim=2)
+        prob = dataclasses.replace(_two_penalty(a, b2), b1=b1)
+        lo, hi = prob.feasible_box()
+        assert lo.tolist() == [-1.0, -2.0] and hi.tolist() == [2.0, 3.0]
+        # disjoint boxes, B2 not a box, and A neither a box nor zero give None
+        far = pf.box_normal_cone([6.0, -inf], [inf, inf], dim=2)
+        assert dataclasses.replace(prob, b2=far).feasible_box() is None
+        assert dataclasses.replace(prob, b2=pf.zero_op(2)).feasible_box() is None
+        assert dataclasses.replace(prob, a=pf.l1_subgradient(1.0, dim=2)).feasible_box() is None
+
     def test_lipschitz_bound_formula(self):
         prob = pf.build_canonical("scalar")
         assert prob.lipschitz_bound(1.0, 1.0) == pytest.approx(3.0)

@@ -277,6 +277,15 @@ class TestCertificatesAndCalculus:
             lhs = inv.resolvent(lam, x) + lam * op.resolvent(1.0 / lam, x / lam)
             assert np.allclose(lhs, x, atol=1e-12)
 
+    def test_resolvent_certificate_pairs_each_radius_with_each_lam(self):
+        seen = []
+        spy = pf.MonotoneOperator("custom", lambda lam, x: seen.append((lam, norm(x))) or x,
+                                  dim=2)
+        pf.verify_certificate(spy, "firmly-nonexpansive-resolvent", samples=9, seed=3)
+        pairs = {(lam, round(r, 9)) for lam, r in seen[::2]}
+        assert [lam for lam, _ in seen[::2]] == [0.1] * 3 + [1.0] * 3 + [10.0] * 3
+        assert pairs == {(lam, r) for lam in (0.1, 1.0, 10.0) for r in (0.1, 1.0, 10.0)}
+
     def test_report_threshold_and_seed_recorded(self):
         rep = pf.verify_certificate(pf.zero_op(1), "firmly-nonexpansive-resolvent",
                                     samples=9, seed=42)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestConstantCallables:
             assert out.shape == t.shape and out.dtype == float, name
             assert np.array_equal(out, np.full(t.shape, float(c))), name
 
+    @pytest.mark.parametrize("t", [math.inf, np.float64(math.inf),
+                                   np.array([1.0, math.inf]), np.full((2, 3), -math.inf)])
+    def test_constant_at_infinity(self, t):
+        """The constant, not NaN, and without a RuntimeWarning: a float for a
+        scalar t, an array of t's shape otherwise."""
+        const = pf.constant_schedule(eps=0.3, beta=2.0, lam=0.5, gamma=0.7)
+        poly = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [const.eps(t), const.beta(t), const.lam(t), const.gamma(t),
+                      const.deps(t), const.dbeta(t), poly.gamma(t), poly.at(t)[3]]
+        for got, c in zip(values, (0.3, 2.0, 0.5, 0.7, 0.0, 0.0, 0.7, 0.7)):
+            if np.ndim(t) == 0:
+                assert type(got) is float and got == c
+            else:
+                assert got.shape == t.shape and np.array_equal(got, np.full(t.shape, c))
+
 
 def _bits(values):
     return [float(v).hex() for v in values]
@@ -117,6 +135,9 @@ class TestAt:
         got = sch.at(t)
         assert [type(v) for v in got] == [type(v) for v in fields]
         assert _bits(got) == _bits(fields)
+        # the formulas of the docstring, in the association the code rounds in
+        eps, beta = (t + b) ** (-r), (t + b) ** s
+        assert _bits(got[:3]) == _bits((lambda_bar / (beta + lambda_bar * eps), eps, beta))
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(0.0, 1e9))
@@ -174,8 +195,8 @@ class TestValidators:
                 for s in vals:
                     sch = pf.polynomial_schedule(r, s, 1.0, 0.9, 1.0)
                     exact = pf.validate_schedule(sch, mode, (1.0, 1.0)).overall
-                    numeric = pf.validate_schedule(sch, mode, (1.0, 1.0),
-                                                   force_numeric=True).overall
+                    numeric = pf.validate_schedule(dataclasses.replace(sch, family="custom"),
+                                                   mode, (1.0, 1.0)).overall
                     assert exact == numeric, (mode, r, s)
 
     # Per mode, the boundaries of the numeric slope rules: a*r + b*s = o, where
@@ -202,7 +223,8 @@ class TestValidators:
         sch = pf.polynomial_schedule(r, s, 10.0 ** log_b, 10.0 ** log_lambda_bar, 1.0,
                                      "cos-inverse" if cos_gamma else "constant")
         exact = pf.validate_schedule(sch, mode, (1.0, 1.0)).overall
-        numeric = pf.validate_schedule(sch, mode, (1.0, 1.0), force_numeric=True).overall
+        numeric = pf.validate_schedule(dataclasses.replace(sch, family="custom"),
+                                       mode, (1.0, 1.0)).overall
         nearest = min(abs(a * r + b * s - o) * c
                       for a, b, o, c in self.BOUNDARIES[mode]) / _SLOPE_DEADBAND
         if nearest >= 1.5:
@@ -266,16 +288,19 @@ class TestOneEvaluation:
             return f
 
         counted = dataclasses.replace(sch, **{name: wrap(getattr(sch, name), seen)
-                                              for name, seen in calls.items()})
-        pf.validate_schedule(counted, mode, (1.0, 1.0), force_numeric=numeric)
+                                              for name, seen in calls.items()},
+                                      family="custom" if numeric else sch.family)
+        pf.validate_schedule(counted, mode, (1.0, 1.0))
         for name, seen in calls.items():
             assert len(seen) == 1, name
             assert np.array_equal(seen[0], GRID), name
 
     @pytest.mark.parametrize("mode, numeric", list(NAMES))
     def test_check_names_in_order(self, mode, numeric):
-        rep = pf.validate_schedule(pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0),
-                                   mode, (1.0, 1.0), force_numeric=numeric)
+        sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
+        if numeric:
+            sch = dataclasses.replace(sch, family="custom")
+        rep = pf.validate_schedule(sch, mode, (1.0, 1.0))
         assert [c.name for c in rep.checks] == self.NAMES[mode, numeric]
 
     @pytest.mark.parametrize("mode", ["FB", "FBF", "SFBP"])
