@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ParameterError
+from .errors import ConvergenceFailure, ParameterError, require_int, require_range
 from .operators import as_vector, norm
 
 
@@ -52,15 +52,10 @@ def solve_auxiliary(prob, eps, beta, tol=1e-10, max_iter=200000, x0=None):
     ConvergenceFailure
         If max_iter is exhausted; the exception carries the last residual.
     """
-    if not eps > 0:
-        raise ParameterError("eps must be positive (strong monotonicity)")
-    if not beta >= 0:
-        raise ParameterError("beta must be nonnegative")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or max_iter < 1):
-        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    require_range("eps", eps, ">", 0)
+    require_range("beta", beta, ">=", 0)
+    require_range("tol", tol, ">", 0)
+    require_int("max_iter", max_iter, 1)
     x = np.zeros(prob.dim) if x0 is None else as_vector(x0, prob.dim).copy()
     lam = _internal_step(prob, eps, beta)
     resolvent = prob.a.resolvent
@@ -164,8 +159,8 @@ def path_regularity_check(prob, sigma1, sigma2):
     """
     e1, b1 = sigma1
     e2, b2 = sigma2
-    if not (e1 > 0 and e2 > 0 and b1 > 0 and b2 > 0):
-        raise ParameterError("both parameter pairs must be strictly positive")
+    for name, value in (("eps1", e1), ("beta1", b1), ("eps2", e2), ("beta2", b2)):
+        require_range(name, value, ">", 0)
     p1 = solve_auxiliary(prob, e1, b1, tol=_CHECK_SOLVER_TOL)
     p2 = solve_auxiliary(prob, e2, b2, tol=_CHECK_SOLVER_TOL)
     lhs = float(np.linalg.norm(p2.xbar - p1.xbar))
@@ -199,8 +194,7 @@ def path_derivative_check(prob, sch, t):
     passes when the finite-difference speed (step 1e-4 * t, on the central path
     at t - h, t, t + h) exceeds it by at most 5 % relatively.
     """
-    if not t > 0:
-        raise ParameterError("t must be positive")
+    require_range("t", t, ">", 0)
     h = 1e-4 * t
     lo, mid, hi = (p.xbar for p in central_path(prob, sch, [t - h, t, t + h],
                                                  tol=_CHECK_SOLVER_TOL))

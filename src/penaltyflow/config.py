@@ -43,9 +43,8 @@ from typing import Optional
 
 from .dynamics import GeometricGrid, UniformGrid
 from .errors import ConfigError, ParameterError
-from .schedules import polynomial_schedule
+from .schedules import MODES, polynomial_schedule
 
-_MODES = ("FB", "FBF", "SFBP")
 _GRIDS = {"uniform": UniformGrid, "geometric": GeometricGrid}
 
 _REQUIRED = object()  # the default of a key that must be given
@@ -162,8 +161,8 @@ def parse_config(data):
                                    "$.instance")
     elif not isinstance(top["instance"], str):
         raise ConfigError("must be a name or an object", field="$.instance")
-    if top["mode"] not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}", field="$.mode")
+    if top["mode"] not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}", field="$.mode")
     if top["mode"] == "SFBP" and "safety_factor" in data:
         raise ConfigError("SFBP steps are bounded only by h <= 1, which "
                           "safety_factor does not scale", field="$.safety_factor")

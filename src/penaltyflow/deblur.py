@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int, require_range
 from .imaging import (circulant_pairs, discrete_gradient, gaussian_blur,
                       gaussian_kernel, isnr)
 from .operators import box_normal_cone, pair_ball_cone, product_op
@@ -82,10 +82,9 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
     original = np.asarray(original, dtype=float)
     if original.ndim != 2:
         raise ParameterError("original must be a 2-D image")
-    if original.min() < 0.0 or original.max() > 1.0:
-        raise ParameterError("original pixels must lie in [0, 1]")
-    if seed < 0 or not noise_std >= 0:
-        raise ParameterError(f"seed {seed} and noise_std {noise_std} must be >= 0")
+    require_range("original pixels", original, ">=", 0, "<=", 1)
+    require_int("seed", seed, 0)
+    require_range("noise_std", noise_std, ">=", 0)
     m, n = original.shape
     npx = m * n
     kernel = gaussian_kernel(kernel_size, sigma)

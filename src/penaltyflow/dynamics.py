@@ -41,7 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, PreconditionError
+from .errors import (DivergenceError, ParameterError, PreconditionError, require_int,
+                     require_range)
 from .operators import as_vector, norm, require_finite
 
 _BLOWUP = 1e12
@@ -76,27 +77,19 @@ class IntegratorSpec:
 
     def __post_init__(self):
         g = self.grid
-        if isinstance(g, UniformGrid):
-            steps = (("grid h", g.h, g.h > 0, "> 0"),)
-        elif isinstance(g, GeometricGrid):
-            steps = (("grid h0", g.h0, g.h0 > 0, "> 0"),
-                     ("grid ratio", g.ratio, 1.0 <= g.ratio < math.inf, "finite and >= 1"))
-        else:
+        if not isinstance(g, (UniformGrid, GeometricGrid)):
             raise ParameterError("grid must be UniformGrid or GeometricGrid")
-        sf, every, most = self.safety_factor, self.store_every, self.max_steps
-        for name, value in (("store_every", every),
-                            ("max_steps", 1 if most is None else most)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        # one check per field, naming it and its value (NaN fails each); T
-        # must exceed the 1e-12 that the march stops short of it
-        for name, value, ok, need in (
-                ("safety_factor", sf, 0.0 < sf <= 1.0, "in (0, 1]"),
-                ("store_every", every, every >= 1, ">= 1"),
-                ("max_steps", most, most is None or most >= 1, ">= 1"),
-                *steps, ("grid T", g.T, g.T > 1e-12, "> 1e-12")):
-            if not ok:
-                raise ParameterError(f"{name} must be {need}, got {value}")
+        require_range("safety_factor", self.safety_factor, ">", 0, "<=", 1)
+        require_int("store_every", self.store_every, 1)
+        if self.max_steps is not None:
+            require_int("max_steps", self.max_steps, 1)
+        if isinstance(g, UniformGrid):
+            require_range("grid h", g.h, ">", 0)
+        else:
+            require_range("grid h0", g.h0, ">", 0)
+            require_range("grid ratio", g.ratio, ">=", 1, "<", math.inf)
+        # T must exceed the 1e-12 that the march stops short of it
+        require_range("grid T", g.T, ">", 1e-12)
 
 
 @dataclass

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package and the two argument rules."""
+
+import operator
+
+import numpy as np
+
+_COMPARE = {">": (operator.gt, "("), ">=": (operator.ge, "["),
+            "<": (operator.lt, ")"), "<=": (operator.le, "]")}
 
 
 class PenaltyflowError(Exception):
@@ -11,6 +18,26 @@ class PenaltyflowError(Exception):
 
 class ParameterError(PenaltyflowError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def require_range(name, value, op, bound, op2=None, bound2=None):
+    """Raise ParameterError "{name} must be {need}, got {value}" unless every
+    entry of ``value`` passes ``op bound`` (and ``op2 bound2``), comparisons
+    that NaN fails; ``need`` reads "> 0", "in (0, 1]" or "finite and >= 1"."""
+    ok = _COMPARE[op][0](value, bound) & (op2 is None or _COMPARE[op2][0](value, bound2))
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        need = (f"{op} {bound}" if op2 is None
+                else f"finite and {op} {bound}" if bound2 == np.inf
+                else f"in {_COMPARE[op][1]}{bound}, {bound2}{_COMPARE[op2][1]}")
+        raise ParameterError(f"{name} must be {need}, got {value}")
+
+
+def require_int(name, value, least):
+    """Raise ParameterError "{name} must be an integer, got {value!r}" unless
+    ``value`` is an int or numpy integer, not a bool; then require >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    require_range(name, value, ">=", least)
 
 
 class PreconditionError(ParameterError):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import MetricUndefinedError, ParameterError
+from .errors import MetricUndefinedError, ParameterError, require_int, require_range
 
 ISNR_CAP_DB = 300.0
 
@@ -16,8 +16,7 @@ def make_test_image(name, size):
 
     name is one of "checkerboard", "disk", "ramp".
     """
-    if size < 4:
-        raise ParameterError("size must be >= 4")
+    require_int("size", size, 4)
     ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     if name == "checkerboard":
         tile = max(size // 8, 1)
@@ -94,14 +93,14 @@ def gradient_norm_estimate(size):
 
 def gaussian_kernel(size, sigma):
     """Normalized truncated Gaussian weights on a size x size stencil."""
-    if size < 1 or size % 2 == 0:
+    require_int("kernel size", size, 1)
+    if size % 2 == 0:
         raise ParameterError("kernel size must be odd (center required)")
-    if sigma <= 0 and size > 1:
-        raise ParameterError("sigma must be positive")
-    half = size // 2
-    idx = np.arange(-half, half + 1, dtype=float)
     if size == 1:
         return np.ones((1, 1))
+    require_range("sigma", sigma, ">", 0)
+    half = size // 2
+    idx = np.arange(-half, half + 1, dtype=float)
     g = np.exp(-(idx ** 2) / (2.0 * sigma ** 2))
     k = np.outer(g, g)
     return k / k.sum()

@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ParameterError
+from .errors import ConvergenceFailure, ParameterError, require_int, require_range
 
 _LAM_FLOOR = 1e-300  # below this the resolvent is treated as the identity limit
 
@@ -129,8 +129,7 @@ class MonotoneOperator:
 
         lam = 0 returns x (identity limit); negative lam is an error.
         """
-        if lam < 0:
-            raise ParameterError("resolvent parameter must be nonnegative")
+        require_range("lam", lam, ">=", 0)
         x = np.asarray(x, dtype=float)
         if lam < _LAM_FLOOR:
             return x.copy()
@@ -143,8 +142,7 @@ class MonotoneOperator:
 
 def yosida_eval(op, lam, x):
     """Yosida regularization (x - resolvent(lam, x)) / lam."""
-    if lam <= 0:
-        raise ParameterError("Yosida parameter must be positive")
+    require_range("lam", lam, ">", 0)
     x = as_vector(x, op.dim)
     return (x - op.resolvent(lam, x)) / lam
 
@@ -175,8 +173,7 @@ def box_normal_cone(lo, hi, dim=None):
     """Normal cone of the box [lo, hi]; resolvent is the clamp, for any lam."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ParameterError("box has lo > hi in some coordinate")
+    require_range("lo", lo, "<=", hi)
     if dim is None and lo.ndim > 0:
         dim = lo.size if lo.size > 1 else None
     clamp = box_clamp(lo, hi)
@@ -186,8 +183,7 @@ def box_normal_cone(lo, hi, dim=None):
 
 def l1_subgradient(weight=1.0, dim=None):
     """Subdifferential of weight * ||.||_1; resolvent is soft thresholding."""
-    if weight < 0:
-        raise ParameterError("l1 weight must be nonnegative")
+    require_range("weight", weight, ">=", 0)
     w = float(weight)
     return MonotoneOperator("l1", lambda lam, x: soft_threshold(x, lam * w),
                             dim=dim, params={"weight": w})
@@ -323,11 +319,9 @@ def verify_certificate(op, kind, modulus=None, samples=1000, seed=0, dim=None):
     Violations are normalized by 1 + ||x|| + ||y||; the report passes iff the
     worst normalized violation is at most 1e-9 (1e-10 for the resolvent check).
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    require_int("samples", samples, 1)
     d = dim if dim is not None else getattr(op, "dim", None)
-    if d is None:
-        raise ParameterError("dimension required (operator does not fix one)")
+    require_int("dim", d, 1)  # None when the operator fixes no dimension
     rng = np.random.default_rng(seed)
     if kind == "firmly-nonexpansive-resolvent":
         if not isinstance(op, MonotoneOperator):

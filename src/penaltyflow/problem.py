@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, require_int, require_range
 from .operators import MonotoneOperator, box_clamp
 
 
@@ -32,8 +32,7 @@ class LipschitzOperator:
     affine: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ParameterError("eta must be positive")
+        require_range("eta", self.eta, ">", 0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class PenaltyOperator:
     zero_set_box: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError("mu must be positive")
+        require_range("mu", self.mu, ">", 0)
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ class ProblemInstance:
     x0_default: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError("dim must be >= 1")
+        require_int("dim", self.dim, 1)
         has_b2 = self.b2 is not None
         if (self.psi1 is not None) != has_b2 or (self.psi2 is not None) != has_b2:
             raise ParameterError("psi1 and psi2 are given with B2 and only with it")

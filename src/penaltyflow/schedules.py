@@ -22,8 +22,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_range
 
+MODES = ("FB", "FBF", "SFBP")
 #: log-spaced asymptotic validation grid
 GRID = np.logspace(2, 8, 31)
 _TAIL = 5            # samples used for slope fitting
@@ -80,16 +81,11 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
     gamma_bar : float in (0, 1]
         Relaxation factor; with gamma_kind="cos-inverse" gamma(t)=cos(1/max(t,1)).
     """
-    if not (0.0 < r < 1.0):
-        raise ParameterError("r must lie in (0, 1)")
-    if s <= 0:
-        raise ParameterError("s must be positive")
-    if b < 1.0:
-        raise ParameterError("b must be >= 1")
-    if lambda_bar <= 0:
-        raise ParameterError("lambda_bar must be positive")
-    if not (0.0 < gamma_bar <= 1.0):
-        raise ParameterError("gamma_bar must lie in (0, 1]")
+    require_range("r", r, ">", 0, "<", 1)
+    require_range("s", s, ">", 0)
+    require_range("b", b, ">=", 1)
+    require_range("lambda_bar", lambda_bar, ">", 0)
+    require_range("gamma_bar", gamma_bar, ">", 0, "<=", 1)
     if gamma_kind not in ("constant", "cos-inverse"):
         raise ParameterError("gamma_kind must be 'constant' or 'cos-inverse'")
 
@@ -227,7 +223,10 @@ def validate_schedule(sch, mode, moduli):
     """Check the schedule against the hypotheses of the requested mode.
 
     ``sch.family`` alone picks the route: the exact exponent tests for
-    "polynomial", the numeric grid tests for any other family.
+    "polynomial", the numeric grid tests for any other family. The FB and FBF
+    step bound ("lambda-step-bound", lam*L < 1) is checked only for t >= 1e7 on
+    GRID, so an accepted FBF schedule may run with lam*L > 1 before then; the
+    strict xfail test_fbf_leaves_the_path_while_lam_l_exceeds_1 pins one.
 
     Parameters
     ----------
@@ -240,11 +239,11 @@ def validate_schedule(sch, mode, moduli):
     ValidationReport
         overall is the conjunction of all listed checks.
     """
-    if mode not in ("FB", "FBF", "SFBP"):
+    if mode not in MODES:
         raise ParameterError(f"unknown mode '{mode}'")
     eta, mu = moduli
-    if eta <= 0 or mu <= 0:
-        raise ParameterError("moduli must be positive")
+    require_range("moduli eta", eta, ">", 0)
+    require_range("moduli mu", mu, ">", 0)
     values = _values(sch)
     eps, beta, lam = values[:3]
     if sch.family == "polynomial":
@@ -255,9 +254,7 @@ def validate_schedule(sch, mode, moduli):
         lb = float(lam[-1]) * float(beta[-1])
         checks.append(ScheduleCheck("lam*beta<2*mu", lb < 2.0 * mu, lb, float(GRID[-1])))
     else:
-        # Step bound lam(t) * (1/eta + eps + beta/mu) < 1 on the tail decade.
-        # The convergence conditions are asymptotic; early-time violations only
-        # lengthen the transient, so the check is restricted to t >= 1e7 on the grid.
+        # lam(t) * (1/eta + eps + beta/mu) < 1, on the tail decade only
         tail = GRID >= 1e7
         bound = lam[tail] * (1.0 / eta + eps[tail] + beta[tail] / mu)
         idx = int(np.argmax(bound))

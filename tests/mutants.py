@@ -79,7 +79,7 @@ MUTANTS = [
      "off = traj.times[idx] != p_times",
      "off = np.abs(traj.times[idx] - p_times) > 1e-9 * np.maximum(1.0, np.abs(p_times))"),
     ("ratio-inf-accepted", "dynamics.py",
-     "1.0 <= g.ratio < math.inf", "1.0 <= g.ratio"),
+     '"grid ratio", g.ratio, ">=", 1, "<", math.inf)', '"grid ratio", g.ratio, ">=", 1)'),
     # operators and problem data
     ("norm-strict-tiny", "operators.py", "if s >= _TINY:", "if s > _TINY:"),
     ("norm-no-rescale", "operators.py",
@@ -120,9 +120,16 @@ MUTANTS = [
      "_diagonal_points(prob, 1e-4)[-1].xbar", "_diagonal_points(prob, 1e-4)[0].xbar"),
     ("fd-forward-pair", "central_path.py",
      "np.linalg.norm(hi - lo)", "np.linalg.norm(hi - mid)"),
-    ("tol-guard-passes-nan", "central_path.py", "if not tol > 0:", "if tol <= 0:"),
     ("times-finite-unchecked", "central_path.py",
      "if not np.all(np.isfinite(times)):", "if False:"),
+    # the argument rules
+    ("tol-guard-passes-nan", "errors.py",
+     '">": (operator.gt, "(")', '">": (lambda a, b: not a <= b, "(")'),
+    ("int-rule-takes-bool", "errors.py",
+     "if isinstance(value, bool) or not isinstance(value, (int, np.integer)):",
+     "if not isinstance(value, (int, np.integer)):"),
+    ("mu-passes-nan", "problem.py", 'require_range("mu", self.mu, ">", 0)',
+     'self.mu != self.mu or require_range("mu", self.mu, ">", 0)'),
     # the runner
     ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
      "        if False:\n"),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -37,7 +38,8 @@ class TestSolveAuxiliary:
     @pytest.mark.parametrize("max_iter", [0, -3, 0.5, 2.0, True, None])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
         # 0, -3 and 0.5 ran no iteration and raised UnboundLocalError
-        with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+        says = rf"^max_iter must be (an integer|>= 1), got {re.escape(repr(max_iter))}$"
+        with pytest.raises(ParameterError, match=says):
             pf.solve_auxiliary(pf.build_canonical("scalar"), 1.0, 1.0, max_iter=max_iter)
 
     def test_max_iter_takes_numpy_integers(self):

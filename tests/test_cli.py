@@ -652,11 +652,11 @@ class TestCliCommands:
         ({"max_steps": -3}, "max_steps"),
         ({"x0": [1.0, 2.0]}, "dimension 2, expected 1"),
         ({"grid": {"kind": "uniform", "h": math.nan, "T": 1e3}}, "$.grid.h"),
-        (dict(SMALL_DEBLUR, seed=-1), "seed -1"),
+        (dict(SMALL_DEBLUR, seed=-1), "seed must be >= 0, got -1"),
         (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "noise_std": -0.5}}),
-         "noise_std -0.5"),
+         "noise_std must be >= 0, got -0.5"),
         ({"schedule": {"family": "polynomial", "r": 2, "s": 0.2}},
-         "$.schedule: r must lie in (0, 1)"),
+         "$.schedule: r must be in (0, 1), got 2.0"),
         (dict(SMALL_DEBLUR, outputs={"path_csv": True, "tracking": True}),
          "error: $.outputs.tracking: not written for a deblur instance"),
         ({"outputs": {"isnr_csv": True, "images": True}},
@@ -683,7 +683,7 @@ class TestCliCommands:
         p = write_config(tmp_path, **SMALL_DEBLUR)
         assert main(["run", p, "--out-dir", str(tmp_path / "o"),
                      "--seed-override", "-1"]) == 1
-        assert "seed -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=small_configs())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,3 +338,51 @@ class TestCustomOracle:
         rep = pf.verify_certificate(half, "firmly-nonexpansive-resolvent",
                                     samples=300, seed=0)
         assert rep.passed
+
+
+_NAN = math.nan
+_BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pf.LipschitzOperator(eval=abs, eta=_NAN), "eta must be > 0, got nan"),
+    (lambda: pf.PenaltyOperator(eval=abs, mu=_NAN), "mu must be > 0, got nan"),
+    (lambda: replace(pf.build_canonical("scalar"), dim=_NAN),
+     "dim must be an integer, got nan"),
+    (lambda: pf.polynomial_schedule(0.1, _NAN), "s must be > 0, got nan"),
+    (lambda: pf.polynomial_schedule(0.1, 0.2, b=_NAN), "b must be >= 1, got nan"),
+    (lambda: pf.polynomial_schedule(0.1, 0.2, lambda_bar=_NAN),
+     "lambda_bar must be > 0, got nan"),
+    (lambda: pf.validate_schedule(pf.polynomial_schedule(0.1, 0.2), "FB", (_NAN, 1.0)),
+     "moduli eta must be > 0, got nan"),
+    (lambda: _BOX.resolvent(_NAN, np.zeros(1)), "lam must be >= 0, got nan"),
+    (lambda: pf.yosida_eval(_BOX, _NAN, np.zeros(1)), "lam must be > 0, got nan"),
+    (lambda: pf.l1_subgradient(_NAN), "weight must be >= 0, got nan"),
+    (lambda: pf.box_normal_cone(_NAN, 1.0), "lo must be <= 1.0, got nan"),
+    (lambda: pf.gaussian_kernel(3, _NAN), "sigma must be > 0, got nan"),
+    (lambda: pf.build_tv_deblur(np.full((4, 4), _NAN), kernel_size=3),
+     "original pixels must be in [0, 1], got " + str(np.full((4, 4), _NAN))),
+    (lambda: replace(pf.build_canonical("scalar"), dim=1.5),
+     "dim must be an integer, got 1.5"),
+    (lambda: pf.gaussian_kernel(2.5, 1.0), "kernel size must be an integer, got 2.5"),
+    (lambda: pf.make_test_image("disk", 4.5), "size must be an integer, got 4.5"),
+    (lambda: pf.build_tv_deblur(np.zeros((4, 4)), kernel_size=3, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: pf.verify_certificate(pf.zero_op(), "monotone", dim=2.5),
+     "dim must be an integer, got 2.5"),
+    (lambda: pf.verify_certificate(pf.zero_op(1), "monotone", samples=2.5),
+     "samples must be an integer, got 2.5"),
+    (lambda: pf.verify_certificate(pf.zero_op(1), "monotone", samples="3"),
+     "samples must be an integer, got '3'"),
+    (lambda: pf.verify_certificate(pf.zero_op(1), "monotone", samples=True),
+     "samples must be an integer, got True"),
+], ids=["eta", "mu", "dim", "s", "b", "lambda_bar", "moduli", "resolvent-lam", "yosida-lam",
+        "l1-weight", "box-lo", "sigma", "original-pixels", "dim-1.5", "kernel-size-2.5",
+        "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5", "samples-str",
+        "samples-bool"])
+def test_argument_rules_name_the_argument_and_value(call, message):
+    # NaN passed every guard written as x <= 0, and only IntegratorSpec and
+    # solve_auxiliary checked that an integer argument is an integer
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert str(exc.value) == message
