@@ -16,9 +16,8 @@ from .imaging import (discrete_gradient, gaussian_blur, gaussian_kernel,
                       gradient_norm_estimate, isnr, make_test_image)
 from .instances import CANONICAL_NAMES, build_canonical
 from .operators import (MonotoneOperator, affine_op, box_normal_cone,
-                        inverse_op, l1_subgradient, pair_ball_cone, product_op,
-                        project_pair_ball, verify_certificate, yosida_eval,
-                        zero_op)
+                        inverse_op, l1_subgradient, project_pair_ball,
+                        verify_certificate, yosida_eval, zero_op)
 from .oracle import (SolutionCertificate, active_set_solve,
                      high_precision_reference)
 from .pgmio import read_pgm, write_pgm

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParameterError, require_int, require_range
 from .imaging import (circulant_pairs, discrete_gradient, gaussian_blur,
                       gaussian_kernel, isnr)
-from .operators import box_normal_cone, pair_ball_cone, product_op
+from .operators import MonotoneOperator, project_pair_ball
 from .problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
 _GRAD_NORM_SQ = 8.0  # the forward-difference stencil satisfies ||L||^2 <= 8
@@ -111,8 +111,16 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
         theta -= ktb
         return out
 
-    a_op = product_op([(box_normal_cone(0.0, 1.0), npx),
-                       (pair_ball_cone(npx), 2 * npx)])
+    def a_res(lam, x):
+        # theta clipped into [0, 1], each (u_i, v_i) into the unit disc, any lam
+        out = np.empty_like(x)
+        theta, u, v = x.reshape(3, npx)
+        box, disc_u, disc_v = out.reshape(3, npx)
+        np.clip(theta, 0.0, 1.0, out=box)
+        project_pair_ball(u, v, out=(disc_u, disc_v))
+        return out
+
+    a_op = MonotoneOperator("box-disc", a_res, dim=3 * npx)
     d_op = LipschitzOperator(eval=d_eval, eta=1.0 / math.sqrt(_GRAD_NORM_SQ),
                              cocoercive=False)
     b_op = PenaltyOperator(eval=b_eval, mu=1.0)

@@ -8,7 +8,6 @@ pure functions, so concurrent evaluation is safe.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -101,8 +100,8 @@ class MonotoneOperator:
     Parameters
     ----------
     kind : str
-        Descriptor tag ("zero", "box", "l1", "product", "inverse", "affine",
-        "pair-ball", or any other name for a custom oracle).
+        Descriptor tag ("zero", "box", "l1", "inverse", "affine", or any other
+        name for a custom oracle, such as the deblurring "box-disc").
     resolvent_fn : callable
         Map (lam, x) -> y with x - y in lam * op(y). The integrators pass lam
         as a 0-d float64 array, valid only during the call; ``resolvent``
@@ -110,7 +109,7 @@ class MonotoneOperator:
     eval_fn : callable, optional
         Pointwise evaluation when the operator is single-valued.
     dim : int, optional
-        Ambient dimension when the descriptor fixes one.
+        Ambient dimension (an integer >= 1) when the descriptor fixes one.
     params : dict, optional
         Descriptor data (box bounds, matrices, ...) kept for introspection.
     """
@@ -121,6 +120,8 @@ class MonotoneOperator:
         self.kind = kind
         self._resolvent_fn = resolvent_fn
         self.eval = eval_fn
+        if dim is not None:
+            require_int("dim", dim, 1)
         self.dim = dim
         self.params = dict(params or {})
 
@@ -207,12 +208,12 @@ def affine_op(M, q=None):
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
-    if M.shape != (n, n):
-        raise ParameterError("affine operator needs a square matrix")
+    if M.shape != (n, n) or not np.isfinite(M).all():
+        raise ParameterError("affine operator needs a finite square matrix")
     q = np.zeros(n) if q is None else as_vector(q, n)
     sym_eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if sym_eigs.min() < -1e-10 * max(1.0, abs(sym_eigs).max()):
-        raise ParameterError("affine operator is not monotone (M + M^T has negative eigenvalue)")
+    require_range("affine operator is not monotone: least eigenvalue of (M + M^T)/2",
+                  sym_eigs.min(), ">=", -1e-10 * max(1.0, abs(sym_eigs).max()))
     eye = np.eye(n)
 
     def _res(lam, x):
@@ -220,48 +221,6 @@ def affine_op(M, q=None):
 
     return MonotoneOperator("affine", _res, eval_fn=lambda x: M @ x + q,
                             dim=n, params={"M": M, "q": q})
-
-
-def product_op(blocks):
-    """Block product of operators acting on contiguous slices.
-
-    The product's oracle calls each block's raw oracle, so a step pays no
-    per-block validation; ``resolvent`` validates the whole output once.
-
-    Parameters
-    ----------
-    blocks : list of (MonotoneOperator, int)
-        Operators and the lengths of the slices they act on.
-    """
-    sizes = [int(n) for _, n in blocks]
-    offsets = [0, *accumulate(sizes)]
-    ops = [op for op, _ in blocks]
-    parts = [(op._resolvent_fn, a, b) for op, a, b in zip(ops, offsets[:-1], offsets[1:])]
-
-    def _res(lam, x):
-        out = np.empty_like(x)
-        for fn, a, b in parts:
-            out[a:b] = fn(lam, x[a:b])
-        return out
-
-    return MonotoneOperator("product", _res, dim=offsets[-1],
-                            params={"blocks": list(zip(ops, sizes))})
-
-
-def pair_ball_cone(n_pairs):
-    """Normal cone of the set of (u, v) fields with pairwise norms <= 1.
-
-    Acts on a flattened state [u; v] of length 2 * n_pairs; the resolvent is
-    the pairwise disc projection, for any lam.
-    """
-    n = int(n_pairs)
-
-    def _res(lam, x):
-        out = np.empty_like(x)
-        project_pair_ball(x[:n], x[n:], out=(out[:n], out[n:]))
-        return out
-
-    return MonotoneOperator("pair-ball", _res, dim=2 * n, params={"n_pairs": n})
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ import numpy as np
 from .errors import ParameterError, require_range
 
 MODES = ("FB", "FBF", "SFBP")
-#: log-spaced asymptotic validation grid
+#: log-spaced asymptotic validation grid, read-only: every schedule callable sees it
 GRID = np.logspace(2, 8, 31)
+GRID.flags.writeable = False
 _TAIL = 5            # samples used for slope fitting
 _SLOPE_DEADBAND = 1e-2
 _RHO_STAR = 2.0      # the Attouch-Czarnecki exponent of the SFBP result

@@ -100,6 +100,12 @@ MUTANTS = [
      'boxes.append((b2.params["lo"], b2.params["hi"]))', "pass"),
     ("certificate-lam-cycle", "operators.py",
      "lam = lams[(k // 3) % 3]", "lam = lams[k % 3]"),
+    ("dim-rule-takes-float", "operators.py",
+     'require_int("dim", dim, 1)', 'require_range("dim", dim, ">=", 1)'),
+    ("deblur-clip-to-2", "deblur.py",
+     "np.clip(theta, 0.0, 1.0, out=box)", "np.clip(theta, 0.0, 2.0, out=box)"),
+    ("deblur-uv-swapped", "deblur.py",
+     "out=(disc_u, disc_v)", "out=(disc_v, disc_u)"),
     # schedules
     ("fused-lam-rewritten", "schedules.py",
      "return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)",

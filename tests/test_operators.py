@@ -51,46 +51,8 @@ class TestResolvents:
         assert np.allclose(y + lam * (m @ y + q), x, atol=1e-12)
 
     def test_affine_rejects_nonmonotone(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="affine operator is not monotone"):
             pf.affine_op(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-
-    def test_product_applies_blockwise(self):
-        op = pf.product_op([(pf.box_normal_cone(0.0, 1.0), 2),
-                            (pf.l1_subgradient(1.0), 1)])
-        y = op.resolvent(1.0, np.array([-1.0, 0.5, 2.0]))
-        assert np.allclose(y, [0.0, 0.5, 1.0])
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), sizes=st.tuples(st.integers(1, 4), st.integers(1, 4),
-                                           st.integers(1, 4)),
-           lam=st.floats(0.01, 10.0))
-    def test_product_oracle_is_concatenated_block_resolvents(self, data, sizes, lam):
-        nb, npair, nl = sizes
-        blocks = [(pf.box_normal_cone(-1.0, 1.0), nb),
-                  (pf.pair_ball_cone(npair), 2 * npair),
-                  (pf.l1_subgradient(0.7), nl)]
-        entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
-        dim = nb + 2 * npair + nl
-        x = np.array(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
-        before = x.tobytes()
-        parts, a = [], 0
-        for op, n in blocks:
-            parts.append(op.resolvent(lam, x[a:a + n]))
-            a += n
-        ref = np.concatenate(parts).tobytes()
-        prod = pf.product_op(blocks)
-        assert prod._resolvent_fn(lam, x).tobytes() == ref
-        assert prod.resolvent(lam, x).tobytes() == ref
-        assert x.tobytes() == before
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_product_rejects_nonfinite_block_output(self, bad):
-        rogue = pf.MonotoneOperator("custom", lambda lam, x: np.full_like(x, bad))
-        for blocks in ([(pf.box_normal_cone(0.0, 1.0), 2), (rogue, 1)],
-                       [(rogue, 1), (pf.pair_ball_cone(1), 2)]):
-            prod = pf.product_op(blocks)
-            with pytest.raises(ConvergenceFailure, match="'product'"):
-                prod.resolvent(1.0, np.array([0.5, -0.5, 2.0]))
 
 
 class TestYosida:
@@ -201,14 +163,19 @@ class TestProjections:
         theta = rng.standard_normal(35) * 2
         x = np.concatenate([theta, u, v])
         before = x.tobytes()
-        got = pf.pair_ball_cone(35).resolvent(0.5, x[35:])
-        ref = np.concatenate(pf.project_pair_ball(u, v))
-        assert got.tobytes() == ref.tobytes()
         inst = pf.build_tv_deblur(rng.random((5, 7)))
         got = inst.problem.a.resolvent(0.5, x)
-        ref = np.concatenate([np.clip(theta, 0.0, 1.0), ref])
+        ref = np.concatenate([np.clip(theta, 0.0, 1.0), *pf.project_pair_ball(u, v)])
         assert got.tobytes() == ref.tobytes()
         assert x.tobytes() == before
+
+    @pytest.mark.parametrize("at", [5, 17, 29], ids=["theta", "u", "v"])
+    def test_deblur_resolvent_rejects_nan(self, at):
+        a = pf.build_tv_deblur(np.full((3, 4), 0.5), kernel_size=3).problem.a
+        x = np.zeros(36)
+        x[at] = np.nan
+        with pytest.raises(ConvergenceFailure, match=f"'{a.kind}'"):
+            a.resolvent(1.0, x)
 
     def test_pair_ball_shape_mismatch(self):
         with pytest.raises(ParameterError):
@@ -376,10 +343,18 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
      "samples must be an integer, got '3'"),
     (lambda: pf.verify_certificate(pf.zero_op(1), "monotone", samples=True),
      "samples must be an integer, got True"),
+    (lambda: pf.zero_op(2.5), "dim must be an integer, got 2.5"),
+    (lambda: pf.box_normal_cone(0, 1, dim=2.5), "dim must be an integer, got 2.5"),
+    (lambda: pf.l1_subgradient(dim=2.5), "dim must be an integer, got 2.5"),
+    (lambda: pf.MonotoneOperator("custom", abs, dim=True), "dim must be an integer, got True"),
+    (lambda: pf.affine_op([[_NAN]]), "affine operator needs a finite square matrix"),
+    (lambda: pf.affine_op([[_NAN, 0.0], [0.0, 2.0]]),
+     "affine operator needs a finite square matrix"),
 ], ids=["eta", "mu", "dim", "s", "b", "lambda_bar", "moduli", "resolvent-lam", "yosida-lam",
         "l1-weight", "box-lo", "sigma", "original-pixels", "dim-1.5", "kernel-size-2.5",
         "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5", "samples-str",
-        "samples-bool"])
+        "samples-bool", "zero-dim-2.5", "box-dim-2.5", "l1-dim-2.5", "custom-dim-bool",
+        "affine-nan", "affine-nan-off-eigs"])
 def test_argument_rules_name_the_argument_and_value(call, message):
     # NaN passed every guard written as x <= 0, and only IntegratorSpec and
     # solve_auxiliary checked that an integer argument is an integer

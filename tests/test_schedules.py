@@ -311,6 +311,20 @@ class TestOneEvaluation:
         assert (pf.validate_schedule(flat, mode, (1.0, 1.0))
                 == pf.validate_schedule(sch, mode, (1.0, 1.0)))
 
+    def test_grid_is_read_only(self):
+        # the one GRID array reaches every callable: an in-place update would
+        # move the grid of every later validation in the process
+        before = GRID.copy()
+
+        def shifted(t):
+            t += 1.0
+            return t
+
+        sch = dataclasses.replace(power_schedule(lam_exp=-0.6, beta_exp=0.55), eps=shifted)
+        with pytest.raises(ValueError, match="read-only"):
+            pf.validate_schedule(sch, "FB", (1.0, 1.0))
+        assert np.array_equal(GRID, before) and GRID[0] == 100.0
+
 
 class TestAttouchCzarnecki:
     def test_integrable_power_pair(self):
