@@ -111,7 +111,8 @@ class MonotoneOperator:
     dim : int, optional
         Ambient dimension (an integer >= 1) when the descriptor fixes one.
     params : dict, optional
-        Descriptor data (box bounds, matrices, ...) kept for introspection.
+        Descriptor data: a box's bounds ``lo`` and ``hi``, which the combined
+        resolvent and ``ProblemInstance.feasible_box`` read.
     """
 
     __slots__ = ("kind", "_resolvent_fn", "eval", "dim", "params")
@@ -152,31 +153,36 @@ def zero_op(dim=None):
     """The zero operator; its resolvent is the identity."""
     return MonotoneOperator("zero", lambda lam, x: x.copy(),
                             eval_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                            dim=dim, params={})
+                            dim=dim)
 
 
 def box_clamp(lo, hi):
     """The map x -> x.clip(lo, hi), bitwise, for float arrays lo <= hi.
 
-    A side unbounded in every coordinate is left out: one ``np.minimum`` or
-    ``np.maximum`` returns the same bytes as ``clip`` and skips numpy's Python
-    wrapper around it, about half of a clamp's cost on a short vector.
+    A lower side unbounded in every coordinate is left out: ``np.minimum``
+    returns the same bytes as ``clip`` and skips numpy's Python wrapper around
+    it, about half of a clamp's cost on a short vector.
     """
     lo, hi = np.broadcast_arrays(lo, hi)  # the output shape clip would give
     if np.all(lo == -math.inf):
         return lambda x: np.minimum(x, hi)
-    if np.all(hi == math.inf):
-        return lambda x: np.maximum(x, lo)
     return lambda x: x.clip(lo, hi)
 
 
 def box_normal_cone(lo, hi, dim=None):
-    """Normal cone of the box [lo, hi]; resolvent is the clamp, for any lam."""
+    """Normal cone of the box [lo, hi]; resolvent is the clamp, for any lam.
+
+    Bounds with more than one entry fix the dimension, and a ``dim`` given too
+    must equal it; scalar and 1-element bounds broadcast to any ``dim``.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     require_range("lo", lo, "<=", hi)
-    if dim is None and lo.ndim > 0:
-        dim = lo.size if lo.size > 1 else None
+    n = np.broadcast(lo, hi).size
+    if n > 1:
+        if dim is not None and dim != n:
+            raise ParameterError(f"dim must equal the {n} entries of the bounds, got {dim}")
+        dim = n
     clamp = box_clamp(lo, hi)
     return MonotoneOperator("box", lambda lam, x: clamp(x),
                             dim=dim, params={"lo": lo, "hi": hi})
@@ -186,8 +192,7 @@ def l1_subgradient(weight=1.0, dim=None):
     """Subdifferential of weight * ||.||_1; resolvent is soft thresholding."""
     require_range("weight", weight, ">=", 0)
     w = float(weight)
-    return MonotoneOperator("l1", lambda lam, x: soft_threshold(x, lam * w),
-                            dim=dim, params={"weight": w})
+    return MonotoneOperator("l1", lambda lam, x: soft_threshold(x, lam * w), dim=dim)
 
 
 def inverse_op(inner):
@@ -198,7 +203,7 @@ def inverse_op(inner):
     def _res(lam, x):
         return x - lam * inner.resolvent(1.0 / lam, x / lam)
 
-    return MonotoneOperator("inverse", _res, dim=inner.dim, params={"inner": inner})
+    return MonotoneOperator("inverse", _res, dim=inner.dim)
 
 
 def affine_op(M, q=None):
@@ -219,8 +224,7 @@ def affine_op(M, q=None):
     def _res(lam, x):
         return np.linalg.solve(eye + lam * M, x - lam * q)
 
-    return MonotoneOperator("affine", _res, eval_fn=lambda x: M @ x + q,
-                            dim=n, params={"M": M, "q": q})
+    return MonotoneOperator("affine", _res, eval_fn=lambda x: M @ x + q, dim=n)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Binary PGM (P5, maxval 255) reading/writing and atomic file emission."""
 
 import os
+import re
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
+
+_HEADER = re.compile(rb"P5\s(-?\d+)\s(-?\d+)\s(\d+)\s")
 
 
 def atomic_write_bytes(path, data):
@@ -51,40 +54,27 @@ def write_pgm(path, img):
 
 
 def read_pgm(path):
-    """Read a binary PGM written by :func:`write_pgm`; returns a [0, 1] image."""
+    """Read a binary PGM written by :func:`write_pgm`; returns a [0, 1] image.
+
+    The header must be exactly what ``write_pgm`` writes: ``P5``, width, height
+    and maxval 255, each followed by one whitespace byte. Comments and other
+    PNM variants raise FormatError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] == b"P2":
         raise FormatError("ASCII (P2) PGM is not supported; use binary P5")
     if blob[:2] != b"P5":
         raise FormatError("not a PGM file (missing P5 magic)")
-    # header tokens: width, height, maxval; '#' comment lines allowed
-    tokens = []
-    i = 2
-    while len(tokens) < 3:
-        while i < len(blob) and blob[i:i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i:i + 1] == b"#":
-            while i < len(blob) and blob[i:i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(blob) and not blob[j:j + 1].isspace():
-            j += 1
-        if j == i:
-            raise FormatError("truncated PGM header")
-        tokens.append(blob[i:j])
-        i = j
-    i += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise FormatError(f"malformed PGM header: {exc}") from exc
+    header = _HEADER.match(blob)
+    if header is None:
+        raise FormatError("malformed or truncated PGM header")
+    w, h, maxval = (int(t) for t in header.groups())
     if w < 1 or h < 1:
         raise FormatError(f"PGM size {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval} (need 255)")
-    raster = blob[i:i + w * h]
+    raster = blob[header.end():header.end() + w * h]
     if len(raster) != w * h:
         raise FormatError("PGM raster shorter than header promises")
     data = np.frombuffer(raster, dtype=np.uint8).reshape(h, w)

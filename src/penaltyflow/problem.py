@@ -95,37 +95,20 @@ class ProblemInstance:
     def shifted_resolvent_fn(self):
         """Specialized (lam, beta, x) -> y closure for the combined resolvent.
 
-        Composes the resolvent at the descriptor level and hoists the
-        descriptor dispatch out of integration loops; raises PreconditionError
-        for pairs it cannot compose exactly.
+        Composed for A = 0 only, where it is the resolvent of lam*beta*B2 (the
+        clamp itself for a box B2), and built once per march; raises
+        PreconditionError for every other pair.
         """
         if self.b2 is None:
             raise PreconditionError("instance has no second penalty operator")
         a, b2 = self.a, self.b2
         if a.kind == "zero" and b2.kind == "box":
-            # the box clamp takes no parameter; call it without the wrappers below
+            # the box clamp takes no parameter; call it without the wrapper below
             clamp = box_clamp(b2.params["lo"], b2.params["hi"])
             return lambda lam, beta, x: clamp(x)
         if a.kind == "zero":
             fn = b2._resolvent_fn
             return lambda lam, beta, x: fn(lam * beta, x)
-        if b2.kind == "zero":
-            fn = a._resolvent_fn
-            return lambda lam, beta, x: fn(lam, x)
-        if a.kind == "box" and b2.kind == "box":
-            # normal cones of overlapping boxes add up to the cone of the intersection
-            lo = np.maximum(a.params["lo"], b2.params["lo"])
-            hi = np.minimum(a.params["hi"], b2.params["hi"])
-            if np.any(lo > hi):
-                raise PreconditionError("box constraints of A and B2 do not intersect")
-            clamp = box_clamp(lo, hi)
-            return lambda lam, beta, x: clamp(x)
-        if a.kind == "affine" and b2.kind == "affine":
-            ma, qa = a.params["M"], a.params["q"]
-            mb, qb = b2.params["M"], b2.params["q"]
-            eye = np.eye(ma.shape[0])
-            return lambda lam, beta, x: np.linalg.solve(
-                eye + lam * (ma + beta * mb), x - lam * (qa + beta * qb))
         raise PreconditionError(
             f"no combined resolvent for descriptor pair ({a.kind}, {b2.kind})")
 

@@ -100,6 +100,8 @@ MUTANTS = [
      'boxes.append((b2.params["lo"], b2.params["hi"]))', "pass"),
     ("certificate-lam-cycle", "operators.py",
      "lam = lams[(k // 3) % 3]", "lam = lams[k % 3]"),
+    ("box-dim-unchecked", "operators.py",
+     "if dim is not None and dim != n:", "if False:"),
     ("dim-rule-takes-float", "operators.py",
      'require_int("dim", dim, 1)', 'require_range("dim", dim, ">=", 1)'),
     ("deblur-clip-to-2", "deblur.py",
@@ -140,6 +142,7 @@ MUTANTS = [
     ("outputs-unchecked", "runner.py", "        if cfg.outputs[key]:\n",
      "        if False:\n"),
     ("path-tol-1e-6", "runner.py", "traj.times, tol=1e-10)", "traj.times, tol=1e-6)"),
+    ("pgm-any-maxval", "pgmio.py", "if maxval != 255:", "if False:"),
     ("artifact-mode-0600", "pgmio.py", "fd = os.open(tmp, flags, 0o666)",
      "fd = os.open(tmp, flags, 0o600)"),
     ("report-first-b1", "runner.py",

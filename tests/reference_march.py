@@ -52,8 +52,7 @@ def reference_steps(mode, prob, sch, x0, spec):
         x = x + h * dx
         t, k, h_req = t + h, k + 1, h_req * ratio
     t, h, lam, eps, bet, gam, b1n, ks, xs, dxs, ps, qs = map(np.array, zip(*rows))
-    psi = None if prob.psi1 is None else (
-        np.full(len(rows), math.nan) if prob.psi2 is None else prob.psi1(qs) + prob.psi2(qs))
+    psi = None if prob.psi1 is None else prob.psi1(qs) + prob.psi2(qs)
     fbf = mode == "FBF"
     traj = pf.Trajectory(
         mode=mode, times=t, states=xs, step_sizes=h, b1_norms=b1n, psi_sums=psi,

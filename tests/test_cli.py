@@ -197,6 +197,21 @@ class TestPgmRoundTrip:
         with pytest.raises(FormatError, match="at least 1x1"):
             pf.read_pgm(p)
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"P5\n# made by hand\n2 2\n255\nabcd", "malformed or truncated PGM header"),
+        (b"P5\n2  2\n255\nabcd", "malformed or truncated PGM header"),
+        (b"P5\n2 2\n255", "malformed or truncated PGM header"),
+        (b"P5\n2 2\n65535\nabcdefgh", "unsupported PGM maxval 65535 (need 255)"),
+    ], ids=["comment", "two-spaces", "no-raster", "maxval-65535"])
+    def test_header_other_than_write_pgm_rejected(self, tmp_path, blob, message):
+        # the header must be exactly P5, width, height and 255, each followed
+        # by one whitespace byte
+        p = tmp_path / "header.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError) as exc:
+            pf.read_pgm(p)
+        assert str(exc.value) == message
+
     def test_nan_pixel_rejected(self, tmp_path):
         p = tmp_path / "nan.pgm"
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):

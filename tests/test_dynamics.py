@@ -647,9 +647,11 @@ class TestSoundness:
     def test_accepted_schedule_ends_near_the_path(self, data):
         """From any x0 in [-5, 5]^d, a run under an accepted schedule stays
         bounded and ends no farther from the central path than it started,
-        up to 1e-3. The validator bounds lam*L only for t >= 1e7, so FBF
-        draws whose lam*L reaches 1 on [0, T] are discarded: there the path
-        point can repel (see the next test)."""
+        up to 1e-3. The validator bounds FBF's lam*L only for t >= 1e7 and
+        SFBP's lam*beta only at t = 1e8, so FBF draws whose lam*L reaches 1 on
+        [0, T] and SFBP draws whose lam*L reaches 2 are discarded: there the
+        unit step is expansive, and the run can leave the path or lag it (see
+        the next two tests)."""
         name, mode = data.draw(st.sampled_from(_CANONICAL_CASES))
         prob = pf.build_canonical(name)
         sch = data.draw(accepted_schedules(mode, prob))
@@ -657,7 +659,8 @@ class TestSoundness:
         assert mode != "SFBP" or pf.attouch_czarnecki_check(sch)[1]
         x0 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=prob.dim,
                                          max_size=prob.dim)))
-        assume(mode != "FBF" or max_lam_l(prob, sch, self.T) < 1.0)
+        bound = {"FBF": 1.0, "SFBP": 2.0}.get(mode)
+        assume(bound is None or max_lam_l(prob, sch, self.T) < bound)
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=self.T), safety_factor=1.0,
                                  store_every=1000)
         traj = _MODES[mode][0](prob, sch, x0, spec)
@@ -678,6 +681,23 @@ class TestSoundness:
         assert max_lam_l(prob, sch, 500.0) > 1.0
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=500.0))
         traj = pf.integrate_fbf(prob, sch, x0, spec)
+        start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
+        assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="validate_schedule reads SFBP's lam*beta < 2*mu at t = 1e8 alone")
+    def test_sfbp_lags_the_path_while_lam_l_exceeds_2(self):
+        """An accepted SFBP schedule whose lam*L peaks at 2.30 near t = 16 and
+        falls below 2 only near t = 700. While lam*L > 2 the unit step
+        x+ = J(x - lam*V(x)) is expansive: from x0 = 1, on the path, the run
+        ends 6.0e-3 from it at T = 1e3 (2e-5 with lambda_bar 1.92)."""
+        prob, x0 = pf.build_canonical("sfbp-two-penalty"), np.array([1.0])
+        sch = pf.polynomial_schedule(0.765625, 0.53125, 1.0, 1.9375, 1.0)
+        assert pf.validate_schedule(sch, "SFBP", (prob.d.eta, prob.b1.mu)).overall
+        assert pf.attouch_czarnecki_check(sch)[1]
+        assert max_lam_l(prob, sch, 1e3) > 2.0
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e3), store_every=1000)
+        traj = pf.integrate_sfbp(prob, sch, x0, spec)
         start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
         assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
 

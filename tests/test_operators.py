@@ -345,6 +345,8 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
      "samples must be an integer, got True"),
     (lambda: pf.zero_op(2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.box_normal_cone(0, 1, dim=2.5), "dim must be an integer, got 2.5"),
+    (lambda: pf.box_normal_cone([0, 0, 0], [1, 1, 1], dim=2),
+     "dim must equal the 3 entries of the bounds, got 2"),
     (lambda: pf.l1_subgradient(dim=2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.MonotoneOperator("custom", abs, dim=True), "dim must be an integer, got True"),
     (lambda: pf.affine_op([[_NAN]]), "affine operator needs a finite square matrix"),
@@ -353,8 +355,8 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
 ], ids=["eta", "mu", "dim", "s", "b", "lambda_bar", "moduli", "resolvent-lam", "yosida-lam",
         "l1-weight", "box-lo", "sigma", "original-pixels", "dim-1.5", "kernel-size-2.5",
         "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5", "samples-str",
-        "samples-bool", "zero-dim-2.5", "box-dim-2.5", "l1-dim-2.5", "custom-dim-bool",
-        "affine-nan", "affine-nan-off-eigs"])
+        "samples-bool", "zero-dim-2.5", "box-dim-2.5", "box-dim-2-of-3", "l1-dim-2.5",
+        "custom-dim-bool", "affine-nan", "affine-nan-off-eigs"])
 def test_argument_rules_name_the_argument_and_value(call, message):
     # NaN passed every guard written as x <= 0, and only IntegratorSpec and
     # solve_auxiliary checked that an integer argument is an integer
