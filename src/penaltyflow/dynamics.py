@@ -23,13 +23,14 @@ loop rewrites each step, so they are valid only during the call: numpy
 converts a Python float operand on every ufunc call but takes a 0-d array as
 is, and at dimension 1-2 that conversion is a large share of a step. For the
 same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. The
-recorder stores states, not step vectors: X and the schedule values at each
-sample, FBF's |P| as one more scalar, and SFBP's J, as only SFBP carries the
-penalty potentials and the loop evaluates psi1 + psi2 once, on the stack of
-stored J, after the march. tracking_report recomputes dx and P at a sample
-with the same step map. FB and FBF steps are capped by the local Lipschitz
-bound of the vector field scaled by the safety factor, which for FB is at
-most safety/(2*gamma), so gamma*h <= 1/2; SFBP keeps h <= 1.
+recorder stores states, not step vectors, in buffers that double when full:
+X and the schedule values at each sample, FBF's |P| as one more scalar, and
+SFBP's J, as only SFBP carries the penalty potentials and the loop evaluates
+psi1 + psi2 once, on the stack of stored J, after the march.
+tracking_report recomputes dx and P at a sample with the same step map. FB
+and FBF steps are capped by the local Lipschitz bound of the vector field
+scaled by the safety factor, which for FB is at most safety/(2*gamma), so
+gamma*h <= 1/2; SFBP keeps h <= 1.
 Either way X+ stays a convex combination of X and the resolvent point.
 Each mode calls one backward-step oracle on every step, and the loop checks
 the final dx once for non-finite entries (ConvergenceFailure).
@@ -67,7 +68,8 @@ class IntegratorSpec:
 
     safety_factor scales the Lipschitz step cap of FB and FBF, which always
     applies; SFBP steps are bounded by h <= 1 alone.
-    max_steps, when set, truncates the run after that many (>= 1) steps.
+    max_steps, when set, truncates the run after that many (>= 1) steps;
+    unset, the grid alone ends the run, however many steps the cap makes.
     """
 
     grid: object
@@ -155,8 +157,7 @@ def check_mode(mode, prob):
 def _cap(mode, prob, safety):
     """The mode's step cap ``cap(lam, eps, beta, gam)``, which bounds the step
     from the schedule values, as floats, that the step itself uses."""
-    # the Lipschitz bound 1/eta + eps + beta/mu of prob.lipschitz_bound, in its order
-    inv_eta, mu = 1.0 / prob.d.eta, prob.b1.mu
+    lips = prob.lipschitz_bound
     if mode == "SFBP":
         def cap(lam, eps, bet, gam):
             # x+ stays a convex combination of x and the resolvent point for h <= 1
@@ -164,10 +165,10 @@ def _cap(mode, prob, safety):
     elif mode == "FB":
         def cap(lam, eps, bet, gam):
             # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
-            return safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))
+            return safety / (gam * (2.0 + lam * lips(eps, bet)))
     else:
         def cap(lam, eps, bet, gam):
-            return safety / (2.0 + 2.0 * lam * (inv_eta + eps + bet / mu))
+            return safety / (2.0 + 2.0 * lam * lips(eps, bet))
     return cap
 
 
@@ -224,9 +225,9 @@ def _march(mode, prob, sch, x0, spec):
     step h = min(requested, cap, T - t) from those values and steps with the
     same values. The iteration after the last step (k = n) takes no step and
     records the final state with a freshly evaluated field. Samples go into
-    buffers sized from the uncapped step count and doubled when a binding cap
-    takes more steps; the SFBP potentials of the stored resolvent points are
-    taken after the march, in one call each.
+    buffers of 4 096 rows, fewer when max_steps bounds the run, doubled when
+    full; the SFBP potentials of the stored resolvent points are taken after
+    the march, in one call each.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
@@ -235,10 +236,8 @@ def _march(mode, prob, sch, x0, spec):
     h_req, ratio = (g.h, 1.0) if isinstance(g, UniformGrid) else (g.h0, g.ratio)
     T = g.T
     t_end = T - 1e-12
-    max_steps = 50_000_000 if spec.max_steps is None else spec.max_steps
-    uncapped = (T / h_req if ratio == 1.0
-                else math.log1p(T * (ratio - 1.0) / h_req) / math.log(ratio))
-    rows = min(math.ceil(min(uncapped, max_steps)) // every + 3, 4096)
+    max_steps = spec.max_steps
+    rows = 4096 if max_steps is None else min(max_steps // every + 3, 4096)
     # t, h, lam, eps, beta, gamma, |B1(x)|, k, and FBF's |p|; x, and SFBP's j
     fbf, sfbp = mode == "FBF", mode == "SFBP"
     cols = np.empty((8 + fbf, rows))

@@ -82,7 +82,7 @@ def _finite(v):
 def _prepare(cfg):
     """Every check made before integrating, for ``run`` and ``validate``:
     (prob, deblur_inst, sch, checks, spec, x0), with ``checks`` the schedule
-    checks of report.json, and ``spec`` and ``x0`` None unless all passed."""
+    checks of report.json. A bad spec or x0 raises before any schedule check."""
     prob, deblur_inst = _build_instance(cfg)
     # tracking and path.csv need the central path, solved for canonical
     # instances only; isnr.csv and images exist only for deblurring
@@ -92,6 +92,9 @@ def _prepare(cfg):
             raise ConfigError(f"not written for a {kind} instance", field=f"$.outputs.{key}")
     check_mode(cfg.mode, prob)
     sch = cfg.schedule_obj()
+    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
+                          store_every=cfg.store_every, max_steps=cfg.max_steps)
+    x0 = as_vector(prob.x0_default if cfg.x0 == "default" else cfg.x0, prob.dim)
     vrep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))
     checks = [{"name": c.name, "passed": bool(c.passed),
                "witness_value": _finite(c.witness_value),
@@ -101,12 +104,7 @@ def _prepare(cfg):
         est, ok = attouch_czarnecki_check(sch)
         checks.append({"name": "attouch-czarnecki", "passed": bool(ok),
                        "witness_value": _finite(est), "witness_time": None})
-    if not all(c["passed"] for c in checks):
-        return prob, deblur_inst, sch, checks, None, None
-    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
-                          store_every=cfg.store_every, max_steps=cfg.max_steps)
-    x0 = prob.x0_default if cfg.x0 == "default" else cfg.x0
-    return prob, deblur_inst, sch, checks, spec, as_vector(x0, prob.dim)
+    return prob, deblur_inst, sch, checks, spec, x0
 
 
 def _trajectory_rows(traj, gaps):
@@ -143,8 +141,8 @@ def run_experiment(cfg, out_dir, seed_override=None):
     try:
         prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
         report.metrics["schedule_checks"] = checks
-        if spec is None:
-            failed = [c["name"] for c in checks if not c["passed"]]
+        failed = [c["name"] for c in checks if not c["passed"]]
+        if failed:
             return _fail(report, cfg, out_dir, 2,
                          "schedule validation failed: " + ", ".join(failed))
 

@@ -34,7 +34,11 @@ MUTANTS = [
     ("last-step-strict", "dynamics.py",
      "if t + h >= t_end or", "if t + h > t_end or"),
     ("t-end-1e-9", "dynamics.py", "t_end = T - 1e-12", "t_end = T - 1e-9"),
-    ("buffer-plus-1", "dynamics.py", "// every + 3, 4096)", "// every + 1, 4096)"),
+    # without its 3 spare rows a max_steps buffer has no row at all when
+    # max_steps < store_every, and doubling an empty buffer leaves it empty
+    ("buffer-no-spare-rows", "dynamics.py", "// every + 3, 4096)", "// every, 4096)"),
+    ("hidden-budget", "dynamics.py",
+     "max_steps = spec.max_steps", "max_steps = spec.max_steps or 1000"),
     ("collapse-h-lt-0", "dynamics.py", "if h <= 0:", "if h < 0:"),
     ("check-state-no-isfinite", "dynamics.py",
      "if not math.isfinite(nx) or nx > _BLOWUP:", "if nx > _BLOWUP:"),
@@ -51,11 +55,11 @@ MUTANTS = [
     ("fbf-cap-lam", "dynamics.py",
      "safety / (2.0 + 2.0 * lam *", "safety / (2.0 + lam *"),
     ("fb-cap-no-gam", "dynamics.py",
-     "safety / (gam * (2.0 + lam * (inv_eta + eps + bet / mu)))",
-     "safety / (2.0 + lam * (inv_eta + eps + bet / mu))"),
+     "safety / (gam * (2.0 + lam * lips(eps, bet)))",
+     "safety / (2.0 + lam * lips(eps, bet))"),
     ("fb-cap-assoc", "dynamics.py",
-     "(gam * (2.0 + lam * (inv_eta + eps + bet / mu)))",
-     "(gam * (2.0 + lam * (inv_eta + (eps + bet / mu))))"),
+     "(gam * (2.0 + lam * lips(eps, bet)))",
+     "(gam * 2.0 + gam * (lam * lips(eps, bet)))"),
     ("sfbp-cap-0.999", "dynamics.py",
      "            return 1.0\n", "            return 0.999\n"),
     ("fb-gam-distributed", "dynamics.py",

@@ -112,6 +112,10 @@ SMALL_DEBLUR = {"instance": {"deblur": {"size": 8}}, "mode": "FBF",
                 "schedule": {"family": "polynomial", "r": 0.05, "s": 0.25,
                              "b": 1, "lambda_bar": 0.3, "gamma_bar": 1.0},
                 "max_steps": 5}
+# an FBF schedule that fails validation (r + s = 0.4 is not below 1/3)
+FAILING_FBF = {"mode": "FBF",
+               "schedule": {"family": "polynomial", "r": 0.2, "s": 0.2, "b": 1,
+                            "lambda_bar": 0.9, "gamma_bar": 1.0}}
 
 
 # every exception type the package defines, so that a new one is covered too
@@ -645,10 +649,7 @@ class TestCliCommands:
     def test_validate_command(self, tmp_path):
         ok = write_config(tmp_path, name="v1.json")
         assert main(["validate", ok]) == 0
-        bad = write_config(
-            tmp_path, name="v2.json", mode="FBF",
-            schedule={"family": "polynomial", "r": 0.2, "s": 0.2, "b": 1,
-                      "lambda_bar": 0.9, "gamma_bar": 1.0})
+        bad = write_config(tmp_path, name="v2.json", **FAILING_FBF)
         assert main(["validate", bad]) == 2
 
     @pytest.mark.parametrize("instance, mode", [("skew-box", "FB"),
@@ -676,8 +677,13 @@ class TestCliCommands:
          "error: $.outputs.tracking: not written for a deblur instance"),
         ({"outputs": {"isnr_csv": True, "images": True}},
          "error: $.outputs.isnr_csv: not written for a canonical instance"),
+        # a bad spec or x0 exits 1 even when the schedule fails as well
+        (dict(FAILING_FBF, grid={"kind": "uniform", "h": -1, "T": 1e3}),
+         "grid h must be > 0, got -1.0"),
+        (dict(FAILING_FBF, x0=[1.0, 2.0]), "dimension 2, expected 1"),
     ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
-            "noise", "schedule-range", "deblur-tracking", "canonical-isnr"])
+            "noise", "schedule-range", "deblur-tracking", "canonical-isnr",
+            "h-and-failing-schedule", "x0-and-failing-schedule"])
     def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
                                              says):
         p = write_config(tmp_path, **overrides)

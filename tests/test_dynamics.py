@@ -722,13 +722,14 @@ class TestSpecAndStorage:
 
     @pytest.mark.parametrize("every", [1, 7])
     def test_recorder_grows_past_uncapped_estimate(self, every):
-        # the cap (about 0.26) takes about 4*T/h steps, more than the buffers
-        # sized from the uncapped count T/h hold
+        # with max_steps unset the first buffers hold 4 096 samples; the
+        # binding cap takes about 8*T/h steps, so each run stores about 4 500
         prob, sch = pf.build_canonical("skew-box"), pf.polynomial_schedule(0.05, 0.25)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=100.0), store_every=every)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=550.0 * every),
+                                 store_every=every)
         x0 = np.array([1.0, -0.5])
         traj = pf.integrate_fbf(prob, sch, x0, spec)
-        assert traj.n_steps_total > 3 * 100
+        assert traj.times.size > 4096
         assert_same_trajectory(traj, reference_march("FBF", prob, sch, x0, spec))
 
     def test_step_ending_just_short_of_T_is_taken(self):
