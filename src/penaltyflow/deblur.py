@@ -7,6 +7,7 @@ penalty block drives theta into the data-fit solution set of the blur system.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,21 @@ class DeblurInstance:
 
 
 def box_muller_noise(shape, std, seed):
-    """Seeded Gaussian field via the Box-Muller transform."""
-    n = int(np.prod(shape))
-    rng = np.random.default_rng(seed)
+    """Seeded Gaussian field via the Box-Muller transform.
+
+    The uniforms come from ``random.Random(seed)``, whose stream Python keeps
+    across versions and platforms, and each sample is taken with scalar
+    ``math`` calls, so the field does not depend on numpy's SIMD loops.
+    """
+    n = math.prod(shape)
+    rng = random.Random(int(seed))  # random.seed rejects numpy integers
     m = (n + 1) // 2
-    u1 = 1.0 - rng.random(m)  # in (0, 1]
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                        r * np.sin(2.0 * np.pi * u2)])[:n]
-    return std * z.reshape(shape)
+    u1 = [1.0 - rng.random() for _ in range(m)]  # in (0, 1]
+    u2 = [rng.random() for _ in range(m)]
+    r = [math.sqrt(-2.0 * math.log(a)) for a in u1]
+    z = [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]
+    z += [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]
+    return std * np.array(z[:n]).reshape(shape)
 
 
 def degrade_image(original, kernel, noise_std, seed):

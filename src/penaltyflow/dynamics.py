@@ -225,9 +225,10 @@ def _march(mode, prob, sch, x0, spec):
     step h = min(requested, cap, T - t) from those values and steps with the
     same values. The iteration after the last step (k = n) takes no step and
     records the final state with a freshly evaluated field. Samples go into
-    buffers of 4 096 rows, fewer when max_steps bounds the run, doubled when
-    full; the SFBP potentials of the stored resolvent points are taken after
-    the march, in one call each.
+    buffers of max_steps // store_every + 3 rows (at most 4 096) when
+    max_steps bounds the run, else of 16 rows, doubled when full; the SFBP
+    potentials of the stored resolvent points are taken after the march, in
+    one call each.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
@@ -237,7 +238,7 @@ def _march(mode, prob, sch, x0, spec):
     T = g.T
     t_end = T - 1e-12
     max_steps = spec.max_steps
-    rows = 4096 if max_steps is None else min(max_steps // every + 3, 4096)
+    rows = 16 if max_steps is None else min(max_steps // every + 3, 4096)
     # t, h, lam, eps, beta, gamma, |B1(x)|, k, and FBF's |p|; x, and SFBP's j
     fbf, sfbp = mode == "FBF", mode == "SFBP"
     cols = np.empty((8 + fbf, rows))

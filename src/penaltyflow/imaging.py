@@ -100,8 +100,9 @@ def gaussian_kernel(size, sigma):
         return np.ones((1, 1))
     require_range("sigma", sigma, ">", 0)
     half = size // 2
-    idx = np.arange(-half, half + 1, dtype=float)
-    g = np.exp(-(idx ** 2) / (2.0 * sigma ** 2))
+    # one scalar math.exp per tap: the weights do not depend on numpy's SIMD loops
+    g = np.array([math.exp(-float(i * i) / (2.0 * sigma ** 2))
+                  for i in range(-half, half + 1)])
     k = np.outer(g, g)
     return k / k.sum()
 

@@ -14,6 +14,17 @@ ISNR series. The seed picks ``x0`` of the canonical runs and the noise seed
 of the deblurring run. BLAS reductions split across threads change the last
 bits of some norms, so the digests are recorded with one OpenBLAS thread,
 which is the default here when the environment sets none.
+
+No digest depends on the SIMD loops numpy picks for the CPU: the deblurring
+noise and blur kernel are taken with scalar standard-library calls, and
+``tests/test_digests.py`` requires every digest again under numpy's AVX2
+loops. Some still depend on the OpenBLAS kernel: under
+``OPENBLAS_CORETYPE=Haswell`` the ``fbf-skew-track`` trajectories, the
+``sfbp-1d`` and ``sfbp-geometric`` reports and the ``tv-deblur-64`` ISNR
+series, reports and trajectories move. Some depend on glibc's libm variant:
+with ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` the ``fb-segment-track``
+path CSVs and the ``fbf-skew-track``, ``sfbp-1d`` and ``sfbp-geometric``
+trajectories move.
 """
 
 import hashlib

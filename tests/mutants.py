@@ -112,6 +112,16 @@ MUTANTS = [
      "np.clip(theta, 0.0, 1.0, out=box)", "np.clip(theta, 0.0, 2.0, out=box)"),
     ("deblur-uv-swapped", "deblur.py",
      "out=(disc_u, disc_v)", "out=(disc_v, disc_u)"),
+    # the noise and the blur kernel, which fix the deblurring digests
+    ("noise-u1-may-be-zero", "deblur.py",
+     "u1 = [1.0 - rng.random() for", "u1 = [rng.random() for"),
+    ("noise-halves-swapped", "deblur.py",
+     "z = [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
+     "    z += [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]",
+     "z = [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
+     "    z += [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]"),
+    ("kernel-exponent-sign", "imaging.py",
+     "math.exp(-float(i * i)", "math.exp(float(i * i)"),
     # schedules
     ("fused-lam-rewritten", "schedules.py",
      "return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)",

@@ -1,5 +1,6 @@
 """Every artifact of the golden runs in ``tests/digests.py`` is byte-identical
-to the digests recorded in ``tests/data/digests.json``.
+to the digests recorded in ``tests/data/digests.json``, with one BLAS thread
+and again with numpy's AVX-512 loops switched off.
 
 After a change that moves artifact bytes on purpose, rewrite the file with
 ``python tests/digests.py --write`` and state in CHANGES.md which fields
@@ -16,18 +17,41 @@ import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
+# numpy then dispatches its AVX2 loops, as on a CPU without AVX-512
+AVX2_LOOPS = "AVX512_ICL AVX512_SPR X86_V4"
 
 
-def test_artifacts_match_golden_digests_one_blas_thread():
+def _golden():
     golden = json.loads((HERE / "data" / "digests.json").read_text(encoding="utf-8"))
     if golden["numpy"] != np.__version__:
         pytest.skip(f"digests recorded under numpy {golden['numpy']}, "
                     f"this is {np.__version__}")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, str(HERE / "digests.py")], env=env,
+    return golden["digests"]
+
+
+def _run(args, **env):
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, **env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)["digests"]
-    assert sorted(got) == sorted(golden["digests"])
-    moved = [name for name in got if got[name] != golden["digests"][name]]
+    return proc.stdout
+
+
+def _assert_golden(golden, **env):
+    got = json.loads(_run([str(HERE / "digests.py")], OPENBLAS_NUM_THREADS="1",
+                          **env))["digests"]
+    assert sorted(got) == sorted(golden)
+    moved = [name for name in got if got[name] != golden[name]]
     assert not moved, f"artifacts whose bytes moved: {moved}"
+
+
+def test_artifacts_match_golden_digests_one_blas_thread():
+    _assert_golden(_golden())
+
+
+def test_artifacts_match_golden_digests_under_numpy_avx2_loops():
+    golden = _golden()
+    code = ("import json, numpy as np; "
+            "print(json.dumps(np.__config__.CONFIG['SIMD Extensions']['found']))")
+    found = json.loads(_run(["-c", code], NPY_DISABLE_CPU_FEATURES=AVX2_LOOPS))
+    assert not set(found) & set(AVX2_LOOPS.split()), found
+    _assert_golden(golden, NPY_DISABLE_CPU_FEATURES=AVX2_LOOPS)

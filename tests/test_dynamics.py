@@ -722,8 +722,9 @@ class TestSpecAndStorage:
 
     @pytest.mark.parametrize("every", [1, 7])
     def test_recorder_grows_past_uncapped_estimate(self, every):
-        # with max_steps unset the first buffers hold 4 096 samples; the
-        # binding cap takes about 8*T/h steps, so each run stores about 4 500
+        # with max_steps unset the first buffers hold 16 samples; the binding
+        # cap takes about 8*T/h steps, so each run stores about 4 500 and the
+        # buffers double nine times
         prob, sch = pf.build_canonical("skew-box"), pf.polynomial_schedule(0.05, 0.25)
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=550.0 * every),
                                  store_every=every)
@@ -765,6 +766,23 @@ class TestSpecAndStorage:
         slots = 2 if mode == "SFBP" else 1
         per_sample = (peaks[1] - peaks[0]) / 2000 / (8 * dim)
         assert slots <= per_sample < slots + 0.5, per_sample
+
+    def test_unbounded_march_starts_with_small_buffers(self):
+        """With max_steps unset the recorder starts with a few rows and
+        doubles them, whatever the dimension: a 64x64 deblurring march
+        (12 288 unknowns, 423 steps, 4 samples) peaks at a few MB, where
+        first buffers of 4 096 rows would reserve 403 MB."""
+        inst = pf.build_tv_deblur(pf.make_test_image("checkerboard", 64))
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9 / 8.0 ** 0.5)
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=60.0), store_every=250)
+        tracemalloc.start()
+        try:
+            traj = pf.integrate_fbf(inst.problem, sch, inst.x0, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (traj.n_steps_total, traj.times.size) == (423, 4)
+        assert peak < 5e6, peak
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):

@@ -195,6 +195,31 @@ def test_import_loads_no_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_deblur_run_loads_no_numpy_random(tmp_path):
+    """The noise and the kernel come from the standard library, so a whole
+    deblurring run imports neither numpy.random nor, through it, secrets."""
+    config = {"instance": {"deblur": {"image": "checkerboard", "size": 64}},
+              "mode": "FBF",
+              "schedule": {"family": "polynomial", "r": 0.05, "s": 0.25, "b": 1.0,
+                           "lambda_bar": 0.3, "gamma_bar": 1.0},
+              "grid": {"kind": "uniform", "h": 1.0, "T": 1e9},
+              "store_every": 2, "max_steps": 5, "seed": 3,
+              "outputs": {"trajectory_csv": True, "images": True,
+                          "isnr_csv": True, "report_json": True}}
+    code = ("import sys\n"
+            "from penaltyflow.config import parse_config\n"
+            "from penaltyflow.runner import run_experiment\n"
+            f"report = run_experiment(parse_config({config!r}), sys.argv[1])\n"
+            "loaded = {'numpy.random', 'secrets'} & set(sys.modules)\n"
+            "if report.exit_code != 0 or loaded:\n"
+            "    raise SystemExit(f'{report.messages} loaded {sorted(loaded)}')\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "degraded.pgm").exists()
+
+
 class TestIsnr:
     def test_no_improvement_is_zero(self):
         x = pf.make_test_image("ramp", 8)
