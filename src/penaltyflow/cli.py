@@ -13,7 +13,7 @@ from .runner import _prepare, run_experiment
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    report = run_experiment(cfg, args.out_dir, seed_override=args.seed_override)
+    report = run_experiment(cfg, args.out_dir)
     for msg in report.messages:
         print(msg, file=sys.stderr)
     print(f"exit code {report.exit_code}; artifacts: "
@@ -49,7 +49,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out-dir", default=".")
-    p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(fn=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config as run does before integrating")

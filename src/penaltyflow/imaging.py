@@ -1,6 +1,6 @@
 """Image operators: discrete gradient with Neumann boundaries, circular blur
-by any odd square kernel with an exact adjoint, test images, and the ISNR
-metric."""
+by an odd square kernel of rank one with an exact adjoint, test images, and the
+ISNR metric."""
 
 import math
 
@@ -118,12 +118,13 @@ def _circulant(weights, n):
     return mat
 
 
-def circulant_pairs(kernel, shape):
-    """Rank-one circulant pairs (a, b) with K x == sum(a @ x @ b.T).
+def circulant_pair(kernel, shape):
+    """The circulant pair (a, b) with K x == a @ x @ b.T.
 
     K is circular correlation of a shape-(M, N) image with the odd square
-    kernel; the pairs come from the kernel's SVD, keeping the terms with
-    s_i > 1e-13 * s_0, so a Gaussian kernel gives exactly one pair.
+    kernel, which must have rank one: the pair comes from the kernel's SVD, and
+    a second singular value above 1e-13 * s_0 raises ParameterError. A
+    Gaussian kernel has rank one.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
@@ -131,29 +132,26 @@ def circulant_pairs(kernel, shape):
     if kernel.shape[0] % 2 == 0:
         raise ParameterError("kernel size must be odd (center required)")
     u, s, vt = np.linalg.svd(kernel)
-    pairs = []
-    for i in np.flatnonzero(s > 1e-13 * s[0]):
-        col = u[:, i] * math.sqrt(s[i])
-        row = vt[i, :] * math.sqrt(s[i])
-        if col.sum() < 0:
-            col, row = -col, -row
-        pairs.append((_circulant(col, shape[0]), _circulant(row, shape[1])))
-    return pairs
+    if np.count_nonzero(s > 1e-13 * s[0]) != 1:
+        raise ParameterError("kernel must have rank one (one row and one column factor)")
+    col = u[:, 0] * math.sqrt(s[0])
+    row = vt[0, :] * math.sqrt(s[0])
+    if col.sum() < 0:
+        col, row = -col, -row
+    return _circulant(col, shape[0]), _circulant(row, shape[1])
 
 
 def gaussian_blur(img, kernel, adjoint=False):
     """Circular (periodic) correlation with the kernel, or its exact adjoint.
 
-    Applied as a sum of circulant matmul pairs; the adjoint uses the
-    transposed pairs, so <K x, y> == <x, K* y> holds to rounding.
+    Applied as one circulant matmul pair; the adjoint uses the transposed
+    pair, so <K x, y> == <x, K* y> holds to rounding.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim != 2:
         raise ParameterError("image must be 2-D")
-    out = np.zeros_like(img)
-    for a, b in circulant_pairs(kernel, img.shape):
-        out += a.T @ img @ b if adjoint else a @ img @ b.T
-    return out
+    a, b = circulant_pair(kernel, img.shape)
+    return a.T @ img @ b if adjoint else a @ img @ b.T
 
 
 def isnr(original, degraded, restored):

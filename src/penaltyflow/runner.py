@@ -7,7 +7,7 @@ error's type states (``errors.py``); every failure writes report.json.
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import List
 
@@ -131,12 +131,10 @@ def _fail(report, cfg, out_dir, exit_code, message):
     return _finish(report, cfg, out_dir)
 
 
-def run_experiment(cfg, out_dir, seed_override=None):
+def run_experiment(cfg, out_dir):
     """Run one experiment per the config; returns an ExitReport. A package
     error on the way ends the run with its type's exit code and label."""
     os.makedirs(out_dir, exist_ok=True)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
     report = ExitReport(exit_code=0)
     try:
         prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)

@@ -12,8 +12,8 @@ slope is c times an exponent combination (c = 1 for s - r, 2 for r + s - 1/2
 and s - 1/2, 3 for FBF's r + s - 1/3) reads its sign only beyond
 _SLOPE_DEADBAND / c; inside that band the numeric rules may reject a schedule
 the exact tests accept, and are never the more lenient. Each validation
-evaluates every schedule field once, as one array call on that grid, and reads
-all of its checks from the result.
+calls every schedule field once at each grid time, as every other caller calls
+it at one time, and reads all of its checks from those values.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, require_range
 
 MODES = ("FB", "FBF", "SFBP")
-#: log-spaced asymptotic validation grid, read-only: every schedule callable sees it
+#: log-spaced asymptotic validation grid, read-only
 GRID = np.logspace(2, 8, 31)
 GRID.flags.writeable = False
 _TAIL = 5            # samples used for slope fitting
@@ -37,10 +37,9 @@ _RHO_STAR = 2.0      # the Attouch-Czarnecki exponent of the SFBP result
 class Schedule:
     """Time-dependent parameters with closed-form derivatives.
 
-    All callables accept scalars and numpy arrays. ``validate_schedule`` calls
-    each one once on the whole GRID array; a scalar result (a constant) is
-    broadcast to the grid's shape. ``at(t)`` gives the values a step uses, from
-    one fused call ``_at`` when set, which a polynomial's eps, beta, lam read.
+    Each callable takes one float time and returns one float. ``at(t)`` gives
+    the values a step uses, from one fused call ``_at`` when set, which a
+    polynomial's eps, beta, lam read.
     """
 
     eps: Callable
@@ -60,10 +59,9 @@ class Schedule:
 
 
 def _constant(c):
-    """t -> c at every t, inf included: a float for a scalar t, else an array
-    of t's shape."""
+    """t -> c at every t, inf included."""
     c = float(c)
-    return lambda t: c if isinstance(t, float) or np.ndim(t) == 0 else np.full(np.shape(t), c)
+    return lambda t: c
 
 
 def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="constant"):
@@ -95,7 +93,7 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
     else:
         # cos(1/t) changes sign near 0; restrict to t >= 1 where it is positive
         def gamma(t):
-            return gamma_bar * np.cos(1.0 / np.maximum(np.asarray(t, dtype=float), 1.0))
+            return gamma_bar * np.cos(1.0 / max(t, 1.0))
 
     def at(t):
         u = t + b
@@ -139,10 +137,9 @@ class ValidationReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _values(sch):
-    """Each field of ``sch`` called once on GRID, a scalar result broadcast."""
-    return [np.broadcast_to(np.asarray(getattr(sch, f)(GRID), dtype=float), GRID.shape)
-            for f in ("eps", "beta", "lam", "gamma", "deps", "dbeta")]
+def _samples(fn, times):
+    """``fn`` called once at each time of the array ``times``, as a float."""
+    return np.array([fn(t) for t in times.tolist()], dtype=float)
 
 
 def _tail_slope(values, grid=GRID):
@@ -245,7 +242,8 @@ def validate_schedule(sch, mode, moduli):
     eta, mu = moduli
     require_range("moduli eta", eta, ">", 0)
     require_range("moduli mu", mu, ">", 0)
-    values = _values(sch)
+    values = [_samples(getattr(sch, f), GRID)
+              for f in ("eps", "beta", "lam", "gamma", "deps", "dbeta")]
     eps, beta, lam = values[:3]
     if sch.family == "polynomial":
         checks = _exponent_checks(sch, mode)
@@ -279,10 +277,7 @@ def attouch_czarnecki_check(sch):
         fitted tail diverges).
     """
     grid = np.concatenate([[0.0], np.logspace(-2, 6, 200)])
-    # scalar calls: array and scalar ** can differ in the last bit, which
-    # would move the estimate report.json records
-    lam = np.array([float(sch.lam(t)) for t in grid])
-    beta = np.array([float(sch.beta(t)) for t in grid])
+    lam, beta = _samples(sch.lam, grid), _samples(sch.beta, grid)
     # not lam / beta, which rounds differently
     integrand = lam * beta ** (1.0 - _RHO_STAR)
     partial = float(np.trapezoid(integrand, grid))

@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUBSET = ["tests/test_dynamics.py", "tests/test_operators.py", "tests/test_schedules.py",
           "tests/test_cli.py", "tests/test_instances.py", "tests/test_digests.py",
-          "tests/test_central_path.py"]
+          "tests/test_central_path.py", "tests/test_imaging.py"]
 
 # (name, file under src/penaltyflow, snippet, replacement)
 MUTANTS = [
@@ -122,7 +122,12 @@ MUTANTS = [
      "    z += [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]"),
     ("kernel-exponent-sign", "imaging.py",
      "math.exp(-float(i * i)", "math.exp(float(i * i)"),
+    ("blur-rank-unchecked", "imaging.py",
+     "if np.count_nonzero(s > 1e-13 * s[0]) != 1:", "if False:"),
     # schedules
+    ("samples-grid-array", "schedules.py",
+     "np.array([fn(t) for t in times.tolist()], dtype=float)",
+     "np.broadcast_to(np.asarray(fn(times), dtype=float), times.shape)"),
     ("fused-lam-rewritten", "schedules.py",
      "return lambda_bar / (bt + lambda_bar * et), et, bt, gamma(t)",
      "return lambda_bar / bt / (1 + lambda_bar * et / bt), et, bt, gamma(t)"),

@@ -552,12 +552,6 @@ class TestRunExperiment:
         assert 0.0 < gap < 1e-300
         assert report["metrics"]["tracking"]["final_gap"] == gap
 
-    def test_seed_override_leaves_config(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, store_every=200,
-                                       outputs={"trajectory_csv": False}))
-        rep = run_experiment(cfg, str(tmp_path / "out"), seed_override=7)
-        assert rep.exit_code == 0 and cfg.seed == 0
-
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, store_every=100)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -701,10 +695,13 @@ class TestCliCommands:
         assert report["messages"][-1] == err.rstrip("\n")
 
     def test_negative_seed_override_exit_1(self, tmp_path, capsys):
-        p = write_config(tmp_path, **SMALL_DEBLUR)
-        assert main(["run", p, "--out-dir", str(tmp_path / "o"),
-                     "--seed-override", "-1"]) == 1
+        p = write_config(tmp_path, **SMALL_DEBLUR, seed=-1)
+        out = tmp_path / "o"
+        assert main(["run", p, "--out-dir", str(out)]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 1
+        assert report["messages"][-1].endswith("seed must be >= 0, got -1")
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=small_configs())
@@ -763,13 +760,11 @@ class TestCliCommands:
             "max_steps": 20,
             "outputs": {"trajectory_csv": False, "report_json": False,
                         "images": True},
-            "seed": 1,
         }
-        p = tmp_path / "noise.json"
-        p.write_text(json.dumps(cfg))
-        main(["run", str(p), "--out-dir", str(tmp_path / "n1")])
-        main(["run", str(p), "--out-dir", str(tmp_path / "n2"),
-              "--seed-override", "2"])
+        for seed in (1, 2):
+            p = tmp_path / f"noise{seed}.json"
+            p.write_text(json.dumps(dict(cfg, seed=seed)))
+            main(["run", str(p), "--out-dir", str(tmp_path / f"n{seed}")])
         a = (tmp_path / "n1" / "degraded.pgm").read_bytes()
         b = (tmp_path / "n2" / "degraded.pgm").read_bytes()
         assert a != b

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import penaltyflow as pf
 from penaltyflow.deblur import box_muller_noise, degrade_image
 from penaltyflow.errors import MetricUndefinedError, ParameterError
-from penaltyflow.imaging import _circulant, circulant_pairs
+from penaltyflow.imaging import _circulant, circulant_pair
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -147,7 +147,7 @@ class TestGaussianBlur:
         rng = np.random.default_rng(seed)
         size = 2 * half + 1
         k = (pf.gaussian_kernel(size, sigma) if gaussian
-             else rng.standard_normal((size, size)))
+             else np.outer(rng.standard_normal(size), rng.standard_normal(size)))
         x = rng.standard_normal((m, n))
         y = rng.standard_normal((m, n))
         kx = pf.gaussian_blur(x, k)
@@ -167,6 +167,15 @@ class TestGaussianBlur:
             for i in range(n):
                 ref[i, (i + a) % n] += weights[a + half]
         assert np.array_equal(_circulant(weights, n), ref)
+
+    def test_rank_two_kernel_rejected(self):
+        # no config builds one: the blur is one row factor times one column factor
+        k = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) + np.outer([1.0, 0.0, -1.0],
+                                                                 [0.0, 1.0, 0.0])
+        with pytest.raises(ParameterError, match="rank one"):
+            pf.gaussian_blur(np.zeros((4, 4)), k)
+        with pytest.raises(ParameterError, match="rank one"):
+            circulant_pair(k, (4, 4))
 
     def test_shape_errors(self):
         with pytest.raises(ParameterError):
@@ -323,7 +332,7 @@ class TestDeblurInstance:
                                    k, adjoint=True).ravel()
             out = inst.problem.b1.eval(x)
             assert np.linalg.norm(out[:npx] - ref) <= 1e-14 * np.linalg.norm(ref)
-            (a, b), = circulant_pairs(k, (m, n))
+            a, b = circulant_pair(k, (m, n))
             ref_b = np.zeros_like(x)
             np.subtract(a.T @ a @ theta @ (b.T @ b), a.T @ inst.observed @ b,
                         out=ref_b[:npx].reshape(m, n))

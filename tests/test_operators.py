@@ -289,6 +289,14 @@ class TestVectors:
         elif np.any(v):
             assert norm(v) == pytest.approx(math.hypot(*v), rel=1e-12, abs=5e-324)
 
+    def test_norm_keeps_the_dot_bits_at_the_smallest_normal(self):
+        # the rescaled route would give 0x1.0000000000001p-511 here
+        v = np.array([float.fromhex("0x1.84129978f9c1ap-512"),
+                      float.fromhex("0x1.4dfb40e641526p-512")])
+        if v.dot(v) != np.finfo(float).smallest_normal:
+            pytest.skip("this BLAS dot does not land on the smallest normal")
+        assert norm(v) == math.sqrt(v.dot(v))
+
 
 class TestCustomOracle:
     def test_divergent_custom_oracle_reports_failure(self):

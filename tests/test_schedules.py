@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import ParameterError
-from penaltyflow.schedules import GRID, Schedule
+from penaltyflow.schedules import GRID, MODES, Schedule
 
 FIELDS = ("eps", "beta", "lam", "gamma", "deps", "dbeta")
+
+
+def on_grid(fn):
+    """``fn`` called at each GRID time, as the validator calls it."""
+    return np.array([fn(t) for t in GRID.tolist()])
 
 
 def power_schedule(lam_exp, beta_exp, eps_exp=-0.5, scale_lam=1.0):
@@ -20,7 +25,7 @@ def power_schedule(lam_exp, beta_exp, eps_exp=-0.5, scale_lam=1.0):
         eps=lambda t: (1.0 + t) ** eps_exp,
         beta=lambda t: (1.0 + t) ** beta_exp,
         lam=lambda t: scale_lam * (1.0 + t) ** lam_exp,
-        gamma=lambda t: np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0,
+        gamma=lambda t: 1.0,
         deps=lambda t: eps_exp * (1.0 + t) ** (eps_exp - 1.0),
         dbeta=lambda t: beta_exp * (1.0 + t) ** (beta_exp - 1.0),
         family="custom")
@@ -72,8 +77,8 @@ class TestPolynomialFamily:
 
     def test_monotonicity_on_grid(self):
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        eps = sch.eps(GRID)
-        beta = sch.beta(GRID)
+        eps = on_grid(sch.eps)
+        beta = on_grid(sch.beta)
         assert np.all(np.diff(eps) < 0) and np.all(np.diff(beta) > 0)
 
 
@@ -82,26 +87,19 @@ class TestConstantCallables:
         (pf.constant_schedule(eps=0.3, beta=2, lam=0.5, gamma=1), None),
         (pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 0.7), 0.7),
     ])
-    def test_scalar_and_array_calls(self, sch, value):
+    def test_scalar_calls(self, sch, value):
         if value is None:
-            fields = {f: sch.params.get(f, 0.0) for f in
-                      ("eps", "beta", "lam", "gamma", "deps", "dbeta")}
+            fields = {f: sch.params.get(f, 0.0) for f in FIELDS}
         else:
             fields = {"gamma": value}
-        t = np.array([[0.0, 1.5], [1e3, 7.0], [2.0, 1e8]])
         for name, c in fields.items():
             fn = getattr(sch, name)
-            for s in (0.0, 3, 12.5):
+            for s in (0.0, 3, 12.5, 1e8):
                 assert type(fn(s)) is float and fn(s) == c, name
-            out = fn(t)
-            assert out.shape == t.shape and out.dtype == float, name
-            assert np.array_equal(out, np.full(t.shape, float(c))), name
 
-    @pytest.mark.parametrize("t", [math.inf, np.float64(math.inf),
-                                   np.array([1.0, math.inf]), np.full((2, 3), -math.inf)])
+    @pytest.mark.parametrize("t", [math.inf, np.float64(math.inf), -math.inf])
     def test_constant_at_infinity(self, t):
-        """The constant, not NaN, and without a RuntimeWarning: a float for a
-        scalar t, an array of t's shape otherwise."""
+        """The constant as a float, not NaN, and without a RuntimeWarning."""
         const = pf.constant_schedule(eps=0.3, beta=2.0, lam=0.5, gamma=0.7)
         poly = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 0.7)
         with warnings.catch_warnings():
@@ -109,10 +107,7 @@ class TestConstantCallables:
             values = [const.eps(t), const.beta(t), const.lam(t), const.gamma(t),
                       const.deps(t), const.dbeta(t), poly.gamma(t), poly.at(t)[3]]
         for got, c in zip(values, (0.3, 2.0, 0.5, 0.7, 0.0, 0.0, 0.7, 0.7)):
-            if np.ndim(t) == 0:
-                assert type(got) is float and got == c
-            else:
-                assert got.shape == t.shape and np.array_equal(got, np.full(t.shape, c))
+            assert type(got) is float and got == c
 
 
 def _bits(values):
@@ -239,14 +234,14 @@ class TestValidators:
         rep = pf.validate_schedule(sch, "FB", (1.0, 1.0))
         check = {c.name: c for c in rep.checks}["lambda-step-bound"]
         assert check.passed
-        lam = sch.lam(GRID)
-        lips = 1.0 + sch.eps(GRID) + sch.beta(GRID)
+        lam = on_grid(sch.lam)
+        lips = 1.0 + on_grid(sch.eps) + on_grid(sch.beta)
         assert np.all(lam * lips < 1.0)
 
     def test_eps_beta_growth_matches_exponents(self):
         for r, s in ((0.1, 0.3), (0.3, 0.1), (0.2, 0.2)):
             sch = pf.polynomial_schedule(r, s, 1.0, 0.9, 1.0)
-            prod = sch.eps(GRID) * sch.beta(GRID)
+            prod = on_grid(sch.eps) * on_grid(sch.beta)
             if s > r:
                 assert prod[-1] > prod[0]
             elif s < r:
@@ -292,8 +287,9 @@ class TestOneEvaluation:
                                       family="custom" if numeric else sch.family)
         pf.validate_schedule(counted, mode, (1.0, 1.0))
         for name, seen in calls.items():
-            assert len(seen) == 1, name
-            assert np.array_equal(seen[0], GRID), name
+            # once per GRID time, in order, each time a float
+            assert [type(t) for t in seen] == [float] * GRID.size, name
+            assert seen == GRID.tolist(), name
 
     @pytest.mark.parametrize("mode, numeric", list(NAMES))
     def test_check_names_in_order(self, mode, numeric):
@@ -303,27 +299,55 @@ class TestOneEvaluation:
         rep = pf.validate_schedule(sch, mode, (1.0, 1.0))
         assert [c.name for c in rep.checks] == self.NAMES[mode, numeric]
 
-    @pytest.mark.parametrize("mode", ["FB", "FBF", "SFBP"])
-    def test_scalar_result_is_broadcast(self, mode):
-        sch = power_schedule(lam_exp=-0.6, beta_exp=0.55)
-        flat = dataclasses.replace(sch, gamma=lambda t: 1.0)
-        assert type(flat.gamma(GRID)) is float
-        assert (pf.validate_schedule(flat, mode, (1.0, 1.0))
-                == pf.validate_schedule(sch, mode, (1.0, 1.0)))
-
     def test_grid_is_read_only(self):
-        # the one GRID array reaches every callable: an in-place update would
-        # move the grid of every later validation in the process
+        # every validation reads the one GRID array: a write would move the
+        # grid of every later validation in the process
         before = GRID.copy()
-
-        def shifted(t):
-            t += 1.0
-            return t
-
-        sch = dataclasses.replace(power_schedule(lam_exp=-0.6, beta_exp=0.55), eps=shifted)
         with pytest.raises(ValueError, match="read-only"):
-            pf.validate_schedule(sch, "FB", (1.0, 1.0))
+            GRID[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(GRID, 1.0, out=GRID)
         assert np.array_equal(GRID, before) and GRID[0] == 100.0
+
+
+def float_only(sch):
+    """``sch`` without its fused ``at``, whose every field raises unless it
+    is called with one float."""
+    def guard(name, fn):
+        def f(t):
+            if not isinstance(t, float):
+                raise TypeError(f"{name} called with {type(t).__name__}")
+            return fn(t)
+        return f
+
+    return dataclasses.replace(sch, _at=None,
+                               **{name: guard(name, getattr(sch, name)) for name in FIELDS})
+
+
+class TestFloatCalls:
+    """Every schedule call the package makes passes one float time."""
+
+    @pytest.mark.parametrize("gamma_kind", ["constant", "cos-inverse"])
+    def test_every_caller_passes_a_float(self, gamma_kind):
+        base = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 0.8, gamma_kind)
+        sch = float_only(base)
+        for family in ("polynomial", "custom"):
+            for mode in MODES:
+                want = pf.validate_schedule(dataclasses.replace(base, family=family),
+                                            mode, (1.0, 1.0))
+                got = pf.validate_schedule(dataclasses.replace(sch, family=family),
+                                           mode, (1.0, 1.0))
+                assert got == want, (family, mode)
+            assert (pf.attouch_czarnecki_check(dataclasses.replace(sch, family=family))
+                    == pf.attouch_czarnecki_check(dataclasses.replace(base, family=family)))
+        prob = pf.build_canonical("scalar")
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0), store_every=20)
+        traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
+        ref = pf.integrate_fb(prob, base, np.zeros(1), spec)
+        assert traj.states.tobytes() == ref.states.tobytes()
+        rep = pf.tracking_report(prob, traj, pf.central_path(prob, sch, traj.times, tol=1e-12))
+        want = pf.tracking_report(prob, ref, pf.central_path(prob, base, ref.times, tol=1e-12))
+        assert rep.gaps.tobytes() == want.gaps.tobytes()
 
 
 class TestAttouchCzarnecki:
@@ -358,12 +382,10 @@ class TestSerialization:
 
     @staticmethod
     def assert_same_values(a, b):
-        t = np.array([0.0, 0.5, 3.0, 1e5])
-        for f in FIELDS:
-            assert (np.asarray(getattr(a, f)(t)).tobytes()
-                    == np.asarray(getattr(b, f)(t)).tobytes()), f
-        for tk in t.tolist():
-            assert np.array(a.at(tk)).tobytes() == np.array(b.at(tk)).tobytes()
+        for t in (0.0, 0.5, 3.0, 1e5):
+            for f in FIELDS:
+                assert _bits([getattr(a, f)(t)]) == _bits([getattr(b, f)(t)]), (f, t)
+            assert _bits(a.at(t)) == _bits(b.at(t)), t
 
     def test_round_trip(self):
         from penaltyflow.config import schedule_from_dict
