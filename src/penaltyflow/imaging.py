@@ -96,9 +96,9 @@ def gaussian_kernel(size, sigma):
     require_int("kernel size", size, 1)
     if size % 2 == 0:
         raise ParameterError("kernel size must be odd (center required)")
+    require_range("sigma", sigma, ">", 0)
     if size == 1:
         return np.ones((1, 1))
-    require_range("sigma", sigma, ">", 0)
     half = size // 2
     # one scalar math.exp per tap: the weights do not depend on numpy's SIMD loops
     g = np.array([math.exp(-float(i * i) / (2.0 * sigma ** 2))

@@ -1,7 +1,9 @@
 """Experiment execution: validate, integrate, diagnose, emit artifacts.
 
 Exit codes: 0 success, 2 a failed schedule check, else the code the raised
-error's type states (``errors.py``); every failure writes report.json.
+error's type states (``errors.py``); a failed artifact write exits 1. Every
+failure writes report.json, listing what was written before it, unless
+report.json or out_dir itself cannot be written.
 """
 
 import json
@@ -62,17 +64,6 @@ def emit_csv(path, columns, rows):
     lines = [",".join(columns)]
     lines.extend(map(",".join, rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
-
-
-def _build_instance(cfg):
-    if isinstance(cfg.instance, str):
-        return build_canonical(cfg.instance), None
-    db = cfg.instance["deblur"]
-    inst = build_tv_deblur(make_test_image(db["image"], db["size"]),
-                           kernel_size=db["kernel_size"], sigma=db["sigma"],
-                           noise_std=db["noise_std"], seed=cfg.seed)
-    return inst.problem, inst
 
 
 def _finite(v):
@@ -83,7 +74,14 @@ def _prepare(cfg):
     """Every check made before integrating, for ``run`` and ``validate``:
     (prob, deblur_inst, sch, checks, spec, x0), with ``checks`` the schedule
     checks of report.json. A bad spec or x0 raises before any schedule check."""
-    prob, deblur_inst = _build_instance(cfg)
+    if isinstance(cfg.instance, str):
+        prob, deblur_inst = build_canonical(cfg.instance), None
+    else:
+        db = cfg.instance["deblur"]
+        deblur_inst = build_tv_deblur(make_test_image(db["image"], db["size"]),
+                                      kernel_size=db["kernel_size"], sigma=db["sigma"],
+                                      noise_std=db["noise_std"], seed=cfg.seed)
+        prob = deblur_inst.problem
     # tracking and path.csv need the central path, solved for canonical
     # instances only; isnr.csv and images exist only for deblurring
     kind = "canonical" if deblur_inst is None else "deblur"
@@ -117,95 +115,88 @@ def _trajectory_rows(traj, gaps):
         empty if traj.p_norms is None else traj.p_norms.tolist())
 
 
-def _finish(report, cfg, out_dir):
-    if cfg.outputs["report_json"]:
-        p = os.path.join(out_dir, "report.json")
-        atomic_write_text(p, report.to_json())
-        report.artifacts.append(p)
-    return report
-
-
-def _fail(report, cfg, out_dir, exit_code, message):
-    report.exit_code = exit_code
-    report.messages.append(message)
-    return _finish(report, cfg, out_dir)
+def _emit(report, out_dir, name, write, *args):
+    """Write artifact ``name`` into ``out_dir`` as ``write(path, *args)``, then
+    list it; an OSError becomes a PenaltyflowError naming ``name``."""
+    path = os.path.join(out_dir, name)
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise PenaltyflowError(f"cannot write {name}: {exc.strerror}") from exc
+    report.artifacts.append(path)
 
 
 def run_experiment(cfg, out_dir):
     """Run one experiment per the config; returns an ExitReport. A package
-    error on the way ends the run with its type's exit code and label."""
+    error on the way ends the run with its type's exit code and label; only
+    an unwritable out_dir or report.json escapes, as OSError and
+    PenaltyflowError."""
     os.makedirs(out_dir, exist_ok=True)
     report = ExitReport(exit_code=0)
     try:
-        prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
-        report.metrics["schedule_checks"] = checks
-        failed = [c["name"] for c in checks if not c["passed"]]
-        if failed:
-            return _fail(report, cfg, out_dir, 2,
-                         "schedule validation failed: " + ", ".join(failed))
-
-        integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
-                      "SFBP": integrate_sfbp}[cfg.mode]
-        traj = integrator(prob, sch, x0, spec)
-        gaps = None
-        if cfg.outputs["tracking"] or cfg.outputs["path_csv"]:
-            path_points = central_path(prob, sch, traj.times, tol=1e-10)
-            trep = tracking_report(prob, traj, path_points)
-            gaps = trep.gaps
-            report.metrics["tracking"] = {
-                "final_gap": trep.final_gap,
-                "burn_in_index": trep.burn_in_index,
-                "inequality_nonpositive_fraction": trep.inequality_nonpositive_fraction,
-            }
-
-        report.metrics["mode"] = cfg.mode
-        report.metrics["steps"] = traj.n_steps_total
-        report.metrics["final_time"] = traj.final_time
-        report.metrics["final_state_norm"] = norm(traj.final_state)
-        report.metrics["final_B1_norm"] = float(traj.b1_norms[-1])
-        if traj.psi_sums is not None:
-            report.metrics["final_psi_sum"] = float(traj.psi_sums[-1])
-        if cfg.mode == "SFBP":
-            report.metrics["ergodic_average_norm"] = norm(ergodic_average(traj))
-
-        if cfg.outputs["trajectory_csv"]:
-            p = emit_csv(os.path.join(out_dir, "trajectory.csv"),
-                         TRAJECTORY_COLUMNS, _trajectory_rows(traj, gaps))
-            report.artifacts.append(p)
-
-        if cfg.outputs["path_csv"]:
-            rows = _csv_rows(*zip(*[
-                (pt.t, pt.eps, pt.beta, norm(pt.xbar), norm(prob.b1.eval(pt.xbar)),
-                 pt.residual, pt.iterations) for pt in path_points]))
-            p = emit_csv(os.path.join(out_dir, "path.csv"), PATH_COLUMNS, rows)
-            report.artifacts.append(p)
-
-        if cfg.outputs["isnr_csv"]:
-            series = isnr_series(deblur_inst, traj)
-            rows = _csv_rows(traj.step_indices, traj.times, series)
-            p = emit_csv(os.path.join(out_dir, "isnr.csv"), ISNR_COLUMNS, rows)
-            report.artifacts.append(p)
-            report.metrics["final_isnr_db"] = float(series[-1])
-
-        if cfg.outputs["images"]:
-            pd = os.path.join(out_dir, "degraded.pgm")
-            write_pgm(pd, deblur_inst.observed)
-            pr = os.path.join(out_dir, "restored.pgm")
-            write_pgm(pr, np.clip(deblur_inst.theta_of(traj.final_state), 0.0, 1.0))
-            report.artifacts.extend([pd, pr])
-            meta = os.path.join(out_dir, "degraded.json")
-            atomic_write_text(meta, json.dumps(deblur_inst.metadata(),
-                                               indent=2, sort_keys=True))
-            report.artifacts.append(meta)
-            po = os.path.join(out_dir, "original.pgm")
-            write_pgm(po, deblur_inst.original)
-            report.artifacts.append(po)
-
-        if cfg.outputs["checkpoint"]:
-            p = os.path.join(out_dir, "checkpoint.json")
-            atomic_write_text(p, json.dumps(
-                {"t": traj.final_time, "x": [float(v) for v in traj.final_state]}))
-            report.artifacts.append(p)
+        _run(report, cfg, out_dir)
     except PenaltyflowError as exc:
-        return _fail(report, cfg, out_dir, exc.exit_code, f"{exc.label}: {exc}")
-    return _finish(report, cfg, out_dir)
+        report.exit_code = exc.exit_code
+        report.messages.append(f"{exc.label}: {exc}")
+    if cfg.outputs["report_json"]:
+        _emit(report, out_dir, "report.json", atomic_write_text, report.to_json())
+    return report
+
+
+def _run(report, cfg, out_dir):
+    """Everything before report.json; a failed schedule check sets exit code 2."""
+    prob, deblur_inst, sch, checks, spec, x0 = _prepare(cfg)
+    report.metrics["schedule_checks"] = checks
+    failed = [c["name"] for c in checks if not c["passed"]]
+    if failed:
+        report.exit_code = 2
+        report.messages.append("schedule validation failed: " + ", ".join(failed))
+        return
+
+    integrator = {"FB": integrate_fb, "FBF": integrate_fbf,
+                  "SFBP": integrate_sfbp}[cfg.mode]
+    traj = integrator(prob, sch, x0, spec)
+    gaps = None
+    if cfg.outputs["tracking"] or cfg.outputs["path_csv"]:
+        path_points = central_path(prob, sch, traj.times, tol=1e-10)
+        trep = tracking_report(prob, traj, path_points)
+        gaps = trep.gaps
+        report.metrics["tracking"] = {
+            "final_gap": trep.final_gap,
+            "burn_in_index": trep.burn_in_index,
+            "inequality_nonpositive_fraction": trep.inequality_nonpositive_fraction,
+        }
+
+    report.metrics["mode"] = cfg.mode
+    report.metrics["steps"] = traj.n_steps_total
+    report.metrics["final_time"] = traj.final_time
+    report.metrics["final_state_norm"] = norm(traj.final_state)
+    report.metrics["final_B1_norm"] = float(traj.b1_norms[-1])
+    if traj.psi_sums is not None:
+        report.metrics["final_psi_sum"] = float(traj.psi_sums[-1])
+    if cfg.mode == "SFBP":
+        report.metrics["ergodic_average_norm"] = norm(ergodic_average(traj))
+
+    if cfg.outputs["trajectory_csv"]:
+        _emit(report, out_dir, "trajectory.csv", emit_csv, TRAJECTORY_COLUMNS,
+              _trajectory_rows(traj, gaps))
+    if cfg.outputs["path_csv"]:
+        rows = (map(_field, (pt.t, pt.eps, pt.beta, norm(pt.xbar),
+                             norm(prob.b1.eval(pt.xbar)), pt.residual, pt.iterations))
+                for pt in path_points)
+        _emit(report, out_dir, "path.csv", emit_csv, PATH_COLUMNS, rows)
+    if cfg.outputs["isnr_csv"]:
+        series = isnr_series(deblur_inst, traj)
+        _emit(report, out_dir, "isnr.csv", emit_csv, ISNR_COLUMNS,
+              _csv_rows(traj.step_indices, traj.times, series))
+        report.metrics["final_isnr_db"] = float(series[-1])
+    if cfg.outputs["images"]:
+        _emit(report, out_dir, "degraded.pgm", write_pgm, deblur_inst.observed)
+        _emit(report, out_dir, "restored.pgm", write_pgm,
+              np.clip(deblur_inst.theta_of(traj.final_state), 0.0, 1.0))
+        _emit(report, out_dir, "degraded.json", atomic_write_text,
+              json.dumps(deblur_inst.metadata(), indent=2, sort_keys=True))
+        _emit(report, out_dir, "original.pgm", write_pgm, deblur_inst.original)
+    if cfg.outputs["checkpoint"]:
+        _emit(report, out_dir, "checkpoint.json", atomic_write_text, json.dumps(
+            {"t": traj.final_time, "x": [float(v) for v in traj.final_state]}))

@@ -120,6 +120,11 @@ MUTANTS = [
      "    z += [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]",
      "z = [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
      "    z += [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]"),
+    ("kernel-sigma-after-shortcut", "imaging.py",
+     '    require_range("sigma", sigma, ">", 0)\n'
+     "    if size == 1:\n        return np.ones((1, 1))\n",
+     "    if size == 1:\n        return np.ones((1, 1))\n"
+     '    require_range("sigma", sigma, ">", 0)\n'),
     ("kernel-exponent-sign", "imaging.py",
      "math.exp(-float(i * i)", "math.exp(float(i * i)"),
     ("blur-rank-unchecked", "imaging.py",
@@ -166,6 +171,12 @@ MUTANTS = [
      "fd = os.open(tmp, flags, 0o600)"),
     ("report-first-b1", "runner.py",
      'float(traj.b1_norms[-1])', 'float(traj.b1_norms[0])'),
+    # the one artifact writer
+    ("emit-unlisted", "runner.py", "    report.artifacts.append(path)\n", "    pass\n"),
+    ("emit-oserror-escapes", "runner.py",
+     "    try:\n        write(path, *args)\n    except OSError as exc:\n"
+     '        raise PenaltyflowError(f"cannot write {name}: {exc.strerror}") from exc\n',
+     "    write(path, *args)\n"),
 ]
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import time
@@ -107,6 +108,25 @@ class TestCentralPath:
         pts = pf.central_path(prob, sch, np.logspace(0, 4, 7), tol=1e-12)
         for p in pts:
             assert np.linalg.norm(p.xbar) <= r + 1e-9
+
+    def test_failed_solve_names_its_time(self, monkeypatch):
+        # the package's central_path attribute is the function; patch the module
+        module = importlib.import_module("penaltyflow.central_path")
+        solve, calls = module.solve_auxiliary, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ConvergenceFailure("stalled", residual=0.25)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_auxiliary", second_fails)
+        prob = pf.build_canonical("scalar")
+        sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
+        with pytest.raises(ConvergenceFailure) as exc:
+            pf.central_path(prob, sch, [0.0, 1e3, 1e6])
+        assert str(exc.value) == "central path solve failed at t=1000: stalled"
+        assert exc.value.residual == 0.25
 
     def test_times_must_increase(self):
         prob = pf.build_canonical("scalar")

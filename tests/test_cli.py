@@ -21,6 +21,7 @@ from penaltyflow.cli import main
 from penaltyflow.config import load_config, parse_config
 from penaltyflow.errors import (ConfigError, ConvergenceFailure, FormatError,
                                 ParameterError, PenaltyflowError)
+from penaltyflow.pgmio import atomic_write_bytes
 from penaltyflow.runner import (ISNR_COLUMNS, PATH_COLUMNS,
                                 TRAJECTORY_COLUMNS, run_experiment)
 
@@ -233,6 +234,15 @@ class TestPgmRoundTrip:
         assert (tmp_path / "m.pgm").stat().st_mode & 0o777 == 0o666 & ~umask
         assert [f.name for f in tmp_path.iterdir()] == ["m.pgm"]
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # str is not bytes: the write fails after the temp file is made
+        target = tmp_path / "a.bin"
+        atomic_write_bytes(target, b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(target, "new")
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["a.bin"]
+
 
 class TestConfigParsing:
     def test_json_error_carries_line(self, tmp_path):
@@ -300,6 +310,8 @@ class TestConfigParsing:
         ("x0", [1.0, math.inf], "$.x0[1]"),
         ("schedule", {"family": "polynomial", "r": math.nan, "s": 0.2}, "$.schedule.r"),
         ("instance", {"deblur": {"noise_std": math.nan}}, "$.instance.deblur.noise_std"),
+        ("x0", "origin", "$.x0"),
+        ("schedule", {"family": "polynomial", "s": 0.2}, "$.schedule.r"),
     ])
     def test_mistyped_scalar_named(self, tmp_path, key, value, field):
         base = {"instance": "scalar", "mode": "FB",
@@ -334,6 +346,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(cfg)
         assert exc.value.field == path
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_missing_required_leaf_named(self, data):
+        cfg, leaves = data.draw(valid_configs())
+        obj, key, path, _, _ = data.draw(st.sampled_from(
+            [leaf for leaf in leaves
+             if leaf[4] is config._REQUIRED and isinstance(leaf[0], dict)]))
+        del obj[key]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cfg)
+        assert exc.value.field == path
+        if path != "$.grid.kind":  # read first, to pick the grid's fields
+            assert str(exc.value) == f"{path}: missing required field"
 
     def test_integral_float_counts(self):
         cfg = parse_config({"instance": "scalar", "mode": "FB",
@@ -390,9 +416,9 @@ class TestTrajectoryRows:
         if with_gaps:
             gaps = np.random.default_rng(0).random(traj.times.size)
             gaps[1] = math.nan
-        new = runner.emit_csv(tmp_path / "new.csv", TRAJECTORY_COLUMNS,
-                              runner._trajectory_rows(traj, gaps))
-        assert Path(new).read_bytes() == reference_csv_bytes(
+        new = tmp_path / "new.csv"
+        runner.emit_csv(new, TRAJECTORY_COLUMNS, runner._trajectory_rows(traj, gaps))
+        assert new.read_bytes() == reference_csv_bytes(
             TRAJECTORY_COLUMNS, per_row_trajectory_rows(traj, gaps))
 
     @given(st.lists(st.one_of(
@@ -552,6 +578,26 @@ class TestRunExperiment:
         assert 0.0 < gap < 1e-300
         assert report["metrics"]["tracking"]["final_gap"] == gap
 
+    @pytest.mark.parametrize("overrides", [
+        dict(instance="skew-box", mode="FBF", store_every=200,
+             outputs={"trajectory_csv": True, "path_csv": True, "tracking": True,
+                      "checkpoint": True}),
+        dict(SMALL_DEBLUR, outputs={"images": True, "isnr_csv": True,
+                                    "trajectory_csv": True, "checkpoint": True}),
+        dict(store_every=200, outputs={"report_json": False})],
+        ids=["skew-box", "deblur", "no-report"])
+    def test_report_lists_exactly_what_was_written(self, tmp_path, overrides):
+        cfg, out = load_config(write_config(tmp_path, **overrides)), tmp_path / "out"
+        rep = run_experiment(cfg, str(out))
+        assert rep.exit_code == 0
+        written = set(os.listdir(out))
+        assert {os.path.basename(p) for p in rep.artifacts} == written
+        if cfg.outputs["report_json"]:
+            listed = json.loads((out / "report.json").read_text())["artifacts"]
+            assert set(listed) == written - {"report.json"}
+        else:
+            assert "report.json" not in written
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, store_every=100)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -628,6 +674,32 @@ class TestCliCommands:
         if case == "non-utf8":
             assert err == "error: $: not UTF-8: byte 0xff at offset 34\n"
 
+    # each write fails on a directory in its file's place; isnr.csv and
+    # trajectory.csv are written before the images
+    @pytest.mark.parametrize("name, overrides, before", [
+        ("trajectory.csv", {}, set()),
+        ("degraded.pgm", dict(SMALL_DEBLUR, outputs={"images": True, "isnr_csv": True}),
+         {"isnr.csv", "trajectory.csv"})], ids=["trajectory", "degraded"])
+    def test_failed_artifact_write_writes_report(self, tmp_path, capsys, name,
+                                                 overrides, before):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main(["run", write_config(tmp_path, **overrides), "--out-dir", str(out)]) == 1
+        message = f"error: cannot write {name}: Is a directory"
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["exit_code"] == 1 and report["messages"] == [message]
+        assert set(report["artifacts"]) == before
+        assert set(os.listdir(out)) == before | {name, "report.json"}
+
+    def test_unwritable_report_prints_the_reason(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["run", write_config(tmp_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: cannot write report.json: Is a directory\n"
+        assert set(os.listdir(out)) == {"trajectory.csv", "path.csv", "report.json"}
+
     def test_undefined_isnr_writes_report(self, tmp_path, capsys):
         # a 1x1 kernel and no noise leave the observed image equal to the original
         p = write_config(tmp_path, **dict(
@@ -675,9 +747,16 @@ class TestCliCommands:
         (dict(FAILING_FBF, grid={"kind": "uniform", "h": -1, "T": 1e3}),
          "grid h must be > 0, got -1.0"),
         (dict(FAILING_FBF, x0=[1.0, 2.0]), "dimension 2, expected 1"),
+        ({"schedule": {"family": "power", "r": 0.1, "s": 0.2}},
+         "error: $.schedule.family: only the polynomial family is JSON-constructible"),
+        # a 1x1 kernel ignores sigma, which is checked all the same
+        (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "kernel_size": 1,
+                                                 "sigma": -5}}),
+         "error: sigma must be > 0, got -5.0"),
     ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
             "noise", "schedule-range", "deblur-tracking", "canonical-isnr",
-            "h-and-failing-schedule", "x0-and-failing-schedule"])
+            "h-and-failing-schedule", "x0-and-failing-schedule", "family",
+            "sigma-kernel-1"])
     def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
                                              says):
         p = write_config(tmp_path, **overrides)

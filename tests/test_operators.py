@@ -335,6 +335,9 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
     (lambda: pf.l1_subgradient(_NAN), "weight must be >= 0, got nan"),
     (lambda: pf.box_normal_cone(_NAN, 1.0), "lo must be <= 1.0, got nan"),
     (lambda: pf.gaussian_kernel(3, _NAN), "sigma must be > 0, got nan"),
+    (lambda: pf.gaussian_kernel(1, -5.0), "sigma must be > 0, got -5.0"),
+    (lambda: pf.gaussian_kernel(1, _NAN), "sigma must be > 0, got nan"),
+    (lambda: pf.gaussian_kernel(1, 0.0), "sigma must be > 0, got 0.0"),
     (lambda: pf.build_tv_deblur(np.full((4, 4), _NAN), kernel_size=3),
      "original pixels must be in [0, 1], got " + str(np.full((4, 4), _NAN))),
     (lambda: replace(pf.build_canonical("scalar"), dim=1.5),
@@ -351,6 +354,14 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
      "samples must be an integer, got '3'"),
     (lambda: pf.verify_certificate(pf.zero_op(1), "monotone", samples=True),
      "samples must be an integer, got True"),
+    (lambda: pf.verify_certificate(abs, "firmly-nonexpansive-resolvent", dim=1),
+     "resolvent certificate needs a MonotoneOperator"),
+    (lambda: pf.verify_certificate(object(), "monotone", dim=1),
+     "operator has no pointwise evaluation"),
+    (lambda: pf.verify_certificate(pf.zero_op(1), "strongly-monotone"),
+     "unknown certificate kind 'strongly-monotone'"),
+    (lambda: pf.verify_certificate(pf.zero_op(1), "lipschitz"),
+     "lipschitz certificate needs a modulus"),
     (lambda: pf.zero_op(2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.box_normal_cone(0, 1, dim=2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.box_normal_cone([0, 0, 0], [1, 1, 1], dim=2),
@@ -361,10 +372,12 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
     (lambda: pf.affine_op([[_NAN, 0.0], [0.0, 2.0]]),
      "affine operator needs a finite square matrix"),
 ], ids=["eta", "mu", "dim", "s", "b", "lambda_bar", "moduli", "resolvent-lam", "yosida-lam",
-        "l1-weight", "box-lo", "sigma", "original-pixels", "dim-1.5", "kernel-size-2.5",
+        "l1-weight", "box-lo", "sigma", "sigma-kernel-1", "sigma-nan-kernel-1",
+        "sigma-0-kernel-1", "original-pixels", "dim-1.5", "kernel-size-2.5",
         "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5", "samples-str",
-        "samples-bool", "zero-dim-2.5", "box-dim-2.5", "box-dim-2-of-3", "l1-dim-2.5",
-        "custom-dim-bool", "affine-nan", "affine-nan-off-eigs"])
+        "samples-bool", "certificate-resolvent-of-callable", "certificate-no-eval",
+        "certificate-unknown-kind", "certificate-no-modulus", "zero-dim-2.5", "box-dim-2.5",
+        "box-dim-2-of-3", "l1-dim-2.5", "custom-dim-bool", "affine-nan", "affine-nan-off-eigs"])
 def test_argument_rules_name_the_argument_and_value(call, message):
     # NaN passed every guard written as x <= 0, and only IntegratorSpec and
     # solve_auxiliary checked that an integer argument is an integer
