@@ -23,8 +23,8 @@ loop rewrites each step, so they are valid only during the call: numpy
 converts a Python float operand on every ufunc call but takes a 0-d array as
 is, and at dimension 1-2 that conversion is a large share of a step. For the
 same reason a step of exactly h = 1 forms X + dx, bitwise X + 1.0*dx. The
-recorder stores states, not step vectors, in buffers that double when full:
-X and the schedule values at each sample, FBF's |P| as one more scalar, and
+recorder stores states, not step vectors, appending each sample to growable
+byte buffers: X and the schedule values, FBF's |P| as one more scalar, and
 SFBP's J, as only SFBP carries the penalty potentials and the loop evaluates
 psi1 + psi2 once, on the stack of stored J, after the march.
 tracking_report recomputes dx and P at a sample with the same step map. FB
@@ -37,6 +37,7 @@ the final dx once for non-finite entries (ConvergenceFailure).
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,9 @@ from .errors import (DivergenceError, ParameterError, PreconditionError, require
 from .operators import as_vector, norm, require_finite
 
 _BLOWUP = 1e12
+# a stored sample's scalars: t, h, lam, eps, beta, gamma, |B1(x)|, k, and
+# FBF's |p| (0.0 in the other modes)
+_SAMPLE = struct.Struct("9d")
 
 
 @dataclass(frozen=True)
@@ -224,11 +228,11 @@ def _march(mode, prob, sch, x0, spec):
     Iteration k evaluates the schedule once at the current time t, sizes the
     step h = min(requested, cap, T - t) from those values and steps with the
     same values. The iteration after the last step (k = n) takes no step and
-    records the final state with a freshly evaluated field. Samples go into
-    buffers of max_steps // store_every + 3 rows (at most 4 096) when
-    max_steps bounds the run, else of 16 rows, doubled when full; the SFBP
-    potentials of the stored resolvent points are taken after the march, in
-    one call each.
+    records the final state with a freshly evaluated field. Each stored
+    sample appends its scalars, x and SFBP's j to byte buffers that grow as
+    they fill, so max_steps only ends the run; after the march the scalars
+    become columns and the SFBP potentials of the stored resolvent points are
+    taken, in one call each.
     """
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
@@ -238,17 +242,15 @@ def _march(mode, prob, sch, x0, spec):
     T = g.T
     t_end = T - 1e-12
     max_steps = spec.max_steps
-    rows = 16 if max_steps is None else min(max_steps // every + 3, 4096)
-    # t, h, lam, eps, beta, gamma, |B1(x)|, k, and FBF's |p|; x, and SFBP's j
     fbf, sfbp = mode == "FBF", mode == "SFBP"
-    cols = np.empty((8 + fbf, rows))
-    vecs = np.empty((1 + sfbp, rows, prob.dim))
-    b_eval, at = prob.b1.eval, sch.at
+    # each stored sample appends its _SAMPLE record, x and SFBP's j
+    recs, xs, js = bytearray(), bytearray(), bytearray()
+    pack, b_eval, at = _SAMPLE.pack, prob.b1.eval, sch.at
     # lam, eps, beta, gamma for the step map and h for x + h*dx, as 0-d views
     # of one buffer rewritten each step; cap and the recorder keep the floats
     vals = np.empty(5)
     zlam, zeps, zbet, zgam, zh = (vals[j, ...] for j in range(5))
-    t, k, i, n = 0.0, 0, 0, None
+    t, k, n = 0.0, 0, None
     while True:
         lam, eps, bet, gam = at(t)
         if n is None:
@@ -262,17 +264,10 @@ def _march(mode, prob, sch, x0, spec):
         bx = b_eval(x)
         dx, y = step(x, bx, zlam, zeps, zbet, zgam)
         if k % every == 0 or n is not None:
-            if i == rows:
-                cols = np.concatenate([cols, np.empty_like(cols)], axis=1)
-                vecs = np.concatenate([vecs, np.empty_like(vecs)], axis=1)
-                rows *= 2
-            cols[:8, i] = t, h, lam, eps, bet, gam, norm(bx), k
-            vecs[0, i] = x
-            if fbf:
-                cols[8, i] = norm(y)
-            elif sfbp:
-                vecs[1, i] = y
-            i += 1
+            recs += pack(t, h, lam, eps, bet, gam, norm(bx), k, norm(y) if fbf else 0.0)
+            xs += x.tobytes()
+            if sfbp:
+                js += np.asarray(y, dtype=float).tobytes()
         if k == n:
             require_finite(dx, "final step")
             break
@@ -281,17 +276,19 @@ def _march(mode, prob, sch, x0, spec):
         if k % 64 == 0 or k + 1 == n:
             _check_state(x, k)
         t, k, h_req = t + h, k + 1, h_req * ratio
-    times, hs, lam, eps, bet, gam, b1n, ks = cols[:8, :i]
+    # one contiguous column per field
+    times, hs, lam, eps, bet, gam, b1n, ks, pn = np.frombuffer(recs).reshape(-1, 9).T.copy()
+    states = np.frombuffer(xs).reshape(times.size, prob.dim)
     psi = None
     if sfbp:  # check_mode and ProblemInstance ensure B2, psi1 and psi2
-        js = vecs[1, :i]
+        js = np.frombuffer(js).reshape(states.shape)
         psi = prob.psi1(js) + prob.psi2(js)
-        if np.shape(psi) != (i,):
-            raise ParameterError(f"psi1 + psi2 on a ({i}, {prob.dim}) stack must have "
-                                 f"shape ({i},), got {np.shape(psi)}")
+        if np.shape(psi) != times.shape:
+            raise ParameterError(f"psi1 + psi2 on a {js.shape} stack must have "
+                                 f"shape {times.shape}, got {np.shape(psi)}")
     return Trajectory(
-        mode=mode, times=times, states=vecs[0, :i], step_sizes=hs, b1_norms=b1n,
-        psi_sums=psi, p_norms=cols[8, :i] if fbf else None, lam=lam, eps=eps,
+        mode=mode, times=times, states=states, step_sizes=hs, b1_norms=b1n,
+        psi_sums=psi, p_norms=pn if fbf else None, lam=lam, eps=eps,
         beta=bet, gamma=gam, n_steps_total=n, step_indices=ks.astype(np.intp))
 
 

@@ -80,6 +80,9 @@ class ProblemInstance:
 
     def __post_init__(self):
         require_int("dim", self.dim, 1)
+        for name, op in (("A", self.a), ("B2", self.b2)):
+            if op is not None and op.dim is not None and op.dim != self.dim:
+                raise ParameterError(f"{name} has dimension {op.dim}, the instance {self.dim}")
         has_b2 = self.b2 is not None
         if (self.psi1 is not None) != has_b2 or (self.psi2 is not None) != has_b2:
             raise ParameterError("psi1 and psi2 are given with B2 and only with it")

@@ -1,9 +1,9 @@
 """Experiment execution: validate, integrate, diagnose, emit artifacts.
 
 Exit codes: 0 success, 2 a failed schedule check, else the code the raised
-error's type states (``errors.py``); a failed artifact write exits 1. Every
-failure writes report.json, listing what was written before it, unless
-report.json or out_dir itself cannot be written.
+error's type states (``errors.py``); a failed artifact write, report.json's
+too, exits 1 unless the run already failed. Every failure writes report.json,
+listing what was written before it, unless report.json itself cannot be.
 """
 
 import json
@@ -128,19 +128,23 @@ def _emit(report, out_dir, name, write, *args):
 
 def run_experiment(cfg, out_dir):
     """Run one experiment per the config; returns an ExitReport. A package
-    error on the way ends the run with its type's exit code and label; only
-    an unwritable out_dir or report.json escapes, as OSError and
-    PenaltyflowError."""
+    error on the way, an unwritable report.json included, adds its message
+    and ends the run with its type's exit code, unless the run already
+    failed with its own; only an unwritable out_dir escapes, as OSError."""
     os.makedirs(out_dir, exist_ok=True)
     report = ExitReport(exit_code=0)
-    try:
-        _run(report, cfg, out_dir)
-    except PenaltyflowError as exc:
-        report.exit_code = exc.exit_code
-        report.messages.append(f"{exc.label}: {exc}")
+    for stage in (_run, _write_report):
+        try:
+            stage(report, cfg, out_dir)
+        except PenaltyflowError as exc:
+            report.exit_code = report.exit_code or exc.exit_code
+            report.messages.append(f"{exc.label}: {exc}")
+    return report
+
+
+def _write_report(report, cfg, out_dir):
     if cfg.outputs["report_json"]:
         _emit(report, out_dir, "report.json", atomic_write_text, report.to_json())
-    return report
 
 
 def _run(report, cfg, out_dir):

@@ -93,7 +93,7 @@ def polynomial_schedule(r, s, b=1.0, lambda_bar=0.9, gamma_bar=1.0, gamma_kind="
     else:
         # cos(1/t) changes sign near 0; restrict to t >= 1 where it is positive
         def gamma(t):
-            return gamma_bar * np.cos(1.0 / max(t, 1.0))
+            return gamma_bar * math.cos(1.0 / max(t, 1.0))
 
     def at(t):
         u = t + b

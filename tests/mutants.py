@@ -34,9 +34,6 @@ MUTANTS = [
     ("last-step-strict", "dynamics.py",
      "if t + h >= t_end or", "if t + h > t_end or"),
     ("t-end-1e-9", "dynamics.py", "t_end = T - 1e-12", "t_end = T - 1e-9"),
-    # without its 3 spare rows a max_steps buffer has no row at all when
-    # max_steps < store_every, and doubling an empty buffer leaves it empty
-    ("buffer-no-spare-rows", "dynamics.py", "// every + 3, 4096)", "// every, 4096)"),
     ("hidden-budget", "dynamics.py",
      "max_steps = spec.max_steps", "max_steps = spec.max_steps or 1000"),
     ("collapse-h-lt-0", "dynamics.py", "if h <= 0:", "if h < 0:"),
@@ -68,11 +65,14 @@ MUTANTS = [
     ("fbf-neg-lam", "dynamics.py",
      "np.subtract(v, vp, out=vp)\n            vp *= lam",
      "np.subtract(vp, v, out=vp)\n            vp *= -lam"),
-    ("psi-at-state", "dynamics.py", "js = vecs[1, :i]", "js = vecs[0, :i]"),
+    ("psi-at-state", "dynamics.py",
+     "js = np.frombuffer(js).reshape", "js = np.frombuffer(xs).reshape"),
     # what the recorder keeps and what tracking recomputes from it
-    ("p-norm-of-x", "dynamics.py", "cols[8, i] = norm(y)", "cols[8, i] = norm(x)"),
+    ("p-norm-of-x", "dynamics.py", "norm(y) if fbf else 0.0", "norm(x) if fbf else 0.0"),
+    # the recorder keeps one more vector per sample, here the step dx
     ("recorder-extra-slot", "dynamics.py",
-     "np.empty((1 + sfbp, rows, prob.dim))", "np.empty((2 + sfbp, rows, prob.dim))"),
+     "            xs += x.tobytes()\n",
+     "            xs += x.tobytes()\n            js += dx.tobytes()\n"),
     ("tracking-eps-for-beta", "dynamics.py",
      "traj.lam, traj.eps, traj.beta, traj.gamma)", "traj.lam, traj.eps, traj.eps, traj.gamma)"),
     ("tracking-lips-no-beta", "dynamics.py",
@@ -106,6 +106,8 @@ MUTANTS = [
      "lam = lams[(k // 3) % 3]", "lam = lams[k % 3]"),
     ("box-dim-unchecked", "operators.py",
      "if dim is not None and dim != n:", "if False:"),
+    ("instance-dim-unchecked", "problem.py",
+     "if op is not None and op.dim is not None and op.dim != self.dim:", "if False:"),
     ("dim-rule-takes-float", "operators.py",
      'require_int("dim", dim, 1)', 'require_range("dim", dim, ">=", 1)'),
     ("deblur-clip-to-2", "deblur.py",
@@ -120,11 +122,9 @@ MUTANTS = [
      "    z += [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]",
      "z = [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
      "    z += [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]"),
-    ("kernel-sigma-after-shortcut", "imaging.py",
-     '    require_range("sigma", sigma, ">", 0)\n'
-     "    if size == 1:\n        return np.ones((1, 1))\n",
-     "    if size == 1:\n        return np.ones((1, 1))\n"
-     '    require_range("sigma", sigma, ">", 0)\n'),
+    ("kernel-sigma-positive-only", "imaging.py",
+     'require_range("sigma", sigma, ">=", 1e-150, "<=", 1e150)',
+     'require_range("sigma", sigma, ">", 0)'),
     ("kernel-exponent-sign", "imaging.py",
      "math.exp(-float(i * i)", "math.exp(float(i * i)"),
     ("blur-rank-unchecked", "imaging.py",
@@ -173,6 +173,9 @@ MUTANTS = [
      'float(traj.b1_norms[-1])', 'float(traj.b1_norms[0])'),
     # the one artifact writer
     ("emit-unlisted", "runner.py", "    report.artifacts.append(path)\n", "    pass\n"),
+    ("report-write-drops-verdict", "runner.py",
+     "report.exit_code = report.exit_code or exc.exit_code",
+     "report.exit_code = exc.exit_code"),
     ("emit-oserror-escapes", "runner.py",
      "    try:\n        write(path, *args)\n    except OSError as exc:\n"
      '        raise PenaltyflowError(f"cannot write {name}: {exc.strerror}") from exc\n',

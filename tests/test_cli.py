@@ -700,6 +700,21 @@ class TestCliCommands:
             "error: cannot write report.json: Is a directory\n"
         assert set(os.listdir(out)) == {"trajectory.csv", "path.csv", "report.json"}
 
+    @pytest.mark.parametrize("overrides, code, verdict", [
+        (FAILING_FBF, 2, "schedule validation failed: r+s<1/3, r<s"),
+        ({"instance": "skew-box", "mode": "FB"}, 4, "precondition error: FB mode needs a "
+         "cocoercive smooth part; instance 'skew-box' is not"),
+    ], ids=["schedule", "precondition"])
+    def test_unwritable_report_keeps_the_verdict(self, tmp_path, capsys, overrides, code,
+                                                 verdict):
+        # the run's own verdict and exit code stand; the failed write is one more message
+        out = tmp_path / "o"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["run", write_config(tmp_path, **overrides), "--out-dir", str(out)]) == code
+        printed = capsys.readouterr()
+        assert printed.err == f"{verdict}\nerror: cannot write report.json: Is a directory\n"
+        assert printed.out == f"exit code {code}; artifacts: none\n"
+
     def test_undefined_isnr_writes_report(self, tmp_path, capsys):
         # a 1x1 kernel and no noise leave the observed image equal to the original
         p = write_config(tmp_path, **dict(
@@ -752,11 +767,16 @@ class TestCliCommands:
         # a 1x1 kernel ignores sigma, which is checked all the same
         (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "kernel_size": 1,
                                                  "sigma": -5}}),
-         "error: sigma must be > 0, got -5.0"),
+         "error: sigma must be in [1e-150, 1e+150], got -5.0"),
+        # 2*sigma**2 underflowed to 0 and overflowed to inf, raw tracebacks
+        (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "sigma": 1e-200}}),
+         "error: sigma must be in [1e-150, 1e+150], got 1e-200"),
+        (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "sigma": 1e200}}),
+         "error: sigma must be in [1e-150, 1e+150], got 1e+200"),
     ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
             "noise", "schedule-range", "deblur-tracking", "canonical-isnr",
             "h-and-failing-schedule", "x0-and-failing-schedule", "family",
-            "sigma-kernel-1"])
+            "sigma-kernel-1", "sigma-1e-200", "sigma-1e200"])
     def test_validate_runs_the_run_preflight(self, tmp_path, capsys, overrides,
                                              says):
         p = write_config(tmp_path, **overrides)

@@ -124,6 +124,18 @@ class TestGaussianBlur:
         assert np.allclose(k, k.T)
         assert np.all(k >= 0)
 
+    @pytest.mark.parametrize("sigma", [1e-150, 1.0, 1e150])
+    def test_kernel_at_the_sigma_range_ends(self, sigma):
+        # size 1 is [[1.0]] bit for bit, with no shortcut; a point mass at
+        # the lower end, flat weights at the upper
+        assert pf.gaussian_kernel(1, sigma).tobytes() == np.ones((1, 1)).tobytes()
+        k = pf.gaussian_kernel(3, sigma)
+        assert np.all(np.isfinite(k)) and abs(k.sum() - 1.0) <= 1e-15
+        if sigma == 1e-150:
+            assert np.array_equal(k, np.outer([0, 1, 0], [0, 1, 0]))
+        elif sigma == 1e150:
+            assert np.array_equal(k, np.full((3, 3), 1.0 / 9.0))
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
             pf.gaussian_kernel(8, 4.0)

@@ -334,10 +334,13 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
     (lambda: pf.yosida_eval(_BOX, _NAN, np.zeros(1)), "lam must be > 0, got nan"),
     (lambda: pf.l1_subgradient(_NAN), "weight must be >= 0, got nan"),
     (lambda: pf.box_normal_cone(_NAN, 1.0), "lo must be <= 1.0, got nan"),
-    (lambda: pf.gaussian_kernel(3, _NAN), "sigma must be > 0, got nan"),
-    (lambda: pf.gaussian_kernel(1, -5.0), "sigma must be > 0, got -5.0"),
-    (lambda: pf.gaussian_kernel(1, _NAN), "sigma must be > 0, got nan"),
-    (lambda: pf.gaussian_kernel(1, 0.0), "sigma must be > 0, got 0.0"),
+    (lambda: pf.gaussian_kernel(3, _NAN), "sigma must be in [1e-150, 1e+150], got nan"),
+    (lambda: pf.gaussian_kernel(1, -5.0), "sigma must be in [1e-150, 1e+150], got -5.0"),
+    (lambda: pf.gaussian_kernel(1, _NAN), "sigma must be in [1e-150, 1e+150], got nan"),
+    (lambda: pf.gaussian_kernel(1, 0.0), "sigma must be in [1e-150, 1e+150], got 0.0"),
+    # 2*sigma**2 underflowed to 0 and overflowed to inf
+    (lambda: pf.gaussian_kernel(3, 1e-200), "sigma must be in [1e-150, 1e+150], got 1e-200"),
+    (lambda: pf.gaussian_kernel(3, 1e200), "sigma must be in [1e-150, 1e+150], got 1e+200"),
     (lambda: pf.build_tv_deblur(np.full((4, 4), _NAN), kernel_size=3),
      "original pixels must be in [0, 1], got " + str(np.full((4, 4), _NAN))),
     (lambda: replace(pf.build_canonical("scalar"), dim=1.5),
@@ -366,6 +369,10 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
     (lambda: pf.box_normal_cone(0, 1, dim=2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.box_normal_cone([0, 0, 0], [1, 1, 1], dim=2),
      "dim must equal the 3 entries of the bounds, got 2"),
+    (lambda: replace(pf.build_canonical("scalar"), a=pf.box_normal_cone([0, 0, 0], [1, 1, 1])),
+     "A has dimension 3, the instance 1"),
+    (lambda: replace(pf.build_canonical("sfbp-two-penalty"), b2=pf.zero_op(2)),
+     "B2 has dimension 2, the instance 1"),
     (lambda: pf.l1_subgradient(dim=2.5), "dim must be an integer, got 2.5"),
     (lambda: pf.MonotoneOperator("custom", abs, dim=True), "dim must be an integer, got True"),
     (lambda: pf.affine_op([[_NAN]]), "affine operator needs a finite square matrix"),
@@ -373,11 +380,13 @@ _BOX = pf.box_normal_cone(0.0, 1.0, dim=1)
      "affine operator needs a finite square matrix"),
 ], ids=["eta", "mu", "dim", "s", "b", "lambda_bar", "moduli", "resolvent-lam", "yosida-lam",
         "l1-weight", "box-lo", "sigma", "sigma-kernel-1", "sigma-nan-kernel-1",
-        "sigma-0-kernel-1", "original-pixels", "dim-1.5", "kernel-size-2.5",
-        "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5", "samples-str",
-        "samples-bool", "certificate-resolvent-of-callable", "certificate-no-eval",
-        "certificate-unknown-kind", "certificate-no-modulus", "zero-dim-2.5", "box-dim-2.5",
-        "box-dim-2-of-3", "l1-dim-2.5", "custom-dim-bool", "affine-nan", "affine-nan-off-eigs"])
+        "sigma-0-kernel-1", "sigma-1e-200", "sigma-1e200", "original-pixels", "dim-1.5",
+        "kernel-size-2.5", "image-size-4.5", "seed-1.5", "certificate-dim-2.5", "samples-2.5",
+        "samples-str", "samples-bool", "certificate-resolvent-of-callable",
+        "certificate-no-eval", "certificate-unknown-kind", "certificate-no-modulus",
+        "zero-dim-2.5", "box-dim-2.5", "box-dim-2-of-3", "instance-a-dim-3-of-1",
+        "instance-b2-dim-2-of-1", "l1-dim-2.5", "custom-dim-bool", "affine-nan",
+        "affine-nan-off-eigs"])
 def test_argument_rules_name_the_argument_and_value(call, message):
     # NaN passed every guard written as x <= 0, and only IntegratorSpec and
     # solve_auxiliary checked that an integer argument is an integer
