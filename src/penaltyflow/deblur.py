@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, require_int, require_range
-from .imaging import (circulant_pair, discrete_gradient, gaussian_blur,
+from .imaging import (_circulant, discrete_gradient, gaussian_blur,
                       gaussian_kernel, isnr)
 from .operators import MonotoneOperator, project_pair_ball
 from .problem import LipschitzOperator, PenaltyOperator, ProblemInstance
@@ -95,8 +95,8 @@ def build_tv_deblur(original, kernel_size=9, sigma=4.0, noise_std=1e-3, seed=0):
     npx = m * n
     kernel = gaussian_kernel(kernel_size, sigma)
     observed, clipped = degrade_image(original, kernel, noise_std, seed)
-    # K* (K theta - b) == P theta Q - K* b for the kernel's one circulant pair
-    a, b = circulant_pair(kernel, (m, n))
+    # K* (K theta - b) == P theta Q - K* b for the taps' circulant pair
+    a, b = _circulant(kernel, m), _circulant(kernel, n)
     p_mat, q_mat = a.T @ a, b.T @ b
     ktb = a.T @ observed @ b
 

@@ -382,9 +382,11 @@ def tracking_report(prob, traj, path):
                    - lam * eps * float(np.sum((p - pt.xbar) ** 2)))
             residuals[j] = lhs - rhs
         else:
-            # 2<xdot, x - xbar> <= gam lam eps (lam eps - 2) ||x - xbar||^2
+            # 2<xdot, x - xbar> <= gam lam eps (lam eps - 2) ||x - xbar||^2;
+            # the SFBP step takes no relaxation, so gam reads 1 there
             lhs = 2.0 * float(xdot @ diff)
-            rhs = gam * lam * eps * (lam * eps - 2.0) * float(diff @ diff)
+            relax = gam if traj.mode == "FB" else 1.0
+            rhs = relax * lam * eps * (lam * eps - 2.0) * float(diff @ diff)
             residuals[j] = lhs - rhs
     burn_in = 0
     for j in range(len(theta) - 1):

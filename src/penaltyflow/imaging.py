@@ -1,5 +1,5 @@
 """Image operators: discrete gradient with Neumann boundaries, circular blur
-by an odd square kernel of rank one with an exact adjoint, test images, and the
+by odd 1-D taps along each axis with an exact adjoint, test images, and the
 ISNR metric."""
 
 import math
@@ -92,7 +92,8 @@ def gradient_norm_estimate(size):
 
 
 def gaussian_kernel(size, sigma):
-    """Normalized truncated Gaussian weights on a size x size stencil."""
+    """Normalized truncated Gaussian taps, shape (size,): the blur applies
+    them along each axis."""
     require_int("kernel size", size, 1)
     if size % 2 == 0:
         raise ParameterError("kernel size must be odd (center required)")
@@ -102,8 +103,7 @@ def gaussian_kernel(size, sigma):
     # one scalar math.exp per tap: the weights do not depend on numpy's SIMD loops
     g = np.array([math.exp(-float(i * i) / (2.0 * sigma ** 2))
                   for i in range(-half, half + 1)])
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
 def _circulant(weights, n):
@@ -117,39 +117,21 @@ def _circulant(weights, n):
     return mat
 
 
-def circulant_pair(kernel, shape):
-    """The circulant pair (a, b) with K x == a @ x @ b.T.
-
-    K is circular correlation of a shape-(M, N) image with the odd square
-    kernel, which must have rank one: the pair comes from the kernel's SVD, and
-    a second singular value above 1e-13 * s_0 raises ParameterError. A
-    Gaussian kernel has rank one.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-        raise ParameterError("kernel must be square")
-    if kernel.shape[0] % 2 == 0:
-        raise ParameterError("kernel size must be odd (center required)")
-    u, s, vt = np.linalg.svd(kernel)
-    if np.count_nonzero(s > 1e-13 * s[0]) != 1:
-        raise ParameterError("kernel must have rank one (one row and one column factor)")
-    col = u[:, 0] * math.sqrt(s[0])
-    row = vt[0, :] * math.sqrt(s[0])
-    if col.sum() < 0:
-        col, row = -col, -row
-    return _circulant(col, shape[0]), _circulant(row, shape[1])
-
-
 def gaussian_blur(img, kernel, adjoint=False):
-    """Circular (periodic) correlation with the kernel, or its exact adjoint.
+    """Circular (periodic) correlation with the odd 1-D taps ``kernel`` along
+    each axis, or its exact adjoint.
 
-    Applied as one circulant matmul pair; the adjoint uses the transposed
-    pair, so <K x, y> == <x, K* y> holds to rounding.
+    The blur of a shape-(M, N) image is a @ img @ b.T for the circulant pair
+    a, b of the taps at sides M and N; the adjoint uses the transposed pair,
+    so <K x, y> == <x, K* y> holds to rounding.
     """
     img = np.asarray(img, dtype=float)
+    kernel = np.asarray(kernel, dtype=float)
     if img.ndim != 2:
         raise ParameterError("image must be 2-D")
-    a, b = circulant_pair(kernel, img.shape)
+    if kernel.ndim != 1 or kernel.size % 2 == 0:
+        raise ParameterError("kernel must be an odd number of 1-D taps")
+    a, b = _circulant(kernel, img.shape[0]), _circulant(kernel, img.shape[1])
     return a.T @ img @ b if adjoint else a @ img @ b.T
 
 

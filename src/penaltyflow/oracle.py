@@ -151,7 +151,10 @@ def active_set_solve(prob):
                 if not consistent:
                     continue
                 if np.any(np.abs(a_ff) > 1e-12):
-                    continue  # degenerate but not constant on the face; not enumerated
+                    # its solutions need not reach a corner, so the corners
+                    # below would give a partial certificate
+                    raise UnsupportedInstanceError(
+                        "a face where D is degenerate but not constant is not enumerated")
                 # D constant on the face: the whole face may solve
                 verts = []
                 for corner in itertools.product(*[

@@ -16,14 +16,15 @@ bits of some norms, so the digests are recorded with one OpenBLAS thread,
 which is the default here when the environment sets none.
 
 No digest depends on the SIMD loops numpy picks for the CPU: the deblurring
-noise and blur kernel are taken with scalar standard-library calls, and
+noise and blur taps are taken with scalar standard-library calls, and
 ``tests/test_digests.py`` requires every digest again under numpy's AVX2
-loops. Some still depend on the OpenBLAS kernel: under
-``OPENBLAS_CORETYPE=Haswell`` the ``fbf-skew-track`` trajectories, the
-``sfbp-1d`` and ``sfbp-geometric`` reports and the ``tv-deblur-64`` ISNR
-series, reports and trajectories move. Some depend on glibc's libm variant:
-with ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` the ``fb-segment-track``
-path CSVs and the ``fbf-skew-track``, ``sfbp-1d`` and ``sfbp-geometric``
+loops. The eight artifacts in ``BOUND_TO_BLAS_KERNEL`` still depend on the
+OpenBLAS kernel: under ``OPENBLAS_CORETYPE=Haswell`` the ``fbf-skew-track``
+and ``tv-deblur-64`` trajectories and the ``sfbp-1d`` and ``sfbp-geometric``
+reports move, and ``tests/test_digests.py`` requires every other digest
+there. Some depend on glibc's libm variant: with
+``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` the ``fb-segment-track`` path
+CSVs and the ``fbf-skew-track``, ``sfbp-1d`` and ``sfbp-geometric``
 trajectories move.
 """
 
@@ -35,11 +36,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "digests.json"
 SEEDS = (0, 1)
+# "<config>/<artifact>", on every seed, whose bytes follow the OpenBLAS
+# kernel, with the BLAS call that moves them
+BOUND_TO_BLAS_KERNEL = {
+    "fbf-skew-track/trajectory.csv": "operators.norm's ddot",
+    "tv-deblur-64/trajectory.csv": "operators.norm's ddot",
+    "sfbp-1d/report.json": "np.polyfit in schedules._tail_slope",
+    "sfbp-geometric/report.json": "np.polyfit in schedules._tail_slope",
+}
 
 
 def _schedule(r, s, b, lambda_bar):
@@ -147,4 +154,5 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     main(sys.argv[1:])

@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SUBSET = ["tests/test_dynamics.py", "tests/test_operators.py", "tests/test_schedules.py",
           "tests/test_cli.py", "tests/test_instances.py", "tests/test_digests.py",
-          "tests/test_central_path.py", "tests/test_imaging.py"]
+          "tests/test_central_path.py", "tests/test_imaging.py", "tests/test_oracle.py"]
 
 # (name, file under src/penaltyflow, snippet, replacement)
 MUTANTS = [
@@ -77,6 +77,8 @@ MUTANTS = [
      "traj.lam, traj.eps, traj.beta, traj.gamma)", "traj.lam, traj.eps, traj.eps, traj.gamma)"),
     ("tracking-lips-no-beta", "dynamics.py",
      "prob.lipschitz_bound(traj.eps, traj.beta)", "prob.lipschitz_bound(traj.eps, 0.0)"),
+    ("tracking-sfbp-relaxed", "dynamics.py",
+     'relax = gam if traj.mode == "FB" else 1.0', "relax = gam"),
     ("final-gap-from-theta", "dynamics.py",
      "gaps[j] = norm(diff)", "gaps[j] = math.sqrt(2.0 * theta[j])"),
     ("tracking-match-tolerant", "dynamics.py",
@@ -114,7 +116,7 @@ MUTANTS = [
      "np.clip(theta, 0.0, 1.0, out=box)", "np.clip(theta, 0.0, 2.0, out=box)"),
     ("deblur-uv-swapped", "deblur.py",
      "out=(disc_u, disc_v)", "out=(disc_v, disc_u)"),
-    # the noise and the blur kernel, which fix the deblurring digests
+    # the noise and the blur taps, which fix the deblurring digests
     ("noise-u1-may-be-zero", "deblur.py",
      "u1 = [1.0 - rng.random() for", "u1 = [rng.random() for"),
     ("noise-halves-swapped", "deblur.py",
@@ -127,8 +129,9 @@ MUTANTS = [
      'require_range("sigma", sigma, ">", 0)'),
     ("kernel-exponent-sign", "imaging.py",
      "math.exp(-float(i * i)", "math.exp(float(i * i)"),
-    ("blur-rank-unchecked", "imaging.py",
-     "if np.count_nonzero(s > 1e-13 * s[0]) != 1:", "if False:"),
+    ("taps-unnormalized", "imaging.py", "return g / g.sum()", "return g"),
+    ("blur-taps-even", "imaging.py",
+     "if kernel.ndim != 1 or kernel.size % 2 == 0:", "if kernel.ndim != 1:"),
     # schedules
     ("samples-grid-array", "schedules.py",
      "np.array([fn(t) for t in times.tolist()], dtype=float)",
@@ -154,6 +157,11 @@ MUTANTS = [
      "np.linalg.norm(hi - lo)", "np.linalg.norm(hi - mid)"),
     ("times-finite-unchecked", "central_path.py",
      "if not np.all(np.isfinite(times)):", "if False:"),
+    # the oracle
+    ("oracle-skips-degenerate-face", "oracle.py",
+     "raise UnsupportedInstanceError(\n"
+     '                        "a face where D is degenerate but not constant is not enumerated")',
+     "continue"),
     # the argument rules
     ("tol-guard-passes-nan", "errors.py",
      '">": (operator.gt, "(")', '">": (lambda a, b: not a <= b, "(")'),

@@ -523,7 +523,8 @@ def stored_vector_tracking(prob, traj, dxs, ps, sel, xbar):
                    - lam * eps * float(np.sum((ps[i] - xbar) ** 2)))
             residuals.append(float(diff @ xdot) - rhs)
         else:
-            rhs = gam * lam * eps * (lam * eps - 2.0) * float(diff @ diff)
+            relax = gam if traj.mode == "FB" else 1.0  # SFBP takes no relaxation
+            rhs = relax * lam * eps * (lam * eps - 2.0) * float(diff @ diff)
             residuals.append(2.0 * float(xdot @ diff) - rhs)
     return np.array(theta), np.array(residuals)
 
@@ -563,6 +564,24 @@ class TestTracking:
         pts = pf.central_path(prob, sch, traj.times[1::7], tol=1e-12)
         rep = pf.tracking_report(prob, traj, pts)
         assert rep.inequality_nonpositive_fraction >= 0.99
+
+    def test_sfbp_inequality_reads_no_gamma(self):
+        # the SFBP step takes no relaxation: runs that differ only in
+        # gamma_bar march alike and give one report
+        prob = pf.build_canonical("sfbp-two-penalty")
+        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=2000.0), store_every=10)
+        reports = []
+        for gamma_bar in (1.0, 0.5):
+            sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, gamma_bar)
+            traj = pf.integrate_sfbp(prob, sch, np.array([0.5]), spec)
+            pts = pf.central_path(prob, sch, traj.times[1::10], tol=1e-12)
+            reports.append((traj.states.tobytes(), pf.tracking_report(prob, traj, pts)))
+        (states_1, rep_1), (states_half, rep_half) = reports
+        assert states_1 == states_half
+        for field in ("times", "theta", "gaps", "inequality_residuals"):
+            assert getattr(rep_1, field).tobytes() == getattr(rep_half, field).tobytes()
+        assert rep_1.burn_in_index == rep_half.burn_in_index
+        assert rep_1.inequality_nonpositive_fraction == rep_half.inequality_nonpositive_fraction
 
     def test_grid_mismatch_rejected(self):
         prob = pf.build_canonical("scalar")

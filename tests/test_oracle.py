@@ -50,6 +50,22 @@ def _sample_graph_points(prob, n_samples=100, seed=0, radius=5.0):
     return samples
 
 
+def _degenerate_face_instance():
+    """A = 0, D x = diag(0, 0, 0.624) x + (0, 0, -0.293) and zer(B1) = [-1, 1]^3.
+
+    The solution set is the square [-1, 1]^2 x {0.293 / 0.624}, and its
+    least-norm point (0, 0, 0.4696) is no corner of the box.
+    """
+    m = np.diag([0.0, 0.0, 0.624])
+    q = np.array([0.0, 0.0, -0.293])
+    lo, hi = -np.ones(3), np.ones(3)
+    d = LipschitzOperator(eval=lambda x: m @ x + q, eta=1.0 / 0.624,
+                          cocoercive=True, affine=(m, q))
+    b1 = PenaltyOperator(eval=lambda x: x - x.clip(lo, hi), mu=1.0,
+                         zero_set_box=(lo, hi))
+    return ProblemInstance(a=pf.zero_op(3), d=d, b1=b1, dim=3, name="degenerate-face")
+
+
 class TestActiveSetSolve:
     def test_scalar_singleton(self):
         cert = pf.active_set_solve(pf.build_canonical("scalar"))
@@ -84,6 +100,15 @@ class TestActiveSetSolve:
         assert cert.distance_to(np.array([1.0, 0.0])) <= 1e-12
         assert cert.distance_to(np.array([3.0, 0.0])) == pytest.approx(1.0)
         assert cert.distance_to(np.array([1.0, 2.0])) == pytest.approx(2.0)
+
+    def test_degenerate_face_rejected(self):
+        # D's block on the full face is singular but not zero: enumerating
+        # only the face's corners would certify (-1, -1, 0.4696) as least-norm
+        prob = _degenerate_face_instance()
+        ref = pf.high_precision_reference(prob)
+        assert np.linalg.norm(ref - [0.0, 0.0, 0.293 / 0.624]) <= 1e-11
+        with pytest.raises(UnsupportedInstanceError, match="degenerate"):
+            pf.active_set_solve(prob)
 
     def test_nonaffine_rejected(self):
         base = pf.build_canonical("scalar")
