@@ -22,10 +22,11 @@ loops. The eight artifacts in ``BOUND_TO_BLAS_KERNEL`` still depend on the
 OpenBLAS kernel: under ``OPENBLAS_CORETYPE=Haswell`` the ``fbf-skew-track``
 and ``tv-deblur-64`` trajectories and the ``sfbp-1d`` and ``sfbp-geometric``
 reports move, and ``tests/test_digests.py`` requires every other digest
-there. Some depend on glibc's libm variant: with
+there. The eight in ``BOUND_TO_LIBM`` depend on glibc's libm variant: with
 ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` the ``fb-segment-track`` path
 CSVs and the ``fbf-skew-track``, ``sfbp-1d`` and ``sfbp-geometric``
-trajectories move.
+trajectories move, and ``tests/test_digests.py`` requires every other digest
+there too.
 """
 
 import hashlib
@@ -46,6 +47,13 @@ BOUND_TO_BLAS_KERNEL = {
     "tv-deblur-64/trajectory.csv": "operators.norm's ddot",
     "sfbp-1d/report.json": "np.polyfit in schedules._tail_slope",
     "sfbp-geometric/report.json": "np.polyfit in schedules._tail_slope",
+}
+# the same for glibc's libm variant, with the libm call that moves them
+BOUND_TO_LIBM = {
+    "fb-segment-track/path.csv": "pow in the polynomial schedule's eps",
+    "fbf-skew-track/trajectory.csv": "pow in Schedule.at, through the march",
+    "sfbp-1d/trajectory.csv": "pow in Schedule.at, through the march",
+    "sfbp-geometric/trajectory.csv": "pow in Schedule.at, through the march",
 }
 
 

@@ -62,9 +62,13 @@ MUTANTS = [
     ("fb-gam-distributed", "dynamics.py",
      "return gam * (res(lam, x - lam * v) - x), None",
      "return gam * res(lam, x - lam * v) - gam * x, None"),
+    # differs from the step only in the sign of a zero coordinate of dx, which
+    # x + h*dx never shows; the direct step-map case on "signed-zero" sees it
     ("fbf-neg-lam", "dynamics.py",
-     "np.subtract(v, vp, out=vp)\n            vp *= lam",
-     "np.subtract(vp, v, out=vp)\n            vp *= -lam"),
+     "mul(sub(v, vp, vp), lam, vp)", "mul(sub(vp, v, vp), -lam, vp)"),
+    # p may be the array the oracle was handed ("own-argument")
+    ("fbf-reuses-oracle-input", "dynamics.py",
+     "add(vp, mul(bet, b_eval(p), dx), vp)", "add(vp, mul(bet, b_eval(p), q), vp)"),
     ("psi-at-state", "dynamics.py",
      "js = np.frombuffer(js).reshape", "js = np.frombuffer(xs).reshape"),
     # what the recorder keeps and what tracking recomputes from it

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow import config, runner
-from penaltyflow.dynamics import Trajectory, check_mode
+from penaltyflow.dynamics import Trajectory, _step_map, check_mode
 from penaltyflow.errors import (ConvergenceFailure, DivergenceError,
                                 ParameterError, PreconditionError)
 from penaltyflow.operators import norm
@@ -41,17 +41,20 @@ def projection_sfbp_problem(dim=1):
 
 
 def read_only_problem(prob):
-    """``prob`` with D, B1 and the oracle of A returning read-only arrays."""
+    """``prob`` with D, B1, the oracle of A and that of B2 returning read-only
+    views; B2 takes another kind, so that the combined resolvent calls it."""
     def ro(fn):
         def wrapped(*args):
-            y = fn(*args)
+            y = fn(*args).view()  # an operator may return its argument
             y.setflags(write=False)
             return y
         return wrapped
 
     a = pf.MonotoneOperator(prob.a.kind, ro(prob.a._resolvent_fn), dim=prob.a.dim,
                             params=prob.a.params)
-    return dataclasses.replace(prob, a=a,
+    b2 = None if prob.b2 is None else pf.MonotoneOperator(
+        f"read-only {prob.b2.kind}", ro(prob.b2._resolvent_fn), dim=prob.b2.dim)
+    return dataclasses.replace(prob, a=a, b2=b2,
                                d=dataclasses.replace(prob.d, eval=ro(prob.d.eval)),
                                b1=dataclasses.replace(prob.b1, eval=ro(prob.b1.eval)))
 
@@ -90,11 +93,19 @@ def _allowed(mode, prob):
 
 
 def _instance(name):
-    """A canonical instance, a 4x4 deblur instance, or "signed-zero": D = 1 and A
+    """A canonical instance, a 4x4 deblur instance, "signed-zero": D = 1 and A
     the normal cone of the box [-0.0, 1], where at x = +0 the FBF step has
-    p = -0.0 and V(p) == V(x), so dx = -0.0 + lam*(+0.0) must be +0.0."""
+    p = -0.0 and V(p) == V(x), so dx = -0.0 + lam*(+0.0) must be +0.0, or
+    "own-argument": A = 0 through an oracle that returns the array it is
+    handed, B1 = Id and D = x/2, where a step that writes into the array it
+    handed the oracle moves p."""
     if name == "deblur-4":
         return pf.build_tv_deblur(pf.make_test_image("checkerboard", 4), 3, 1.0).problem
+    if name == "own-argument":
+        d = LipschitzOperator(eval=lambda x: 0.5 * x, eta=2.0, cocoercive=True)
+        b1 = PenaltyOperator(eval=lambda x: x, mu=1.0)
+        a = pf.MonotoneOperator(name, lambda lam, x: x, dim=2)
+        return ProblemInstance(a=a, d=d, b1=b1, dim=2, name=name)
     if name != "signed-zero":
         return pf.build_canonical(name)
     d = LipschitzOperator(eval=lambda x: np.ones_like(x), eta=INF)
@@ -107,7 +118,8 @@ _MODES = {"FB": (pf.integrate_fb, "scalar", (0.1, 0.2, 1.0)),
           "FBF": (pf.integrate_fbf, "skew-box", (0.05, 0.25, 1.0)),
           "SFBP": (pf.integrate_sfbp, "sfbp-two-penalty", (0.65, 0.6, 1000.0))}
 # every (instance, mode) pair that check_mode allows
-_CASES = [(name, mode) for name in (*pf.CANONICAL_NAMES, "deblur-4", "signed-zero")
+_CASES = [(name, mode) for name in (*pf.CANONICAL_NAMES, "deblur-4", "signed-zero",
+                                    "own-argument")
           for mode in _MODES if _allowed(mode, _instance(name))]
 _T = st.floats(0.5, 30.0)
 _EPS_OR_BETA = st.just(0.0) | st.floats(0.0, 2.0)  # eps and beta exactly 0.0 among the draws
@@ -132,6 +144,9 @@ _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(
 # on only some steps still moves a bit
 @example(case=("scalar", "FB"), sch=pf.polynomial_schedule(0.1, 0.2, gamma_bar=0.9),
          spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0)), entries=[0.5])
+# p is the array the FBF step handed the oracle, and beta != 1
+@example(case=("own-argument", "FBF"), sch=pf.constant_schedule(eps=0.3, beta=1.5, lam=0.4),
+         spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=5.0)), entries=[0.5, -1.0])
 def test_march_equals_reference(case, sch, spec, entries):
     """Every integrator returns the reference march's Trajectory byte for byte."""
     name, mode = case
@@ -294,6 +309,36 @@ class TestForwardBackwardForward:
         spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=3.0))
         traj = pf.integrate_fbf(prob, sch, x0, spec)
         assert_same_trajectory(traj, reference_march("FBF", prob, sch, x0, spec))
+
+
+# (mode, instance) pairs for the direct step-map check; at "signed-zero" FBF's
+# dx is +0.0 where (vp - v) * -lam would make it -0.0
+_STEP_CASES = [("FB", "scalar"), ("FB", "own-argument"), ("FBF", "skew-box"),
+               ("FBF", "signed-zero"), ("FBF", "own-argument"), ("FBF", "deblur-4"),
+               ("SFBP", "sfbp-two-penalty")]
+
+
+@pytest.mark.parametrize("mode, name", _STEP_CASES)
+def test_step_map_writes_into_no_input_and_returns_reference_step(mode, name):
+    """One step map, called at two successive states with read-only x and bx
+    and with operators and oracles that return read-only arrays, returns the
+    reference march's dx, and FBF's p, at each, byte for byte."""
+    prob = _instance(name)
+    eps = 0.0 if name == "signed-zero" else 0.3  # V(p) == V(x) needs eps = 0
+    sch = pf.constant_schedule(eps=eps, beta=1.5, lam=0.5, gamma=0.75)
+    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=1e9), max_steps=1)
+    x0 = np.array([0.0, -0.0, 1.0]) if name == "signed-zero" else np.linspace(-0.5, 1.5, prob.dim)
+    ref, dxs, ps = reference_steps(mode, prob, sch, x0, spec)
+    ro = read_only_problem(prob)
+    step = _step_map(mode, ro)
+    vals = np.array([ref.lam[0], ref.eps[0], ref.beta[0], ref.gamma[0]])
+    for i, x in enumerate(ref.states):
+        x = x.copy()
+        x.setflags(write=False)
+        dx, y = step(x, ro.b1.eval(x), *(vals[j, ...] for j in range(4)))
+        assert dx.tobytes() == dxs[i].tobytes()
+        if mode == "FBF":
+            assert y.tobytes() == ps[i].tobytes()
 
 
 class TestStepMapsTakeZeroDimValues:
