@@ -6,9 +6,9 @@ from .central_path import (CentralPathPoint, central_path, least_norm_solution,
                            path_derivative_check, path_regularity_check,
                            solve_auxiliary)
 from .deblur import DeblurInstance, build_tv_deblur, isnr_series
-from .dynamics import (GeometricGrid, IntegratorSpec, Trajectory, UniformGrid,
-                       ergodic_average, integrate_fb, integrate_fbf,
-                       integrate_sfbp, tracking_report)
+from .dynamics import (IntegratorSpec, Trajectory, ergodic_average,
+                       integrate_fb, integrate_fbf, integrate_sfbp,
+                       tracking_report)
 from .errors import (ConfigError, ConvergenceFailure, DivergenceError,
                      FormatError, MetricUndefinedError, ParameterError,
                      PreconditionError, UnsupportedInstanceError)

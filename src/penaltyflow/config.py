@@ -27,7 +27,8 @@ Every object is checked against its table below: unknown keys are rejected
 and every value typed (integers take an integral float such as 5e4, not a
 bool; numbers are never bools or strings, and never NaN or Infinity, which
 Python's json module would otherwise accept; null only for "max_steps"), and
-a grid takes the fields of the dataclass its "kind" names. The schedule's
+a grid takes the keys its "kind" names, which give IntegratorSpec its h (a
+geometric grid's "h0"), T and ratio (1 for a uniform grid). The schedule's
 family and ranges (such as r in (0, 1)) are checked where the runner's
 preflight builds it, so that a bad schedule writes report.json; so are the
 outputs an instance kind cannot write ("tracking" and "path_csv" need a
@@ -38,14 +39,15 @@ name their path, such as $.grid.h or $.instance.deblur.size.
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import GeometricGrid, UniformGrid
 from .errors import ConfigError, ParameterError
 from .schedules import MODES, polynomial_schedule
 
-_GRIDS = {"uniform": UniformGrid, "geometric": GeometricGrid}
+# grid kind -> {key: the IntegratorSpec field it sets}
+_GRIDS = {"uniform": {"h": "h", "T": "T"},
+          "geometric": {"h0": "h", "ratio": "ratio", "T": "T"}}
 
 _REQUIRED = object()  # the default of a key that must be given
 
@@ -73,8 +75,9 @@ _TOP = {"instance": (object, _REQUIRED), "mode": (str, _REQUIRED),
 
 @dataclass
 class ExperimentConfig:
-    """A checked config: ``grid`` is a UniformGrid or GeometricGrid, ``schedule``
-    and ``outputs`` are typed dicts, ``instance`` a name or {"deblur": {...}}."""
+    """A checked config: ``grid`` holds IntegratorSpec's h, ratio and T,
+    ``schedule`` and ``outputs`` are typed dicts, ``instance`` a name or
+    {"deblur": {...}}."""
 
     instance: object
     mode: str
@@ -140,16 +143,15 @@ def _section(d, table, where):
 
 
 def _grid(d):
-    """The grid ``d`` describes; its numbers are the dataclass fields of its kind."""
+    """IntegratorSpec's h, ratio and T as grid ``d`` gives them."""
     # a non-object d is rejected by _section below
     kind = d.get("kind") if isinstance(d, dict) else "uniform"
-    cls = _GRIDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
+    keys = _GRIDS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
         raise ConfigError(f"must be one of {tuple(_GRIDS)}", field="$.grid.kind")
-    names = [f.name for f in fields(cls)]
-    g = _section(d, {"kind": (str, _REQUIRED), **{n: (float, _REQUIRED) for n in names}},
+    g = _section(d, {"kind": (str, _REQUIRED), **{k: (float, _REQUIRED) for k in keys}},
                  "$.grid")
-    return cls(*(g[n] for n in names))
+    return {"ratio": 1.0, **{f: g[k] for k, f in keys.items()}}
 
 
 def parse_config(data):

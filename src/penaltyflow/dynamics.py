@@ -63,48 +63,34 @@ _SAMPLE = struct.Struct("9d")
 
 
 @dataclass(frozen=True)
-class UniformGrid:
-    h: float
-    T: float
-
-
-@dataclass(frozen=True)
-class GeometricGrid:
-    h0: float
-    ratio: float
-    T: float
-
-
-@dataclass(frozen=True)
 class IntegratorSpec:
-    """How to march: grid request, stability cap, storage thinning.
+    """How to march: requested steps, horizon, stability cap, storage thinning.
 
+    The first step requests h and each later step the previous request times
+    ratio (1 for a uniform grid); the march ends at the finite horizon T.
     safety_factor scales the Lipschitz step cap of FB and FBF, which always
     applies; SFBP steps are bounded by h <= 1 alone.
     max_steps, when set, truncates the run after that many (>= 1) steps;
-    unset, the grid alone ends the run, however many steps the cap makes.
+    unset, T alone ends the run, however many steps the cap makes.
     """
 
-    grid: object
+    h: float
+    T: float
+    ratio: float = 1.0
     safety_factor: float = 0.5
     store_every: int = 1
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        g = self.grid
-        if not isinstance(g, (UniformGrid, GeometricGrid)):
-            raise ParameterError("grid must be UniformGrid or GeometricGrid")
         require_range("safety_factor", self.safety_factor, ">", 0, "<=", 1)
         require_int("store_every", self.store_every, 1)
         if self.max_steps is not None:
             require_int("max_steps", self.max_steps, 1)
-        if isinstance(g, UniformGrid):
-            require_range("grid h", g.h, ">", 0)
-        else:
-            require_range("grid h0", g.h0, ">", 0)
-            require_range("grid ratio", g.ratio, ">=", 1, "<", math.inf)
-        # T must exceed the 1e-12 that the march stops short of it
-        require_range("grid T", g.T, ">", 1e-12)
+        require_range("grid h", self.h, ">", 0)
+        require_range("grid ratio", self.ratio, ">=", 1, "<", math.inf)
+        # T must exceed the 1e-12 that the march stops short of it, and be
+        # finite, or the march never ends
+        require_range("grid T", self.T, ">", 1e-12, "<", math.inf)
 
 
 @dataclass
@@ -248,9 +234,7 @@ def _march(mode, prob, sch, x0, spec):
     check_mode(mode, prob)
     x = as_vector(x0, prob.dim).copy()
     cap, step = _cap(mode, prob, spec.safety_factor), _step_map(mode, prob)
-    g, every = spec.grid, spec.store_every
-    h_req, ratio = (g.h, 1.0) if isinstance(g, UniformGrid) else (g.h0, g.ratio)
-    T = g.T
+    h_req, ratio, T, every = spec.h, spec.ratio, spec.T, spec.store_every
     t_end = T - 1e-12
     max_steps = spec.max_steps
     fbf, sfbp = mode == "FBF", mode == "SFBP"

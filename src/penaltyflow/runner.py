@@ -90,7 +90,7 @@ def _prepare(cfg):
             raise ConfigError(f"not written for a {kind} instance", field=f"$.outputs.{key}")
     check_mode(cfg.mode, prob)
     sch = cfg.schedule_obj()
-    spec = IntegratorSpec(grid=cfg.grid, safety_factor=cfg.safety_factor,
+    spec = IntegratorSpec(**cfg.grid, safety_factor=cfg.safety_factor,
                           store_every=cfg.store_every, max_steps=cfg.max_steps)
     x0 = as_vector(prob.x0_default if cfg.x0 == "default" else cfg.x0, prob.dim)
     vrep = validate_schedule(sch, cfg.mode, (prob.d.eta, prob.b1.mu))

@@ -1,8 +1,10 @@
 """The reference march: what integrate_fb, integrate_fbf and integrate_sfbp
 compute, bit for bit, from public names alone and written to be read, not to
-be fast. Tests import it (``test_march_equals_reference``); pytest does not
-collect it. ``reference_steps`` also returns each sample's step direction dx
-and FBF's point p, which the Trajectory does not store."""
+be fast. The spec's first step requests spec.h and each later one the
+previous request times spec.ratio, up to spec.T. Tests import it
+(``test_march_equals_reference``); pytest does not collect it.
+``reference_steps`` also returns each sample's step direction dx and FBF's
+point p, which the Trajectory does not store."""
 
 import math
 
@@ -28,14 +30,13 @@ def reference_march(mode, prob, sch, x0, spec):
 
 def reference_steps(mode, prob, sch, x0, spec):
     """(Trajectory, dx per sample, p per sample or None) of ``reference_march``."""
-    g = spec.grid
-    h_req, ratio = (g.h, 1.0) if isinstance(g, pf.UniformGrid) else (g.h0, g.ratio)
+    h_req, T = spec.h, spec.T
     x, t, k, last, rows = np.array(x0, dtype=float), 0.0, 0, None, []
     while True:
         lam, eps, bet, gam = (float(f(t)) for f in (sch.lam, sch.eps, sch.beta, sch.gamma))
         if last is None:
-            h = min(h_req, _cap(mode, spec, lam, gam, prob.lipschitz_bound(eps, bet)), g.T - t)
-            if t + h >= g.T - 1e-12 or k + 1 == spec.max_steps:
+            h = min(h_req, _cap(mode, spec, lam, gam, prob.lipschitz_bound(eps, bet)), T - t)
+            if t + h >= T - 1e-12 or k + 1 == spec.max_steps:
                 last = k + 1
         v, p = prob.vfield(eps, bet, x), None
         if mode == "SFBP":
@@ -50,7 +51,7 @@ def reference_steps(mode, prob, sch, x0, spec):
         if k == last:
             break
         x = x + h * dx
-        t, k, h_req = t + h, k + 1, h_req * ratio
+        t, k, h_req = t + h, k + 1, h_req * spec.ratio
     t, h, lam, eps, bet, gam, b1n, ks, xs, dxs, ps, qs = map(np.array, zip(*rows))
     psi = None if prob.psi1 is None else prob.psi1(qs) + prob.psi2(qs)
     fbf = mode == "FBF"

@@ -69,7 +69,7 @@ def _fb_run(name):
     sch = pf.polynomial_schedule(0.1, 0.2, 1.0, lam_bar, 1.0)
     assert pf.validate_schedule(sch, "FB", (prob.d.eta, prob.b1.mu)).overall
     x0 = np.array([2.0, 2.0]) if prob.dim == 2 else np.zeros(1)
-    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4), store_every=100)
+    spec = pf.IntegratorSpec(h=1.0, T=1e4, store_every=100)
     t0 = time.perf_counter()
     traj = pf.integrate_fb(prob, sch, x0, spec)
     elapsed = time.perf_counter() - t0
@@ -116,8 +116,7 @@ def test_criterion_4_fbf_noncocoercive():
     prob = pf.build_canonical("skew-box")
     sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
     assert pf.validate_schedule(sch, "FBF", (prob.d.eta, prob.b1.mu)).overall
-    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e5),
-                             safety_factor=1.0, store_every=500)
+    spec = pf.IntegratorSpec(h=1.0, T=1e5, safety_factor=1.0, store_every=500)
     traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]), spec)
     final_norm = float(np.linalg.norm(traj.final_state))
     pts = pf.central_path(prob, sch, traj.times[1::8], tol=1e-12)
@@ -125,7 +124,7 @@ def test_criterion_4_fbf_noncocoercive():
 
     with pytest.raises(pf.PreconditionError):
         pf.integrate_fb(prob, sch, np.array([1.0, 1.0]),
-                        pf.IntegratorSpec(grid=pf.UniformGrid(h=0.1, T=1.0)))
+                        pf.IntegratorSpec(h=0.1, T=1.0))
     cert = pf.verify_certificate(prob.d, "cocoercive", modulus=1.0,
                                  samples=300, seed=0, dim=2)
 
@@ -145,7 +144,7 @@ def test_criterion_5_full_splitting():
     est, ac_ok = pf.attouch_czarnecki_check(sch)
     assert ac_ok and math.isfinite(est)
     t0 = time.perf_counter()
-    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e6), store_every=10)
+    spec = pf.IntegratorSpec(h=1.0, T=1e6, store_every=10)
     traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
     erg = pf.ergodic_average(traj)
     elapsed = time.perf_counter() - t0
@@ -260,8 +259,7 @@ def test_criterion_8_deblurring_pipeline():
     lam_bar = 0.9 * min(prob.b1.mu, prob.d.eta)
     sch = pf.polynomial_schedule(0.05, 0.25, 1.0, lam_bar, 1.0)
     assert pf.validate_schedule(sch, "FBF", (prob.d.eta, prob.b1.mu)).overall
-    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9),
-                             store_every=250, max_steps=50000)
+    spec = pf.IntegratorSpec(h=1.0, T=1e9, store_every=250, max_steps=50000)
     traj = pf.integrate_fbf(prob, sch, inst.x0, spec)
     series = pf.isnr_series(inst, traj)
     half = series[series.size // 2:]
@@ -276,7 +274,7 @@ def test_criterion_8_deblurring_pipeline():
     sch_id = pf.polynomial_schedule(0.05, 0.25, 1e12,
                                     0.9 * min(prob_id.b1.mu, prob_id.d.eta), 1.0)
     assert pf.validate_schedule(sch_id, "FBF", (prob_id.d.eta, prob_id.b1.mu)).overall
-    spec_id = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9),
+    spec_id = pf.IntegratorSpec(h=1.0, T=1e9,
                                 safety_factor=1.0, store_every=1000,
                                 max_steps=20000)
     traj_id = pf.integrate_fbf(prob_id, sch_id, inst_id.x0, spec_id)

@@ -98,10 +98,9 @@ def valid_configs(draw):
     kind = draw(st.sampled_from(sorted(config._GRIDS)))
     grid = cfg["grid"] = {"kind": kind}
     leaves.append((grid, "kind", "$.grid.kind", str, config._REQUIRED))
-    for f in dataclasses.fields(config._GRIDS[kind]):
-        grid[f.name] = draw(BY_TYPE[float])
-        leaves.append((grid, f.name, f"$.grid.{f.name}", float,
-                       config._REQUIRED))
+    for key in config._GRIDS[kind]:
+        grid[key] = draw(BY_TYPE[float])
+        leaves.append((grid, key, f"$.grid.{key}", float, config._REQUIRED))
     if draw(st.booleans()):
         x0 = cfg["x0"] = draw(st.lists(BY_TYPE[float], min_size=1, max_size=3))
         leaves.extend((x0, i, f"$.x0[{i}]", float, config._REQUIRED)
@@ -331,7 +330,18 @@ class TestConfigParsing:
         cfg = parse_config(data)
         assert data == before
         assert cfg.instance["deblur"]["kernel_size"] == 9
-        assert cfg.grid == pf.GeometricGrid(0.1, 1.01, 10.0)
+        assert cfg.grid == {"h": 0.1, "ratio": 1.01, "T": 10.0}
+
+    @pytest.mark.parametrize("grid, spec", [
+        ({}, pf.IntegratorSpec(h=0.2, T=1e3)),
+        ({"grid": {"kind": "uniform", "h": 0.5, "T": 40}}, pf.IntegratorSpec(h=0.5, T=40.0)),
+        ({"grid": {"kind": "geometric", "h0": 0.01, "ratio": 1.001, "T": 1e4}},
+         pf.IntegratorSpec(h=0.01, T=1e4, ratio=1.001))], ids=["default", "uniform", "geometric"])
+    def test_grid_gives_the_spec_its_steps(self, grid, spec):
+        # a uniform grid requests the same step throughout: ratio exactly 1
+        cfg = parse_config({"instance": "scalar", "mode": "FB",
+                            "schedule": {"family": "polynomial", "r": 0.1, "s": 0.2}, **grid})
+        assert runner._prepare(cfg)[4] == spec
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -410,8 +420,7 @@ class TestTrajectoryRows:
         integrate = {"FB": pf.integrate_fb, "FBF": pf.integrate_fbf,
                      "SFBP": pf.integrate_sfbp}[mode]
         traj = integrate(prob, pf.polynomial_schedule(r, s, b), np.full(prob.dim, 0.7),
-                         pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=40.0),
-                                           store_every=3))
+                         pf.IntegratorSpec(h=0.5, T=40.0, store_every=3))
         gaps = None
         if with_gaps:
             gaps = np.random.default_rng(0).random(traj.times.size)
@@ -545,7 +554,7 @@ class TestRunExperiment:
                                        store_every=200, outputs=outputs))
         spec = runner._prepare(cfg)[4]
         assert [f.name for f in dataclasses.fields(spec)] == [
-            "grid", "safety_factor", "store_every", "max_steps"]
+            "h", "T", "ratio", "safety_factor", "store_every", "max_steps"]
         out = tmp_path / "out"
         report = run_experiment(cfg, str(out))
         assert report.exit_code == 0
@@ -743,6 +752,11 @@ class TestCliCommands:
     @pytest.mark.parametrize("overrides, says", [
         ({"grid": {"kind": "uniform", "h": -1, "T": 1e3}},
          "grid h must be > 0, got -1.0"),
+        # a geometric grid's h0 is the spec's first requested step h
+        ({"grid": {"kind": "geometric", "h0": 0, "ratio": 1.1, "T": 1e3}},
+         "grid h must be > 0, got 0.0"),
+        ({"grid": {"kind": "geometric", "h0": 0.1, "ratio": 0.5, "T": 1e3}},
+         "grid ratio must be finite and >= 1, got 0.5"),
         ({"safety_factor": 2}, "safety_factor"),
         ({"store_every": 0}, "store_every"),
         ({"max_steps": 0}, "max_steps"),
@@ -773,7 +787,7 @@ class TestCliCommands:
          "error: sigma must be in [1e-150, 1e+150], got 1e-200"),
         (dict(SMALL_DEBLUR, instance={"deblur": {"size": 8, "sigma": 1e200}}),
          "error: sigma must be in [1e-150, 1e+150], got 1e+200"),
-    ], ids=["h", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
+    ], ids=["h", "h0", "ratio", "safety", "store", "max0", "max-3", "x0", "h-nan", "seed",
             "noise", "schedule-range", "deblur-tracking", "canonical-isnr",
             "h-and-failing-schedule", "x0-and-failing-schedule", "family",
             "sigma-kernel-1", "sigma-1e-200", "sigma-1e200"])

@@ -1,8 +1,9 @@
 """Every artifact of the golden runs in ``tests/digests.py`` is byte-identical
 to the digests recorded in ``tests/data/digests.json``, with one BLAS thread,
 again with numpy's AVX-512 loops switched off, all but the artifacts
-``digests.BOUND_TO_BLAS_KERNEL`` names under OpenBLAS's Haswell kernels, and
-all but those ``digests.BOUND_TO_LIBM`` names under glibc's non-FMA libm.
+``digests.BOUND_TO_BLAS_KERNEL`` names under OpenBLAS's Haswell kernels, all
+but those ``digests.BOUND_TO_LIBM`` names under glibc's non-FMA libm, and all
+but those ``digests.BOUND_TO_BLAS_THREADS`` names with two BLAS threads.
 
 After a change that moves artifact bytes on purpose, rewrite the file with
 ``python tests/digests.py --write`` and state in CHANGES.md which fields
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from digests import BOUND_TO_BLAS_KERNEL, BOUND_TO_LIBM, SEEDS
+from digests import BOUND_TO_BLAS_KERNEL, BOUND_TO_BLAS_THREADS, BOUND_TO_LIBM, SEEDS
 
 HERE = Path(__file__).resolve().parent
 # numpy then dispatches its AVX2 loops, as on a CPU without AVX-512
@@ -43,8 +44,10 @@ def _run(args, **env):
 
 
 def _assert_golden(golden, bound=(), **env):
-    got = json.loads(_run([str(HERE / "digests.py")], OPENBLAS_NUM_THREADS="1",
-                          **env))["digests"]
+    """Every digest but those in ``bound`` is golden under ``env``, which
+    runs one BLAS thread unless it sets OPENBLAS_NUM_THREADS."""
+    got = json.loads(_run([str(HERE / "digests.py")],
+                          **{"OPENBLAS_NUM_THREADS": "1", **env}))["digests"]
     assert sorted(got) == sorted(golden)
     moved = [name for name in got if got[name] != golden[name] and name not in bound]
     assert not moved, f"artifacts whose bytes moved: {moved}"
@@ -105,6 +108,15 @@ def test_artifacts_match_golden_digests_under_numpy_avx2_loops():
     found = json.loads(_run(["-c", code], NPY_DISABLE_CPU_FEATURES=AVX2_LOOPS))
     assert not set(found) & set(AVX2_LOOPS.split()), found
     _assert_golden(golden, NPY_DISABLE_CPU_FEATURES=AVX2_LOOPS)
+
+
+def test_artifacts_match_golden_digests_two_blas_threads():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("two BLAS threads need two usable CPUs")
+    golden = _golden()
+    bound = set(BOUND_TO_BLAS_THREADS)
+    assert bound <= set(golden)
+    _assert_golden(golden, bound, OPENBLAS_NUM_THREADS="2")
 
 
 def test_artifacts_match_golden_digests_under_openblas_haswell_kernels():

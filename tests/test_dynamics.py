@@ -129,9 +129,10 @@ _SCHEDULES = st.builds(
     gamma_kind=st.sampled_from(["constant", "cos-inverse"])) | st.builds(
     pf.constant_schedule, eps=_EPS_OR_BETA, beta=_EPS_OR_BETA, lam=st.floats(0.01, 1.0),
     gamma=st.floats(0.05, 1.0))
-_GRIDS = (st.builds(pf.UniformGrid, h=st.sampled_from([1.0, 0.37]) | st.floats(0.01, 2.0), T=_T)
-          | st.builds(pf.GeometricGrid, h0=st.floats(0.01, 1.0), ratio=st.floats(1.0, 1.3), T=_T))
-_SPECS = st.builds(pf.IntegratorSpec, grid=_GRIDS, safety_factor=st.floats(0.1, 1.0),
+# ratio 1.0, drawn on its own, is a uniform grid
+_SPECS = st.builds(pf.IntegratorSpec, h=st.sampled_from([1.0, 0.37]) | st.floats(0.01, 2.0),
+                   T=_T, ratio=st.just(1.0) | st.floats(1.0, 1.3),
+                   safety_factor=st.floats(0.1, 1.0),
                    store_every=st.integers(1, 6), max_steps=st.none() | st.integers(1, 60))
 # x0 repeats these entries to the instance's dimension
 _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(-3.0, 3.0),
@@ -143,10 +144,10 @@ _ENTRIES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]) | st.floats(
 # a capped FB run of 1 161 steps, so that a rewrite that rounds differently
 # on only some steps still moves a bit
 @example(case=("scalar", "FB"), sch=pf.polynomial_schedule(0.1, 0.2, gamma_bar=0.9),
-         spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0)), entries=[0.5])
+         spec=pf.IntegratorSpec(h=1.0, T=200.0), entries=[0.5])
 # p is the array the FBF step handed the oracle, and beta != 1
 @example(case=("own-argument", "FBF"), sch=pf.constant_schedule(eps=0.3, beta=1.5, lam=0.4),
-         spec=pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=5.0)), entries=[0.5, -1.0])
+         spec=pf.IntegratorSpec(h=0.5, T=5.0), entries=[0.5, -1.0])
 def test_march_equals_reference(case, sch, spec, entries):
     """Every integrator returns the reference march's Trajectory byte for byte."""
     name, mode = case
@@ -164,7 +165,7 @@ class TestForwardBackward:
         prob = trivial_problem()
         sch = pf.constant_schedule(eps=0.1, beta=0.0, lam=0.1, gamma=1.0)
         # h = 0.25 is under the cap 1/(2 + lam*eps) = 0.4975
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=25.0), safety_factor=1.0)
+        spec = pf.IntegratorSpec(h=0.25, T=25.0, safety_factor=1.0)
         traj = pf.integrate_fb(prob, sch, np.array([1.0]), spec)
         # J = (1 - lam*eps) X: X+ = (1 - h*0.01) X
         assert traj.n_steps_total == 100
@@ -174,7 +175,7 @@ class TestForwardBackward:
         prob = trivial_problem(2)
         sch = pf.constant_schedule(eps=0.3, beta=0.0, lam=0.2, gamma=1.0)
         # h = 0.25 is under the cap 1/(2 + lam*eps) = 0.485
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=20.0), safety_factor=1.0)
+        spec = pf.IntegratorSpec(h=0.25, T=20.0, safety_factor=1.0)
         traj = pf.integrate_fb(prob, sch, np.zeros(2), spec)
         assert np.all(traj.states == 0.0)
 
@@ -182,8 +183,7 @@ class TestForwardBackward:
         # oracle: the funnel point 2 / (1 + eps + beta) evaluated at T
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4),
-                                 store_every=200)
+        spec = pf.IntegratorSpec(h=1.0, T=1e4, store_every=200)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         T = traj.final_time
         target = 2.0 / (1.0 + sch.eps(T) + sch.beta(T))
@@ -192,14 +192,14 @@ class TestForwardBackward:
     def test_noncocoercive_rejected_at_precondition(self):
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.1, T=1.0))
+        spec = pf.IntegratorSpec(h=0.1, T=1.0)
         with pytest.raises(PreconditionError):
             pf.integrate_fb(prob, sch, np.zeros(2), spec)
 
     def test_two_penalty_instance_rejected(self):
         prob = pf.build_canonical("sfbp-two-penalty")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.1, T=1.0))
+        spec = pf.IntegratorSpec(h=0.1, T=1.0)
         with pytest.raises(PreconditionError):
             pf.integrate_fb(prob, sch, np.zeros(1), spec)
 
@@ -210,7 +210,7 @@ class TestForwardBackward:
         prob = dataclasses.replace(prob, d=dataclasses.replace(
             prob.d, eval=lambda x: 100.0 * (x - 2.0)))
         sch = pf.constant_schedule(eps=1.0, beta=1.0, lam=10.0, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4), safety_factor=1.0)
+        spec = pf.IntegratorSpec(h=1.0, T=1e4, safety_factor=1.0)
         with pytest.raises(DivergenceError, match=r"^state norm .* exceeded 1e\+12 "
                                                   r"at step 64$") as exc:
             pf.integrate_fb(prob, sch, np.array([1.0]), spec)
@@ -242,8 +242,7 @@ class TestForwardBackward:
         finals = []
         # lam*(1 + eps + beta) <= 1.43, so every h is under the cap 1/3.43
         for h in (0.2, 0.1, 0.05):
-            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=50.0),
-                                     safety_factor=1.0, store_every=1000)
+            spec = pf.IntegratorSpec(h=h, T=50.0, safety_factor=1.0, store_every=1000)
             finals.append(pf.integrate_fb(prob, sch, np.array([3.0]), spec)
                           .final_state[0])
         e1 = abs(finals[0] - finals[1])
@@ -257,7 +256,7 @@ class TestForwardBackwardForward:
         prob = trivial_problem()
         sch = pf.constant_schedule(eps=0.2, beta=0.0, lam=0.5, gamma=1.0)
         # h = 0.25 is under the cap 1/(2 + 2*lam*eps) = 0.4545
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.25, T=10.0), safety_factor=1.0)
+        spec = pf.IntegratorSpec(h=0.25, T=10.0, safety_factor=1.0)
         traj = pf.integrate_fbf(prob, sch, np.array([1.0]), spec)
         # lam*eps = 0.1: X+ = (1 - h*0.1*(1 - 0.1)) X = 0.9775 X
         assert traj.n_steps_total == 40
@@ -266,16 +265,14 @@ class TestForwardBackwardForward:
     def test_skew_box_converges(self):
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e4),
-                                 safety_factor=1.0, store_every=100)
+        spec = pf.IntegratorSpec(h=1.0, T=1e4, safety_factor=1.0, store_every=100)
         traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]), spec)
         assert np.linalg.norm(traj.final_state) <= 1e-3
 
     def test_skew_box_stationary_origin(self):
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=100.0),
-                                 store_every=10)
+        spec = pf.IntegratorSpec(h=0.5, T=100.0, store_every=10)
         traj = pf.integrate_fbf(prob, sch, np.zeros(2), spec)
         assert np.linalg.norm(traj.final_state) <= 1e-12
 
@@ -283,7 +280,7 @@ class TestForwardBackwardForward:
         # FBF records |p| of the step's point p at every sample
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=10.0))
+        spec = pf.IntegratorSpec(h=0.5, T=10.0)
         traj = pf.integrate_fbf(prob, sch, np.array([0.5, 0.5]), spec)
         assert traj.p_norms.shape == traj.times.shape
         assert np.all(traj.p_norms > 0.0)
@@ -296,8 +293,7 @@ class TestForwardBackwardForward:
         prob = build()
         ro = read_only_problem(prob)
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9 / math.sqrt(8.0), 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=60,
-                                 store_every=7)
+        spec = pf.IntegratorSpec(h=1.0, T=1e9, max_steps=60, store_every=7)
         x0 = np.linspace(-0.5, 1.5, prob.dim)
         want = pf.integrate_fbf(prob, sch, x0, spec)
         x0.setflags(write=False)
@@ -306,7 +302,7 @@ class TestForwardBackwardForward:
     def test_step_keeps_sign_of_zero(self):
         prob, x0 = _instance("signed-zero"), np.array([0.0, -0.0, 1.0])
         sch = pf.constant_schedule(eps=0.0, beta=0.0, lam=0.5)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=3.0))
+        spec = pf.IntegratorSpec(h=1.0, T=3.0)
         traj = pf.integrate_fbf(prob, sch, x0, spec)
         assert_same_trajectory(traj, reference_march("FBF", prob, sch, x0, spec))
 
@@ -326,7 +322,7 @@ def test_step_map_writes_into_no_input_and_returns_reference_step(mode, name):
     prob = _instance(name)
     eps = 0.0 if name == "signed-zero" else 0.3  # V(p) == V(x) needs eps = 0
     sch = pf.constant_schedule(eps=eps, beta=1.5, lam=0.5, gamma=0.75)
-    spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=1e9), max_steps=1)
+    spec = pf.IntegratorSpec(h=0.5, T=1e9, max_steps=1)
     x0 = np.array([0.0, -0.0, 1.0]) if name == "signed-zero" else np.linspace(-0.5, 1.5, prob.dim)
     ref, dxs, ps = reference_steps(mode, prob, sch, x0, spec)
     ro = read_only_problem(prob)
@@ -354,7 +350,7 @@ class TestStepMapsTakeZeroDimValues:
 
         a = pf.MonotoneOperator(prob.a.kind, spy, dim=prob.a.dim, params=prob.a.params)
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0))
+        spec = pf.IntegratorSpec(h=1.0, T=50.0)
         traj = pf.integrate_fbf(dataclasses.replace(prob, a=a), sch,
                                 np.array([0.5, -0.5]), spec)
         # one call per step and one for the final sample, all with a 0-d lam
@@ -393,8 +389,7 @@ class TestNonFiniteFinalStep:
                 prob.a.kind, oracle, dim=prob.a.dim, params=prob.a.params))
         sch = pf.constant_schedule(eps=0.1, beta=1.0, lam=0.5, gamma=1.0)
         # h = 0.125 is under the FB cap 1/3.05 and the FBF cap 1/4.1
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.125, T=0.125 * n),
-                                 safety_factor=1.0)
+        spec = pf.IntegratorSpec(h=0.125, T=0.125 * n, safety_factor=1.0)
         with pytest.raises(ConvergenceFailure, match="final step"):
             integrate(prob, sch, np.full(prob.dim, 0.5), spec)
         assert len(calls) == n + 1
@@ -411,7 +406,7 @@ def nan_state_problem():
 
 class TestRunGuards:
     def test_nan_state_mid_run_diverges(self):
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=100.0))
+        spec = pf.IntegratorSpec(h=0.5, T=100.0)
         with pytest.raises(DivergenceError, match="^state is not finite at step 64$") as exc:
             pf.integrate_fbf(nan_state_problem(), pf.polynomial_schedule(0.05, 0.25),
                              np.ones(2), spec)
@@ -433,7 +428,7 @@ class TestRunGuards:
     def test_infinite_beta_collapses_the_step(self, integrate, instance):
         prob = pf.build_canonical(instance)
         sch = pf.constant_schedule(eps=0.0, beta=INF, lam=1.0)  # a Lipschitz cap of 0
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0), max_steps=5)
+        spec = pf.IntegratorSpec(h=1.0, T=10.0, max_steps=5)
         with pytest.raises(ParameterError, match="step size collapsed to zero"):
             integrate(prob, sch, np.full(prob.dim, 0.5), spec)
 
@@ -443,7 +438,7 @@ class TestFullSplitting:
         prob = projection_sfbp_problem()
         lam, eps, h = 0.3, 0.5, 0.5
         sch = pf.constant_schedule(eps=eps, beta=1.0, lam=lam, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=5.0))
+        spec = pf.IntegratorSpec(h=h, T=5.0)
         for x0 in (3.0, -1.0):
             traj = pf.integrate_sfbp(prob, sch, np.array([x0]), spec)
             x = x0
@@ -455,7 +450,7 @@ class TestFullSplitting:
         prob = projection_sfbp_problem()
         lam, eps, h = 0.3, 0.5, 0.25
         sch = pf.constant_schedule(eps=eps, beta=1.0, lam=lam, gamma=1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=h, T=4.0))
+        spec = pf.IntegratorSpec(h=h, T=4.0)
         traj = pf.integrate_sfbp(prob, sch, np.array([-1.0]), spec)
         factor = (1.0 - h * lam * eps) ** traj.n_steps_total
         assert traj.final_state[0] == pytest.approx(-factor, rel=1e-12)
@@ -464,7 +459,7 @@ class TestFullSplitting:
         # the full field vanishes at 0 for the D = 0 variant: exact fixed point
         prob0 = projection_sfbp_problem()
         sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=100.0))
+        spec = pf.IntegratorSpec(h=1.0, T=100.0)
         traj = pf.integrate_sfbp(prob0, sch, np.zeros(1), spec)
         assert np.all(traj.states == 0.0)
         # a feasible start away from the origin keeps the penalties at zero
@@ -475,15 +470,14 @@ class TestFullSplitting:
     def test_missing_second_penalty_rejected(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0))
+        spec = pf.IntegratorSpec(h=1.0, T=10.0)
         with pytest.raises(PreconditionError):
             pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
 
     def test_two_penalty_decay_small_horizon(self):
         prob = pf.build_canonical("sfbp-two-penalty")
         sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=2e4),
-                                 store_every=5)
+        spec = pf.IntegratorSpec(h=1.0, T=2e4, store_every=5)
         traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
         erg = pf.ergodic_average(traj)
         cert = pf.active_set_solve(prob)
@@ -496,7 +490,7 @@ class TestFullSplitting:
         prob = dataclasses.replace(projection_sfbp_problem(), psi1=lambda x: 0.0,
                                    psi2=lambda x: 0.0 if np.all(x <= 1e-9) else INF)
         sch = pf.constant_schedule(eps=0.5, beta=1.0, lam=0.3)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=2.0))
+        spec = pf.IntegratorSpec(h=0.5, T=2.0)
         with pytest.raises(ParameterError, match=r"on a \(5, 1\) stack must have "
                                                  r"shape \(5,\), got \(\)"):
             pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
@@ -523,7 +517,7 @@ class TestGridAndScheduleEvaluation:
         integrate, name, (r, s, b) = _MODES[mode]
         prob = pf.build_canonical(name)
         sch, calls = counting_schedule(pf.polynomial_schedule(r, s, b, 0.9, 1.0))
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.7, T=20.0))
+        spec = pf.IntegratorSpec(h=0.7, T=20.0)
         traj = integrate(prob, sch, np.full(prob.dim, 0.5), spec)
         seen = calls.pop("_at")
         assert len(seen) == traj.n_steps_total + 1
@@ -591,8 +585,7 @@ class TestTracking:
     def test_fb_run_tracks_path(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e3),
-                                 store_every=20)
+        spec = pf.IntegratorSpec(h=1.0, T=1e3, store_every=20)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         sub = traj.times[::10]
         pts = pf.central_path(prob, sch, sub, tol=1e-12)
@@ -603,8 +596,7 @@ class TestTracking:
     def test_fbf_inequality_residuals_nonpositive(self):
         prob = pf.build_canonical("skew-box")
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=500.0),
-                                 store_every=5)
+        spec = pf.IntegratorSpec(h=0.5, T=500.0, store_every=5)
         traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]), spec)
         pts = pf.central_path(prob, sch, traj.times[1::7], tol=1e-12)
         rep = pf.tracking_report(prob, traj, pts)
@@ -614,7 +606,7 @@ class TestTracking:
         # the SFBP step takes no relaxation: runs that differ only in
         # gamma_bar march alike and give one report
         prob = pf.build_canonical("sfbp-two-penalty")
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=2000.0), store_every=10)
+        spec = pf.IntegratorSpec(h=1.0, T=2000.0, store_every=10)
         reports = []
         for gamma_bar in (1.0, 0.5):
             sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, gamma_bar)
@@ -631,7 +623,7 @@ class TestTracking:
     def test_grid_mismatch_rejected(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=10.0))
+        spec = pf.IntegratorSpec(h=1.0, T=10.0)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         pts = pf.central_path(prob, sch, [0.123456], tol=1e-10)
         with pytest.raises(ParameterError):
@@ -725,8 +717,7 @@ class TestSoundness:
                                          max_size=prob.dim)))
         bound = {"FBF": 1.0, "SFBP": 2.0}.get(mode)
         assume(bound is None or max_lam_l(prob, sch, self.T) < bound)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=self.T), safety_factor=1.0,
-                                 store_every=1000)
+        spec = pf.IntegratorSpec(h=1.0, T=self.T, safety_factor=1.0, store_every=1000)
         traj = _MODES[mode][0](prob, sch, x0, spec)
         start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
         assert np.isfinite(traj.final_state).all()
@@ -743,7 +734,7 @@ class TestSoundness:
         sch = pf.polynomial_schedule(0.07, 0.08, 1.0, 0.7)
         assert pf.validate_schedule(sch, "FBF", (prob.d.eta, prob.b1.mu)).overall
         assert max_lam_l(prob, sch, 500.0) > 1.0
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=500.0))
+        spec = pf.IntegratorSpec(h=1.0, T=500.0)
         traj = pf.integrate_fbf(prob, sch, x0, spec)
         start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
         assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
@@ -760,7 +751,7 @@ class TestSoundness:
         assert pf.validate_schedule(sch, "SFBP", (prob.d.eta, prob.b1.mu)).overall
         assert pf.attouch_czarnecki_check(sch)[1]
         assert max_lam_l(prob, sch, 1e3) > 2.0
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e3), store_every=1000)
+        spec = pf.IntegratorSpec(h=1.0, T=1e3, store_every=1000)
         traj = pf.integrate_sfbp(prob, sch, x0, spec)
         start, end = pf.central_path(prob, sch, [0.0, traj.final_time])
         assert norm(traj.final_state - end.xbar) <= norm(x0 - start.xbar) + 1e-3
@@ -770,14 +761,13 @@ class TestSpecAndStorage:
     def test_max_steps_budget(self):
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9),
-                                 max_steps=100)
+        spec = pf.IntegratorSpec(h=1.0, T=1e9, max_steps=100)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         assert traj.n_steps_total == 100
 
     def test_store_every_keeps_final(self):
         prob, sch = pf.build_canonical("scalar"), pf.polynomial_schedule(0.1, 0.2)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=100.0), store_every=7)
+        spec = pf.IntegratorSpec(h=1.0, T=100.0, store_every=7)
         thin = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         # every 7th step, then the state before the last step and the final one
         n = thin.n_steps_total
@@ -790,8 +780,7 @@ class TestSpecAndStorage:
         # binding cap takes about 8*T/h steps, so each run stores about
         # 4 500, which the recorder's buffers take as they grow
         prob, sch = pf.build_canonical("skew-box"), pf.polynomial_schedule(0.05, 0.25)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=550.0 * every),
-                                 store_every=every)
+        spec = pf.IntegratorSpec(h=1.0, T=550.0 * every, store_every=every)
         x0 = np.array([1.0, -0.5])
         traj = pf.integrate_fbf(prob, sch, x0, spec)
         assert traj.times.size > 4096
@@ -803,7 +792,7 @@ class TestSpecAndStorage:
         prob = pf.build_canonical("sfbp-two-penalty")
         sch = pf.polynomial_schedule(0.65, 0.6, 1000.0, 0.9, 1.0)
         T = 3.0 + 5e-10
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=T))
+        spec = pf.IntegratorSpec(h=1.0, T=T)
         traj = pf.integrate_sfbp(prob, sch, np.zeros(1), spec)
         assert traj.n_steps_total == 4 and traj.final_time == T
         assert 4.9e-10 < traj.step_sizes[-1] < 5.1e-10
@@ -820,7 +809,7 @@ class TestSpecAndStorage:
         sch = pf.constant_schedule(eps=0.1, beta=0.0, lam=0.1, gamma=1.0)
         peaks = []
         for steps in (1000, 3000):
-            spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1e9), max_steps=steps)
+            spec = pf.IntegratorSpec(h=1.0, T=1e9, max_steps=steps)
             tracemalloc.start()
             try:
                 _MODES[mode][0](prob, sch, np.full(dim, -0.5), spec)
@@ -838,7 +827,7 @@ class TestSpecAndStorage:
         sized for 4 096 samples would reserve 403 MB."""
         inst = pf.build_tv_deblur(pf.make_test_image("checkerboard", 64))
         sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9 / 8.0 ** 0.5)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=60.0), store_every=250)
+        spec = pf.IntegratorSpec(h=1.0, T=60.0, store_every=250)
         tracemalloc.start()
         try:
             traj = pf.integrate_fbf(inst.problem, sch, inst.x0, spec)
@@ -850,58 +839,51 @@ class TestSpecAndStorage:
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ParameterError):
-            pf.IntegratorSpec(grid=pf.UniformGrid(h=0.0, T=1.0))
+            pf.IntegratorSpec(h=0.0, T=1.0)
         with pytest.raises(ParameterError):
-            pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), safety_factor=0.0)
-        with pytest.raises(ParameterError):
-            pf.IntegratorSpec(grid="nope")
-        for grid in (pf.UniformGrid(h=math.nan, T=1.0), pf.UniformGrid(h=1.0, T=math.nan),
-                     pf.GeometricGrid(h0=math.nan, ratio=1.1, T=1.0),
-                     pf.GeometricGrid(h0=0.1, ratio=math.nan, T=1.0)):
+            pf.IntegratorSpec(h=1.0, T=1.0, safety_factor=0.0)
+        for grid in (dict(h=math.nan, T=1.0), dict(h=1.0, T=math.nan),
+                     dict(h=0.1, ratio=math.nan, T=1.0)):
             with pytest.raises(ParameterError):
-                pf.IntegratorSpec(grid=grid)
+                pf.IntegratorSpec(**grid)
         for max_steps in (0, -3):
             with pytest.raises(ParameterError, match="max_steps"):
-                pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), max_steps=max_steps)
+                pf.IntegratorSpec(h=1.0, T=1.0, max_steps=max_steps)
 
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(grid=pf.UniformGrid(h=-1.0, T=1.0)), "grid h must be > 0, got -1.0"),
-        (dict(grid=pf.UniformGrid(h=1.0, T=0.0)), "grid T must be > 1e-12, got 0.0"),
-        (dict(grid=pf.GeometricGrid(h0=0.0, ratio=1.1, T=1.0)),
-         "grid h0 must be > 0, got 0.0"),
-        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=0.5, T=1.0)),
-         "grid ratio must be finite and >= 1, got 0.5"),
-        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=INF, T=10.0)),
-         "grid ratio must be finite and >= 1, got inf"),
-        (dict(grid=pf.GeometricGrid(h0=0.1, ratio=1.1, T=1e-13)),
-         "grid T must be > 1e-12, got 1e-13"),
+        (dict(h=-1.0), "grid h must be > 0, got -1.0"),
+        (dict(T=0.0), "grid T must be finite and > 1e-12, got 0.0"),
+        (dict(h=0.0, ratio=1.1), "grid h must be > 0, got 0.0"),
+        (dict(h=0.1, ratio=0.5), "grid ratio must be finite and >= 1, got 0.5"),
+        (dict(h=0.1, ratio=INF, T=10.0), "grid ratio must be finite and >= 1, got inf"),
+        (dict(h=0.1, ratio=1.1, T=1e-13), "grid T must be finite and > 1e-12, got 1e-13"),
+        # an infinite horizon never ended: sfbp-two-penalty marched on unboundedly
+        (dict(T=INF), "grid T must be finite and > 1e-12, got inf"),
         (dict(safety_factor=1.5), "safety_factor must be in (0, 1], got 1.5"),
         (dict(store_every=0), "store_every must be >= 1, got 0"),
         (dict(max_steps=-3), "max_steps must be >= 1, got -3"),
-    ], ids=["h", "T", "h0", "ratio", "ratio-inf", "geometric-T", "safety_factor", "store_every",
-            "max_steps"])
+    ], ids=["h", "T", "h0", "ratio", "ratio-inf", "geometric-T", "T-inf", "safety_factor",
+            "store_every", "max_steps"])
     def test_invalid_field_named_with_its_value(self, kwargs, message):
         with pytest.raises(ParameterError) as exc:
-            pf.IntegratorSpec(**{"grid": pf.UniformGrid(h=1.0, T=1.0), **kwargs})
+            pf.IntegratorSpec(**{"h": 1.0, "T": 1.0, **kwargs})
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("value", [2.5, 1e9, 2.0, True, "2", np.float64(3.0)])
     def test_store_every_must_be_an_integer(self, value):
         # 2.5 and 1e9 used to end in a raw TypeError from the recorder's np.empty
         with pytest.raises(ParameterError) as exc:
-            pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0), store_every=value)
+            pf.IntegratorSpec(h=1.0, T=1.0, store_every=value)
         assert str(exc.value) == f"store_every must be an integer, got {value!r}"
-        assert pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=1.0),
-                                 store_every=np.int64(2)).store_every == 2
+        assert pf.IntegratorSpec(h=1.0, T=1.0, store_every=np.int64(2)).store_every == 2
 
     @pytest.mark.parametrize("value", [2.5, 60.0, False, "60", np.float64(60.0)])
     def test_max_steps_must_be_an_integer(self, value):
         # max_steps=2.5 used to be ignored: a scalar FB run took all 329 steps
         with pytest.raises(ParameterError) as exc:
-            pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0), max_steps=value)
+            pf.IntegratorSpec(h=1.0, T=50.0, max_steps=value)
         assert str(exc.value) == f"max_steps must be an integer, got {value!r}"
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=50.0),
-                                 max_steps=np.int32(3))
+        spec = pf.IntegratorSpec(h=1.0, T=50.0, max_steps=np.int32(3))
         traj = pf.integrate_fb(pf.build_canonical("scalar"),
                                pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0),
                                np.zeros(1), spec)
@@ -911,7 +893,7 @@ class TestSpecAndStorage:
         prob = pf.build_canonical("scalar")
         sch = pf.polynomial_schedule(0.1, 0.2, 1.0, 0.9, 1.0)
         # the first five steps, 0.01 to 0.051, are under the cap 0.5/3.43
-        spec = pf.IntegratorSpec(grid=pf.GeometricGrid(h0=0.01, ratio=1.5, T=10.0))
+        spec = pf.IntegratorSpec(h=0.01, ratio=1.5, T=10.0)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         hs = traj.step_sizes[:-2]
         assert np.all(np.diff(hs[:5]) > 0)
@@ -943,6 +925,6 @@ class TestExactStationarity:
                                psi1=lambda x: np.zeros(x.shape[:-1]),
                                psi2=lambda x: np.zeros(x.shape[:-1]), dim=1)
         sch = pf.constant_schedule(eps=0.5, beta=1.0, lam=0.3)
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=0.5, T=2.0))
+        spec = pf.IntegratorSpec(h=0.5, T=2.0)
         with pytest.raises(PreconditionError):
             pf.integrate_sfbp(prob, sch, np.zeros(1), spec)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import UnsupportedInstanceError
@@ -50,20 +52,42 @@ def _sample_graph_points(prob, n_samples=100, seed=0, radius=5.0):
     return samples
 
 
+def _box_instance(diag, q, lo, hi, name="generated"):
+    """A = 0, D x = diag(diag) x + q, and a penalty B1 whose zero set is the
+    box [lo, hi]."""
+    m, q = np.diag(np.asarray(diag, dtype=float)), np.asarray(q, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    top = float(np.max(diag))
+    d = LipschitzOperator(eval=lambda x: m @ x + q, eta=1.0 / top if top else math.inf,
+                          cocoercive=True, affine=(m, q))
+    b1 = PenaltyOperator(eval=lambda x: x - x.clip(lo, hi), mu=1.0,
+                         zero_set_box=(lo, hi))
+    return ProblemInstance(a=pf.zero_op(q.size), d=d, b1=b1, dim=q.size, name=name)
+
+
 def _degenerate_face_instance():
     """A = 0, D x = diag(0, 0, 0.624) x + (0, 0, -0.293) and zer(B1) = [-1, 1]^3.
 
     The solution set is the square [-1, 1]^2 x {0.293 / 0.624}, and its
     least-norm point (0, 0, 0.4696) is no corner of the box.
     """
-    m = np.diag([0.0, 0.0, 0.624])
-    q = np.array([0.0, 0.0, -0.293])
-    lo, hi = -np.ones(3), np.ones(3)
-    d = LipschitzOperator(eval=lambda x: m @ x + q, eta=1.0 / 0.624,
-                          cocoercive=True, affine=(m, q))
-    b1 = PenaltyOperator(eval=lambda x: x - x.clip(lo, hi), mu=1.0,
-                         zero_set_box=(lo, hi))
-    return ProblemInstance(a=pf.zero_op(3), d=d, b1=b1, dim=3, name="degenerate-face")
+    return _box_instance([0.0, 0.0, 0.624], [0.0, 0.0, -0.293], -np.ones(3), np.ones(3),
+                         name="degenerate-face")
+
+
+@st.composite
+def _generated_instances(draw):
+    """A _box_instance of dimension <= 3 with some diagonal entries 0. Where
+    an entry is 0, q's entry is 0 or at least 0.05 in size: 0 leaves D
+    constant along that edge of the box, and a smaller size would keep the
+    extragradient reference creeping towards the bound."""
+    dim = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.just(0.0) | st.floats(0.05, 2.0), min_size=dim, max_size=dim))
+    q = [draw(st.floats(-1.0, 1.0) if m else
+              st.just(0.0) | st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)) for m in diag]
+    lo = np.array(draw(st.lists(st.floats(-2.0, 0.5), min_size=dim, max_size=dim)))
+    width = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=dim, max_size=dim)))
+    return _box_instance(diag, q, lo, lo + width)
 
 
 class TestActiveSetSolve:
@@ -132,6 +156,19 @@ class TestActiveSetSolve:
         with open(os.path.join(DATA, f"certificate_{name}.json")) as fh:
             golden = json.load(fh)
         assert json.loads(cert.to_json()) == golden
+
+
+@settings(max_examples=40, deadline=None)
+@given(prob=_generated_instances())
+def test_generated_instances_routes_agree(prob):
+    """The two oracle routes agree wherever enumeration certifies: it either
+    rejects a degenerate face or its solution set holds the reference point."""
+    try:
+        cert = pf.active_set_solve(prob)
+    except UnsupportedInstanceError as exc:
+        assert "degenerate" in str(exc)
+        return
+    assert cert.distance_to(pf.high_precision_reference(prob)) <= 1e-9
 
 
 class TestHighPrecisionReference:

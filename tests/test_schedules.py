@@ -341,7 +341,7 @@ class TestFloatCalls:
             assert (pf.attouch_czarnecki_check(dataclasses.replace(sch, family=family))
                     == pf.attouch_czarnecki_check(dataclasses.replace(base, family=family)))
         prob = pf.build_canonical("scalar")
-        spec = pf.IntegratorSpec(grid=pf.UniformGrid(h=1.0, T=200.0), store_every=20)
+        spec = pf.IntegratorSpec(h=1.0, T=200.0, store_every=20)
         traj = pf.integrate_fb(prob, sch, np.zeros(1), spec)
         ref = pf.integrate_fb(prob, base, np.zeros(1), spec)
         assert traj.states.tobytes() == ref.states.tobytes()
