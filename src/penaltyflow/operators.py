@@ -41,24 +41,26 @@ _TINY = np.finfo(float).smallest_normal
 def norm(v):
     """Euclidean norm of a contiguous 1-D float array as a Python float.
 
-    Where the sum of squares is a normal float this is ``math.sqrt(v.dot(v))``,
-    bitwise ``np.linalg.norm(v)`` (the dot reduces in BLAS). Below that, squares
-    of a nonzero vector may underflow to zero, so ``v`` is first divided by its
-    largest magnitude.
+    Where the sum of squares is a normal float this is
+    ``math.sqrt(np.add.reduce(v * v))``: numpy's pairwise sum of the rounded
+    squares, whose order of additions depends on the length alone, so its bits
+    are the same on every CPU and at any BLAS thread count, unlike a BLAS
+    dot's. Below that, squares of a nonzero vector may underflow to zero, so
+    ``v`` is first divided by its largest magnitude.
 
     The oracle routes keep ``np.linalg.norm``: ``oracle.py``, the diagonal
     behind ``central_path.least_norm_solution``, the two path checks,
     ``imaging.gradient_norm_estimate`` and ``verify_certificate``. They judge
     the code that reports through this function, so they must not share it.
     """
-    s = v.dot(v)
+    s = np.add.reduce(v * v)
     if s >= _TINY:
         return math.sqrt(s)
     m = float(np.abs(v).max(initial=0.0))
     if not m > 0.0:  # zero or NaN
         return math.sqrt(s)
     w = v / m
-    return m * math.sqrt(w.dot(w))
+    return m * math.sqrt(np.add.reduce(w * w))
 
 
 def soft_threshold(x, tau):

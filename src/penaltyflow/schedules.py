@@ -143,9 +143,14 @@ def _samples(fn, times):
 
 
 def _tail_slope(values, grid=GRID):
-    """Fitted d log f / d log t over the last grid samples (nan-safe)."""
-    v = np.maximum(np.abs(values[-_TAIL:]), 1e-300)
-    return float(np.polyfit(np.log(grid[-_TAIL:]), np.log(v), 1)[0])
+    """Least-squares d log f / d log t over the last grid samples (zero-safe),
+    in closed form over Python floats, so no BLAS call moves its bits."""
+    x = np.log(grid[-_TAIL:]).tolist()
+    y = np.log(np.maximum(np.abs(values[-_TAIL:]), 1e-300)).tolist()
+    xm, ym = math.fsum(x) / _TAIL, math.fsum(y) / _TAIL
+    dx = [a - xm for a in x]
+    return (math.fsum(d * (b - ym) for d, b in zip(dx, y))
+            / math.fsum(d * d for d in dx))
 
 
 def _limit_zero_check(name, values):

@@ -11,29 +11,23 @@ subnormal range, where a flipped sign of zero would show), forward-backward
 (FB) on the segment with a geometric grid and the cos-inverse relaxation,
 also tracked and checkpointed, and 64x64 TV deblurring with images and the
 ISNR series. The seed picks ``x0`` of the canonical runs and the noise seed
-of the deblurring run. BLAS reductions split across threads change the last
-bits of some norms, so the digests are recorded with one OpenBLAS thread,
-which is the default here when the environment sets none. With two threads
-the three digests in ``BOUND_TO_BLAS_THREADS`` may move, and
-``tests/test_digests.py`` requires every other digest there.
+of the deblurring run.
 
-No digest depends on the SIMD loops numpy picks for the CPU: the deblurring
-noise and blur taps are taken with scalar standard-library calls, and
-``tests/test_digests.py`` requires every digest again under numpy's AVX2
-loops. The eight artifacts in ``BOUND_TO_BLAS_KERNEL`` still depend on the
-OpenBLAS kernel: under ``OPENBLAS_CORETYPE=Haswell`` the ``fbf-skew-track``
-and ``tv-deblur-64`` trajectories and the ``sfbp-1d`` and ``sfbp-geometric``
-reports move, and ``tests/test_digests.py`` requires every other digest
-there. The eight in ``BOUND_TO_LIBM`` depend on glibc's libm variant: with
+No digest depends on the BLAS kernel or thread count, nor on the SIMD loops
+numpy picks for the CPU: every reported norm is numpy's pairwise sum, the
+schedules' tail slope is a closed form over Python floats, and the
+deblurring noise and blur taps are taken with scalar standard-library calls.
+``tests/test_digests.py`` requires every digest under OpenBLAS's Haswell
+kernels, with two BLAS threads and under numpy's AVX2 loops. The eight in
+``BOUND_TO_LIBM`` depend on glibc's libm variant: with
 ``GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`` the ``fb-segment-track`` path
 CSVs and the ``fbf-skew-track``, ``sfbp-1d`` and ``sfbp-geometric``
 trajectories move, and ``tests/test_digests.py`` requires every other digest
-there too.
+there.
 """
 
 import hashlib
 import json
-import os
 import random
 import sys
 import tempfile
@@ -42,22 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data" / "digests.json"
 SEEDS = (0, 1)
-# "<config>/<artifact>", on every seed, whose bytes follow the OpenBLAS
-# kernel, with the BLAS call that moves them
-BOUND_TO_BLAS_KERNEL = {
-    "fbf-skew-track/trajectory.csv": "operators.norm's ddot",
-    "tv-deblur-64/trajectory.csv": "operators.norm's ddot",
-    "sfbp-1d/report.json": "np.polyfit in schedules._tail_slope",
-    "sfbp-geometric/report.json": "np.polyfit in schedules._tail_slope",
-}
-# the digests, named with their seed since seed 1's report holds, whose bytes
-# follow the OpenBLAS thread count, with the BLAS call that moves them
-BOUND_TO_BLAS_THREADS = {
-    "tv-deblur-64/seed0/report.json": "final_state_norm, through operators.norm's ddot",
-    "tv-deblur-64/seed0/trajectory.csv": "operators.norm's ddot",
-    "tv-deblur-64/seed1/trajectory.csv": "operators.norm's ddot",
-}
-# the same for glibc's libm variant, with the libm call that moves them
+# "<config>/<artifact>", on every seed, whose bytes follow glibc's libm
+# variant, with the libm call that moves them
 BOUND_TO_LIBM = {
     "fb-segment-track/path.csv": "pow in the polynomial schedule's eps",
     "fbf-skew-track/trajectory.csv": "pow in Schedule.at, through the march",
@@ -156,13 +136,9 @@ def compute():
 def main(argv):
     import numpy as np
 
-    record = {"numpy": np.__version__,
-              "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-              "digests": compute()}
+    record = {"numpy": np.__version__, "digests": compute()}
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if argv == ["--write"]:
-        if record["openblas_threads"] != "1":
-            raise SystemExit("the golden digests are recorded with one BLAS thread")
         DATA.write_text(text, encoding="utf-8")
     elif argv:
         raise SystemExit(__doc__)
@@ -171,5 +147,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     main(sys.argv[1:])

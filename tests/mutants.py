@@ -135,11 +135,13 @@ MUTANTS = [
      "tests/test_cli.py::TestConfigParsing::test_grid_gives_the_spec_its_steps[default]"),
     # operators and problem data
     ("norm-strict-tiny", "operators.py", "if s >= _TINY:", "if s > _TINY:",
-     "tests/test_operators.py::TestVectors::test_norm_keeps_the_dot_bits_at_the_smallest_normal"),
+     "tests/test_operators.py::TestVectors::test_norm_is_the_plain_sum_at_the_smallest_normal"),
     ("norm-no-rescale", "operators.py",
-     "    w = v / m\n    return m * math.sqrt(w.dot(w))",
+     "    w = v / m\n    return m * math.sqrt(np.add.reduce(w * w))",
      "    return math.sqrt(s)",
      "tests/test_operators.py::TestVectors::test_norm_of_a_subnormal_vector"),
+    ("norm-blas-dot", "operators.py", "s = np.add.reduce(v * v)", "s = v.dot(v)",
+     "tests/test_operators.py::TestVectors::test_norm_rounds_each_square"),
     ("clamp-drops-lower", "operators.py",
      "    return lambda x: x.clip(lo, hi)\n", "    return lambda x: np.minimum(x, hi)\n",
      "tests/test_dynamics.py::TestExactStationarity::test_path_point_is_exact_fixed_point_of_both_steps"),
@@ -179,20 +181,20 @@ MUTANTS = [
     # the noise and the blur taps, which fix the deblurring digests
     ("noise-u1-may-be-zero", "deblur.py",
      "u1 = [1.0 - rng.random() for", "u1 = [rng.random() for",
-     "tests/test_digests.py::test_artifacts_match_golden_digests_one_blas_thread"),
+     "tests/test_digests.py::test_artifacts_match_golden_digests"),
     ("noise-halves-swapped", "deblur.py",
      "z = [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
      "    z += [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]",
      "z = [ri * math.sin(2.0 * math.pi * b) for ri, b in zip(r, u2)]\n"
      "    z += [ri * math.cos(2.0 * math.pi * b) for ri, b in zip(r, u2)]",
-     "tests/test_digests.py::test_artifacts_match_golden_digests_one_blas_thread"),
+     "tests/test_digests.py::test_artifacts_match_golden_digests"),
     ("kernel-sigma-positive-only", "imaging.py",
      'require_range("sigma", sigma, ">=", 1e-150, "<=", 1e150)',
      'require_range("sigma", sigma, ">", 0)',
      "tests/test_operators.py::test_argument_rules_name_the_argument_and_value[sigma]"),
     ("kernel-exponent-sign", "imaging.py",
      "math.exp(-float(i * i)", "math.exp(float(i * i)",
-     "tests/test_digests.py::test_artifacts_match_golden_digests_one_blas_thread"),
+     "tests/test_digests.py::test_artifacts_match_golden_digests"),
     ("taps-unnormalized", "imaging.py", "return g / g.sum()", "return g",
      "tests/test_dynamics.py::TestForwardBackwardForward::test_step_writes_into_no_input_or_operator_output[deblur-8]"),
     ("blur-taps-even", "imaging.py",
@@ -219,7 +221,14 @@ MUTANTS = [
     ("sfbp-s-open", "schedules.py", "0.5 < s <= 1.0, s", "0.5 < s < 1.0, s",
      "tests/test_schedules.py::TestValidators::test_sfbp_checks"),
     ("step-bound-tail-1e6", "schedules.py", "tail = GRID >= 1e7", "tail = GRID >= 1e6",
-     "tests/test_digests.py::test_artifacts_match_golden_digests_one_blas_thread"),
+     "tests/test_schedules.py::TestValidators::test_step_bound_reads_only_the_last_decade"),
+    ("slope-polyfit", "schedules.py",
+     "    xm, ym = math.fsum(x) / _TAIL, math.fsum(y) / _TAIL\n"
+     "    dx = [a - xm for a in x]\n"
+     "    return (math.fsum(d * (b - ym) for d, b in zip(dx, y))\n"
+     "            / math.fsum(d * d for d in dx))\n",
+     "    return float(np.polyfit(x, y, 1)[0])\n",
+     "tests/test_digests.py::test_artifacts_match_golden_digests"),
     ("attouch-closed", "schedules.py",
      'passed = sch.params["s"] * _RHO_STAR > 1.0',
      'passed = sch.params["s"] * _RHO_STAR >= 1.0',
@@ -264,7 +273,7 @@ MUTANTS = [
      "tests/test_cli.py::TestPgmRoundTrip::test_new_file_mode_follows_umask[022]"),
     ("report-first-b1", "runner.py",
      'float(traj.b1_norms[-1])', 'float(traj.b1_norms[0])',
-     "tests/test_digests.py::test_artifacts_match_golden_digests_one_blas_thread"),
+     "tests/test_digests.py::test_artifacts_match_golden_digests"),
     # the one artifact writer
     ("emit-unlisted", "runner.py", "    report.artifacts.append(path)\n", "    pass\n",
      "tests/test_cli.py::TestRunExperiment::test_step_vectors_kept_for_the_outputs_that_read_them[outputs2-True]"),

@@ -400,7 +400,7 @@ def per_row_trajectory_rows(traj, gaps):
     rows = []
     for i in range(traj.times.size):
         rows.append((traj.times[i], traj.step_sizes[i],
-                     float(np.linalg.norm(traj.states[i])),
+                     math.sqrt(np.add.reduce(traj.states[i] * traj.states[i])),
                      None if gaps is None else gaps[i],
                      traj.b1_norms[i],
                      math.nan if traj.psi_sums is None else traj.psi_sums[i],

@@ -1,9 +1,8 @@
 """Every artifact of the golden runs in ``tests/digests.py`` is byte-identical
-to the digests recorded in ``tests/data/digests.json``, with one BLAS thread,
-again with numpy's AVX-512 loops switched off, all but the artifacts
-``digests.BOUND_TO_BLAS_KERNEL`` names under OpenBLAS's Haswell kernels, all
-but those ``digests.BOUND_TO_LIBM`` names under glibc's non-FMA libm, and all
-but those ``digests.BOUND_TO_BLAS_THREADS`` names with two BLAS threads.
+to the digests recorded in ``tests/data/digests.json``: as is, with numpy's
+AVX-512 loops switched off, under OpenBLAS's Haswell kernels and with two
+BLAS threads, and all but the artifacts ``digests.BOUND_TO_LIBM`` names under
+glibc's non-FMA libm.
 
 After a change that moves artifact bytes on purpose, rewrite the file with
 ``python tests/digests.py --write`` and state in CHANGES.md which fields
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from digests import BOUND_TO_BLAS_KERNEL, BOUND_TO_BLAS_THREADS, BOUND_TO_LIBM, SEEDS
+from digests import BOUND_TO_LIBM, SEEDS
 
 HERE = Path(__file__).resolve().parent
 # numpy then dispatches its AVX2 loops, as on a CPU without AVX-512
@@ -44,10 +43,8 @@ def _run(args, **env):
 
 
 def _assert_golden(golden, bound=(), **env):
-    """Every digest but those in ``bound`` is golden under ``env``, which
-    runs one BLAS thread unless it sets OPENBLAS_NUM_THREADS."""
-    got = json.loads(_run([str(HERE / "digests.py")],
-                          **{"OPENBLAS_NUM_THREADS": "1", **env}))["digests"]
+    """Every digest but those in ``bound`` is golden under ``env``."""
+    got = json.loads(_run([str(HERE / "digests.py")], **env))["digests"]
     assert sorted(got) == sorted(golden)
     moved = [name for name in got if got[name] != golden[name] and name not in bound]
     assert not moved, f"artifacts whose bytes moved: {moved}"
@@ -97,7 +94,7 @@ def _x86_64_v3_active(**env):
     return bool(int(fields["dl_hwcaps_subdirs_active"], 16) >> subdirs.index("x86-64-v3") & 1)
 
 
-def test_artifacts_match_golden_digests_one_blas_thread():
+def test_artifacts_match_golden_digests():
     _assert_golden(_golden())
 
 
@@ -113,10 +110,7 @@ def test_artifacts_match_golden_digests_under_numpy_avx2_loops():
 def test_artifacts_match_golden_digests_two_blas_threads():
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("two BLAS threads need two usable CPUs")
-    golden = _golden()
-    bound = set(BOUND_TO_BLAS_THREADS)
-    assert bound <= set(golden)
-    _assert_golden(golden, bound, OPENBLAS_NUM_THREADS="2")
+    _assert_golden(_golden(), OPENBLAS_NUM_THREADS="2")
 
 
 def test_artifacts_match_golden_digests_under_openblas_haswell_kernels():
@@ -128,9 +122,7 @@ def test_artifacts_match_golden_digests_under_openblas_haswell_kernels():
                           env=dict(os.environ, OPENBLAS_CORETYPE="Haswell",
                                    OPENBLAS_VERBOSE="2"))
     assert "Core: Haswell" in proc.stdout + proc.stderr, proc.stdout + proc.stderr
-    bound = _on_every_seed(BOUND_TO_BLAS_KERNEL)
-    assert bound <= set(golden)
-    _assert_golden(golden, bound, OPENBLAS_CORETYPE="Haswell")
+    _assert_golden(golden, OPENBLAS_CORETYPE="Haswell")
 
 
 def test_artifacts_match_golden_digests_under_glibc_non_fma_libm():

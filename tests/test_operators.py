@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,29 +274,37 @@ class TestVectors:
     def test_norm_of_a_subnormal_vector(self):
         # its squares underflow to 0.0; the final state of a skew-box FBF run
         v = np.array([-7.4e-323, 1.5e-323])
-        assert math.sqrt(v.dot(v)) == 0.0
+        assert math.sqrt(v[0] * v[0] + v[1] * v[1]) == 0.0
         assert abs(norm(v) - math.hypot(*v)) <= 5e-324
         assert norm(v) > 0.0
         assert norm(np.zeros(3)) == 0.0 and math.isnan(norm(np.array([math.nan, 1.0])))
+
+    def test_norm_rounds_each_square(self):
+        # a fused multiply-add, in either order, rounds this sum once and
+        # moves its square root by one bit; a BLAS dot may fuse
+        a, b = 0.852, 0.837
+        for p, q in ((a, b), (b, a)):
+            fused = float(Fraction(p) * Fraction(p) + Fraction(q * q))
+            assert math.sqrt(fused) != math.sqrt(a * a + b * b)
+        assert norm(np.array([a, b])) == math.sqrt(a * a + b * b)
 
     @given(st.lists(st.one_of(st.floats(-1e150, 1e150),
                               st.floats(-1e-160, 1e-160)),
                     min_size=1, max_size=40).map(np.array))
     @settings(max_examples=300, deadline=None)
-    def test_norm_keeps_the_dot_bits_in_the_normal_range(self, v):
-        s = v.dot(v)
+    def test_norm_is_the_plain_sum_in_the_normal_range(self, v):
+        s = np.add.reduce(v * v)
         if s >= np.finfo(float).smallest_normal:
             assert norm(v) == math.sqrt(s)
         elif np.any(v):
             assert norm(v) == pytest.approx(math.hypot(*v), rel=1e-12, abs=5e-324)
 
-    def test_norm_keeps_the_dot_bits_at_the_smallest_normal(self):
-        # the rescaled route would give 0x1.0000000000001p-511 here
-        v = np.array([float.fromhex("0x1.84129978f9c1ap-512"),
-                      float.fromhex("0x1.4dfb40e641526p-512")])
-        if v.dot(v) != np.finfo(float).smallest_normal:
-            pytest.skip("this BLAS dot does not land on the smallest normal")
-        assert norm(v) == math.sqrt(v.dot(v))
+    def test_norm_is_the_plain_sum_at_the_smallest_normal(self):
+        # the rescaled route would give 0x1.fffffffffffffp-512 here
+        a = float.fromhex("0x1.a15f24110a9fap-512")
+        b = float.fromhex("0x1.288e19327a74fp-512")
+        assert a * a + b * b == np.finfo(float).smallest_normal
+        assert norm(np.array([a, b])) == 2.0 ** -511
 
 
 class TestCustomOracle:

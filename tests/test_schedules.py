@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import penaltyflow as pf
 from penaltyflow.errors import ParameterError
-from penaltyflow.schedules import GRID, MODES, Schedule
+from penaltyflow.schedules import GRID, MODES, Schedule, _tail_slope
 
 FIELDS = ("eps", "beta", "lam", "gamma", "deps", "dbeta")
 
@@ -238,6 +238,16 @@ class TestValidators:
         lips = 1.0 + on_grid(sch.eps) + on_grid(sch.beta)
         assert np.all(lam * lips < 1.0)
 
+    def test_step_bound_reads_only_the_last_decade(self):
+        # lam*L >= 1 up to t ~ 6.3e6 on GRID and < 1 from t = 1e7 on
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9815, 1.0)
+        bound = on_grid(sch.lam) * (1.0 + on_grid(sch.eps) + on_grid(sch.beta))
+        assert np.any(bound[(GRID >= 1e6) & (GRID < 1e7)] >= 1.0)
+        assert np.all(bound[GRID >= 1e7] < 1.0)
+        rep = pf.validate_schedule(sch, "FBF", (1.0, 1.0))
+        check = {c.name: c for c in rep.checks}["lambda-step-bound"]
+        assert check.passed and check.witness_time >= 1e7
+
     def test_eps_beta_growth_matches_exponents(self):
         for r, s in ((0.1, 0.3), (0.3, 0.1), (0.2, 0.2)):
             sch = pf.polynomial_schedule(r, s, 1.0, 0.9, 1.0)
@@ -348,6 +358,14 @@ class TestFloatCalls:
         rep = pf.tracking_report(prob, traj, pf.central_path(prob, sch, traj.times, tol=1e-12))
         want = pf.tracking_report(prob, ref, pf.central_path(prob, base, ref.times, tol=1e-12))
         assert rep.gaps.tobytes() == want.gaps.tobytes()
+
+
+@pytest.mark.parametrize("grid", [GRID, np.concatenate([[0.0], np.logspace(-2, 6, 200)])],
+                         ids=["GRID", "attouch-czarnecki"])
+@pytest.mark.parametrize("p", [-2.5, -1.0, -0.3, 0.0, 0.7])
+def test_tail_slope_of_a_power_law_is_its_exponent(grid, p):
+    times = grid[grid > 0.0]
+    assert _tail_slope(times ** p, times) == pytest.approx(p, abs=1e-12)
 
 
 class TestAttouchCzarnecki:
