@@ -13,7 +13,8 @@ round differently; tests/reference_march.py states the march bit for bit.
 All three share one marching loop, ``_march``, which builds the time grid as
 it goes: each step evaluates the schedule once at the current time, sizes the
 step from those values and takes it with the same values. A mode only supplies
-its step cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, which
+its step cap ``cap(lam, eps, beta, gamma)`` and its step map ``step``, built
+together around the backward-step oracle that check_mode returns; ``step``
 forms V(X) and returns the update direction dx of X+ = X + h*dx. The FBF step
 map writes its full-length arithmetic into four arrays it allocates once, when
 it is built, and rounds exactly as the formula above; its dx lives there, and
@@ -140,61 +141,53 @@ def _check_state(x, k):
 
 
 def check_mode(mode, prob):
-    """Raise PreconditionError unless ``mode`` can integrate ``prob``."""
+    """The backward-step oracle ``mode`` calls on ``prob``: the raw oracle of A
+    for FB and FBF, the combined resolvent of A + beta*B2 for SFBP. Raises
+    PreconditionError unless ``mode`` can integrate ``prob``."""
     if mode == "FB" and not prob.d.cocoercive:
         raise PreconditionError("FB mode needs a cocoercive smooth part; "
                                 f"instance '{prob.name}' is not")
     if mode == "SFBP":
-        if prob.b2 is None:
-            raise PreconditionError("SFBP mode needs a two-penalty instance")
-        prob.shifted_resolvent_fn()  # raises unless (A, B2) has a combined resolvent
-    elif prob.b2 is not None:
+        return prob.shifted_resolvent_fn()  # raises without B2 or a combined resolvent
+    if prob.b2 is not None:
         raise PreconditionError(f"{mode} mode cannot handle a second penalty; "
                                 "use SFBP")
+    return prob.a._resolvent_fn
 
 
-def _cap(mode, prob, safety):
-    """The mode's step cap ``cap(lam, eps, beta, gam)``, which bounds the step
-    from the schedule values, as floats, that the step itself uses."""
-    lips = prob.lipschitz_bound
-    if mode == "SFBP":
-        def cap(lam, eps, bet, gam):
-            # x+ stays a convex combination of x and the resolvent point for h <= 1
-            return 1.0
-    elif mode == "FB":
-        def cap(lam, eps, bet, gam):
-            # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
-            return safety / (gam * (2.0 + lam * lips(eps, bet)))
-    else:
-        def cap(lam, eps, bet, gam):
-            return safety / (2.0 + 2.0 * lam * lips(eps, bet))
-    return cap
+def _step_map(mode, prob, safety):
+    """The mode's step cap and step map, shared by the march and tracking_report.
 
-
-def _step_map(mode, prob):
-    """The mode's step map, shared by the march and tracking_report.
-
-    ``step(x, bx, lam, eps, beta, gam)`` forms the field V(x) from
-    bx = B1(x) and returns the update direction dx and the step's second
-    point y: FBF's p, SFBP's resolvent output j, None for FB. ``step`` closes
-    over the mode's one backward-step oracle: the raw oracle of A, or the
-    combined resolvent of A + beta*B2 built once here. It and its oracle get
-    the schedule values as 0-d float64 arrays valid only during the call (see
-    the module docstring). FBF fills four arrays of length ``prob.dim``,
+    ``cap(lam, eps, beta, gam)`` bounds the step from the schedule values, as
+    floats, that the step itself uses. ``step(x, bx, lam, eps, beta, gam)``
+    forms the field V(x) from bx = B1(x) and returns the update direction dx
+    and the step's second point y: FBF's p, SFBP's resolvent output j, None
+    for FB. ``step`` closes over the one oracle check_mode returns here, so
+    an SFBP step map composes its combined resolvent once. It and its oracle
+    get the schedule values as 0-d float64 arrays valid only during the call
+    (see the module docstring). FBF fills four arrays of length ``prob.dim``,
     allocated here once per step map: its returned dx is one of them, and its
     p is the oracle's output, which may be the array the oracle was handed,
     so both hold until the next call. No step map writes into ``x``, ``bx``,
     the array it hands to the oracle or anything an operator or oracle
     returned.
     """
+    res, lips = check_mode(mode, prob), prob.lipschitz_bound
     d_eval, b_eval = prob.d.eval, prob.b1.eval
-    res = prob.shifted_resolvent_fn() if mode == "SFBP" else prob.a._resolvent_fn
     if mode == "SFBP":
+        def cap(lam, eps, bet, gam):
+            # x+ stays a convex combination of x and the resolvent point for h <= 1
+            return 1.0
+
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             j = res(lam, bet, x - lam * v)
             return j - x, j
     elif mode == "FB":
+        def cap(lam, eps, bet, gam):
+            # at most safety/(2*gam), so the relaxation gam*h <= 1 never binds
+            return safety / (gam * (2.0 + lam * lips(eps, bet)))
+
         def step(x, bx, lam, eps, bet, gam):
             v = d_eval(x) + eps * x + bet * bx
             return gam * (res(lam, x - lam * v) - x), None
@@ -203,6 +196,9 @@ def _step_map(mode, prob):
         # out=; q is what the oracle gets, and nothing writes it after that
         mul, add, sub = np.multiply, np.add, np.subtract
         v, q, vp, dx = np.empty((4, prob.dim))
+
+        def cap(lam, eps, bet, gam):
+            return safety / (2.0 + 2.0 * lam * lips(eps, bet))
 
         def step(x, bx, lam, eps, bet, gam):
             # dx = (p - x) + (v - vp)*lam with v = (eps*x + D(x)) + beta*B1(x),
@@ -216,7 +212,7 @@ def _step_map(mode, prob):
             add(vp, mul(bet, b_eval(p), dx), vp)
             mul(sub(v, vp, vp), lam, vp)
             return add(sub(p, x, dx), vp, dx), p
-    return step
+    return cap, step
 
 
 def _march(mode, prob, sch, x0, spec):
@@ -231,9 +227,8 @@ def _march(mode, prob, sch, x0, spec):
     become columns and the SFBP potentials of the stored resolvent points are
     taken, in one call each.
     """
-    check_mode(mode, prob)
+    cap, step = _step_map(mode, prob, spec.safety_factor)
     x = as_vector(x0, prob.dim).copy()
-    cap, step = _cap(mode, prob, spec.safety_factor), _step_map(mode, prob)
     h_req, ratio, T, every = spec.h, spec.ratio, spec.T, spec.store_every
     t_end = T - 1e-12
     max_steps = spec.max_steps
@@ -346,7 +341,8 @@ def tracking_report(prob, traj, path):
     which theta is nonincreasing (1e-8 slack). At each path point it
     recomputes the step, dx and FBF's p, with the march's own step map from
     the stored x and schedule values, which gives the march's bits; L is
-    prob.lipschitz_bound at the stored eps and beta.
+    prob.lipschitz_bound at the stored eps and beta. A trajectory whose mode
+    cannot integrate ``prob`` raises PreconditionError, as the march would.
     """
     if not path:
         raise ParameterError("path is empty")
@@ -357,7 +353,8 @@ def tracking_report(prob, traj, path):
     off = traj.times[idx] != p_times
     if off.any():
         raise ParameterError(f"path time {p_times[off][0]:.17g} is not on the trajectory grid")
-    step, b_eval = _step_map(traj.mode, prob), prob.b1.eval
+    _, step = _step_map(traj.mode, prob, 1.0)  # checks the mode; the cap goes unused
+    b_eval = prob.b1.eval
     lips = prob.lipschitz_bound(traj.eps, traj.beta)
     theta = np.empty(len(path))
     gaps = np.empty(len(path))

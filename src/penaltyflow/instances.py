@@ -10,20 +10,19 @@ from .problem import LipschitzOperator, PenaltyOperator, ProblemInstance
 
 _INF = math.inf
 
-CANONICAL_NAMES = ("scalar", "segment", "shifted-segment", "skew-box",
-                   "sfbp-two-penalty")
-
 
 # The 1-D instances hold constants as 1-element arrays: numpy converts a Python
 # scalar operand on every call, an array operand it takes as is
-def _scalar():
-    two, zero = np.array([2.0]), np.array([0.0])
-    d = LipschitzOperator(eval=lambda x: x - two, eta=1.0, cocoercive=True,
-                          affine=(np.array([[1.0]]), np.array([-2.0])))
+def _half_line(c, name, **second_penalty):
+    """D(x) = x - c and B1(x) = max(x, 0) on the line, A = 0, with any B2, psi1
+    and psi2 given."""
+    shift, zero = np.array([c]), np.array([0.0])
+    d = LipschitzOperator(eval=lambda x: x - shift, eta=1.0, cocoercive=True,
+                          affine=(np.array([[1.0]]), -shift))
     b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
                          zero_set_box=(np.array([-_INF]), np.array([0.0])))
-    return ProblemInstance(a=zero_op(1), d=d, b1=b1, dim=1, name="scalar",
-                           x0_default=np.zeros(1))
+    return ProblemInstance(a=zero_op(1), d=d, b1=b1, dim=1, name=name,
+                           x0_default=np.zeros(1), **second_penalty)
 
 
 def _segment(lo, hi, name):
@@ -56,24 +55,25 @@ def _skew_box():
                            x0_default=np.array([1.0, 1.0]))
 
 
-def _sfbp_two_penalty():
-    three, zero = np.array([3.0]), np.array([0.0])
-    d = LipschitzOperator(eval=lambda x: x - three, eta=1.0, cocoercive=True,
-                          affine=(np.array([[1.0]]), np.array([-3.0])))
-    b1 = PenaltyOperator(eval=lambda x: np.maximum(x, zero), mu=1.0,
-                         zero_set_box=(np.array([-_INF]), np.array([0.0])))
-    b2 = box_normal_cone(np.array([-_INF]), np.array([1.0]), dim=1)
+# values at each point x[..., :] of a stack, bitwise the one-point values
+def _psi1(x):
+    return 0.5 * np.add.reduce(np.maximum(x, 0.0) ** 2, axis=-1)
 
-    # values at each point x[..., :] of a stack, bitwise the one-point values
-    def psi1(x):
-        return 0.5 * np.add.reduce(np.maximum(x, zero) ** 2, axis=-1)
 
-    def psi2(x):
-        return np.where((x <= 1.0 + 1e-9).all(axis=-1), 0.0, math.inf)
+def _psi2(x):
+    return np.where((x <= 1.0 + 1e-9).all(axis=-1), 0.0, math.inf)
 
-    return ProblemInstance(a=zero_op(1), d=d, b1=b1, b2=b2, dim=1,
-                           psi1=psi1, psi2=psi2, name="sfbp-two-penalty",
-                           x0_default=np.zeros(1))
+
+_BUILDERS = {
+    "scalar": lambda: _half_line(2.0, "scalar"),
+    "segment": lambda: _segment([0.0, 0.0], [2.0, 2.0], "segment"),
+    "shifted-segment": lambda: _segment([1.0, 0.0], [2.0, 2.0], "shifted-segment"),
+    "skew-box": _skew_box,
+    "sfbp-two-penalty": lambda: _half_line(
+        3.0, "sfbp-two-penalty", b2=box_normal_cone(np.array([-_INF]), np.array([1.0]), dim=1),
+        psi1=_psi1, psi2=_psi2),
+}
+CANONICAL_NAMES = tuple(_BUILDERS)
 
 
 def build_canonical(name):
@@ -85,14 +85,6 @@ def build_canonical(name):
     skew-box          dim 2, rotational D (not cocoercive), zer = {(0,0)}
     sfbp-two-penalty  dim 1, two penalty potentials, zer = {0}
     """
-    if name == "scalar":
-        return _scalar()
-    if name == "segment":
-        return _segment([0.0, 0.0], [2.0, 2.0], "segment")
-    if name == "shifted-segment":
-        return _segment([1.0, 0.0], [2.0, 2.0], "shifted-segment")
-    if name == "skew-box":
-        return _skew_box()
-    if name == "sfbp-two-penalty":
-        return _sfbp_two_penalty()
-    raise ParameterError(f"unknown canonical instance '{name}'")
+    if not isinstance(name, str) or name not in _BUILDERS:
+        raise ParameterError(f"unknown canonical instance '{name}'")
+    return _BUILDERS[name]()

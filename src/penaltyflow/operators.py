@@ -41,12 +41,13 @@ _TINY = np.finfo(float).smallest_normal
 def norm(v):
     """Euclidean norm of a contiguous 1-D float array as a Python float.
 
-    Where the sum of squares is a normal float this is
+    Where the sum of squares is a finite normal float this is
     ``math.sqrt(np.add.reduce(v * v))``: numpy's pairwise sum of the rounded
     squares, whose order of additions depends on the length alone, so its bits
     are the same on every CPU and at any BLAS thread count, unlike a BLAS
-    dot's. Below that, squares of a nonzero vector may underflow to zero, so
-    ``v`` is first divided by its largest magnitude.
+    dot's. Otherwise squares of a nonzero vector may underflow to zero, or of
+    a finite one overflow to inf, so ``v`` is first divided by its largest
+    magnitude; an infinite entry gives inf and a NaN gives NaN.
 
     The oracle routes keep ``np.linalg.norm``: ``oracle.py``, the diagonal
     behind ``central_path.least_norm_solution``, the two path checks,
@@ -54,10 +55,10 @@ def norm(v):
     the code that reports through this function, so they must not share it.
     """
     s = np.add.reduce(v * v)
-    if s >= _TINY:
+    if _TINY <= s < math.inf:
         return math.sqrt(s)
     m = float(np.abs(v).max(initial=0.0))
-    if not m > 0.0:  # zero or NaN
+    if not 0.0 < m < math.inf:  # zero, NaN or infinite
         return math.sqrt(s)
     w = v / m
     return m * math.sqrt(np.add.reduce(w * w))

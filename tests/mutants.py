@@ -4,19 +4,21 @@
     python tests/mutants.py NAME ...    # the named ones
     python tests/mutants.py --list      # names and files only
 
-Each mutant replaces one exact snippet of one file under src/penaltyflow in a
-temporary copy of src/, tests/, README.md and pyproject.toml, and runs its
-known killer there: the first test of SUBSET that failed on it when SUBSET
-was last run in full, or the next one where that first one is a hypothesis
-test that does not fail on every run. When the killer passes, ``pytest -x``
-runs on SUBSET as well. The mutant is killed when pytest fails and survives when it
-passes; a snippet that no longer occurs once in its file is reported as
-stale, so that a rewrite of the program shows up here instead of silently
-testing nothing. A mutant its killer kills takes a few seconds, and one that
-survives about 30 s on two cores. Each line printed names the first failing
-test; a ``*`` marks one that is not the mutant's known killer, which should
-then take its place. pytest does not collect this file, and it uses the
-standard library only.
+Before the first mutant, SUBSET runs once on an unmutated copy: a test that
+fails there would "kill" every mutant, so the script then names the failing
+tests and exits 1 without running any mutant. Each mutant replaces one exact
+snippet of one file under src/penaltyflow in a temporary copy of src/, tests/,
+README.md and pyproject.toml, and runs its known killer there: the first test
+of SUBSET that failed on it when SUBSET was last run in full, or the next one
+where that first one is a hypothesis test that does not fail on every run.
+When the killer passes, ``pytest -x`` runs on SUBSET as well. The mutant is
+killed when pytest fails and survives when it passes; a snippet that no longer
+occurs once in its file is reported as stale, so that a rewrite of the program
+shows up here instead of silently testing nothing. A mutant its killer kills
+takes a few seconds, and one that survives about 30 s on two cores. Each line
+printed names the first failing test; a ``*`` marks one that is not the
+mutant's known killer, which should then take its place. pytest does not
+collect this file, and it uses the standard library only.
 """
 
 import os
@@ -62,9 +64,20 @@ MUTANTS = [
     ("sample-skips-last", "dynamics.py",
      "if k % every == 0 or n is not None:", "if k % every == 0:",
      "tests/test_dynamics.py::test_march_equals_reference"),
+    # the mode check and the oracle it hands the step map
+    ("fb-accepts-noncocoercive", "dynamics.py",
+     'if mode == "FB" and not prob.d.cocoercive:', "if False:",
+     "tests/test_dynamics.py::TestForwardBackward::test_noncocoercive_rejected_at_precondition"),
+    ("second-penalty-accepted", "dynamics.py", "if prob.b2 is not None:", "if False:",
+     "tests/test_dynamics.py::test_march_equals_reference"),
+    # J_{lam A} in place of the combined resolvent, which then ignores B2
+    ("sfbp-raw-oracle", "dynamics.py",
+     "return prob.shifted_resolvent_fn()",
+     "return lambda lam, beta, x, fn=prob.a._resolvent_fn: fn(lam, x)",
+     "tests/test_dynamics.py::test_march_equals_reference"),
     # the step caps and step maps
     ("cap-no-safety", "dynamics.py",
-     "_cap(mode, prob, spec.safety_factor)", "_cap(mode, prob, 1.0)",
+     "_step_map(mode, prob, spec.safety_factor)", "_step_map(mode, prob, 1.0)",
      "tests/test_dynamics.py::test_march_equals_reference"),
     ("fbf-cap-lam", "dynamics.py",
      "safety / (2.0 + 2.0 * lam *", "safety / (2.0 + lam *",
@@ -134,17 +147,27 @@ MUTANTS = [
      'return {"ratio": 1.0, **', 'return {"ratio": 1.0001, **',
      "tests/test_cli.py::TestConfigParsing::test_grid_gives_the_spec_its_steps[default]"),
     # operators and problem data
-    ("norm-strict-tiny", "operators.py", "if s >= _TINY:", "if s > _TINY:",
+    ("norm-strict-tiny", "operators.py", "if _TINY <= s < math.inf:",
+     "if _TINY < s < math.inf:",
      "tests/test_operators.py::TestVectors::test_norm_is_the_plain_sum_at_the_smallest_normal"),
     ("norm-no-rescale", "operators.py",
      "    w = v / m\n    return m * math.sqrt(np.add.reduce(w * w))",
      "    return math.sqrt(s)",
      "tests/test_operators.py::TestVectors::test_norm_of_a_subnormal_vector"),
+    ("norm-overflow-unscaled", "operators.py", "if _TINY <= s < math.inf:",
+     "if _TINY <= s:",
+     "tests/test_dynamics.py::TestRunGuards::test_finite_state_whose_squares_overflow_reports_its_norm"),
+    ("norm-rescales-inf", "operators.py", "if not 0.0 < m < math.inf:",
+     "if not 0.0 < m:",
+     "tests/test_operators.py::TestVectors::test_norm_of_a_finite_vector_whose_squares_overflow"),
     ("norm-blas-dot", "operators.py", "s = np.add.reduce(v * v)", "s = v.dot(v)",
      "tests/test_operators.py::TestVectors::test_norm_rounds_each_square"),
     ("clamp-drops-lower", "operators.py",
      "    return lambda x: x.clip(lo, hi)\n", "    return lambda x: np.minimum(x, hi)\n",
      "tests/test_dynamics.py::TestExactStationarity::test_path_point_is_exact_fixed_point_of_both_steps"),
+    ("half-line-shift-sign", "instances.py",
+     "affine=(np.array([[1.0]]), -shift)", "affine=(np.array([[1.0]]), shift)",
+     "tests/test_dynamics.py::TestFullSplitting::test_two_penalty_decay_small_horizon"),
     ("lipschitz-no-eps", "problem.py",
      "return 1.0 / self.d.eta + eps + beta / self.b1.mu",
      "return 1.0 / self.d.eta + beta / self.b1.mu",
@@ -309,15 +332,25 @@ def _copy_tree(dest):
     (dest / "conftest.py").write_text(CONFTEST, encoding="utf-8")
 
 
-def _pytest(dest, env, targets):
-    """The exit code of ``pytest -x`` on ``targets`` in ``dest``, and its
-    first failing test."""
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p",
-                           "no:cacheprovider", *targets], cwd=dest, env=env,
+def _pytest(dest, targets, *options):
+    """The exit code of pytest on ``targets`` in ``dest``, and its failing
+    tests, or ``exit N`` when it names none."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
+                           "no:cacheprovider", *options, *targets], cwd=dest, env=env,
                           capture_output=True, text=True)
     failed = [line.split()[1] for line in proc.stdout.splitlines()
-              if line.startswith("FAILED ")]
-    return proc.returncode, failed[0] if failed else f"exit {proc.returncode}"
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed or [f"exit {proc.returncode}"]
+
+
+def baseline():
+    """The failing tests of SUBSET on an unmutated copy; empty when it passes."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        code, failed = _pytest(dest, SUBSET)
+        return failed if code else []
 
 
 def run(name, path, old, new, killer):
@@ -333,15 +366,14 @@ def run(name, path, old, new, killer):
         if text.count(old) != 1:
             return "stale", 0.0, ""
         target.write_text(text.replace(old, new), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
-        code, by = _pytest(dest, env, [killer])
+        code, failed = _pytest(dest, [killer], "-x")
         if code != 1:
-            code, by = _pytest(dest, env, SUBSET)
+            code, failed = _pytest(dest, SUBSET, "-x")
         seconds = time.perf_counter() - start
         if code == 0:
             return "survived", seconds, ""
-        return "killed", seconds, by
+        return "killed", seconds, failed[0]
 
 
 def main(argv):
@@ -354,6 +386,11 @@ def main(argv):
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    failed = baseline()
+    if failed:
+        print("SUBSET fails on the unmutated copy, so no mutant was run:", *failed,
+              sep="\n  ", file=sys.stderr)
+        return 1
     counts = {"killed": 0, "survived": 0, "stale": 0}
     for name, path, old, new, killer in chosen:
         verdict, seconds, by = run(name, path, old, new, killer)

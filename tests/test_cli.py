@@ -742,12 +742,15 @@ class TestCliCommands:
         bad = write_config(tmp_path, name="v2.json", **FAILING_FBF)
         assert main(["validate", bad]) == 2
 
-    @pytest.mark.parametrize("instance, mode", [("skew-box", "FB"),
-                                                ("scalar", "SFBP")])
-    def test_validate_precondition_exit_code(self, tmp_path, instance, mode):
+    @pytest.mark.parametrize("instance, mode, says", [
+        ("skew-box", "FB", "FB mode needs a cocoercive smooth part; instance 'skew-box' is not"),
+        ("scalar", "SFBP", "instance has no second penalty operator"),
+    ], ids=["skew-box-FB", "scalar-SFBP"])
+    def test_validate_precondition_exit_code(self, tmp_path, capsys, instance, mode, says):
         p = write_config(tmp_path, instance=instance, mode=mode)
         assert main(["validate", p]) == 4
         assert main(["run", p, "--out-dir", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == f"precondition error: {says}\n" * 2
 
     @pytest.mark.parametrize("overrides, says", [
         ({"grid": {"kind": "uniform", "h": -1, "T": 1e3}},

@@ -326,7 +326,7 @@ def test_step_map_writes_into_no_input_and_returns_reference_step(mode, name):
     x0 = np.array([0.0, -0.0, 1.0]) if name == "signed-zero" else np.linspace(-0.5, 1.5, prob.dim)
     ref, dxs, ps = reference_steps(mode, prob, sch, x0, spec)
     ro = read_only_problem(prob)
-    step = _step_map(mode, ro)
+    _, step = _step_map(mode, ro, 0.5)
     vals = np.array([ref.lam[0], ref.eps[0], ref.beta[0], ref.gamma[0]])
     for i, x in enumerate(ref.states):
         x = x.copy()
@@ -422,6 +422,16 @@ class TestRunGuards:
         report = json.loads((tmp_path / "report.json").read_text())
         assert (report["exit_code"], report["messages"]) == (
             3, ["integration diverged: state is not finite at step 64"])
+
+    def test_finite_state_whose_squares_overflow_reports_its_norm(self):
+        # |x|^2 overflows to inf on a finite state, whose norm the error names
+        prob = pf.build_canonical("skew-box")
+        spec = pf.IntegratorSpec(h=0.5, T=10.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                DivergenceError, match=r"^state norm 1\.376e\+200 exceeded 1e\+12 at step 0$") as exc:
+            pf.integrate_fbf(prob, pf.polynomial_schedule(0.05, 0.25), np.array([1e200, 1e200]),
+                             spec)
+        assert exc.value.step_index == 0 and 1.37e200 < exc.value.norm < 1.38e200
 
     @pytest.mark.parametrize("integrate, instance", [
         (pf.integrate_fb, "scalar"), (pf.integrate_fbf, "skew-box")])
@@ -619,6 +629,18 @@ class TestTracking:
             assert getattr(rep_1, field).tobytes() == getattr(rep_half, field).tobytes()
         assert rep_1.burn_in_index == rep_half.burn_in_index
         assert rep_1.inequality_nonpositive_fraction == rep_half.inequality_nonpositive_fraction
+
+    def test_mode_that_cannot_integrate_the_instance_rejected(self):
+        # the step map checks the mode, as the march does: an FB trajectory
+        # over skew-box, whose D is not cocoercive, has no FB step to recompute
+        prob = pf.build_canonical("skew-box")
+        sch = pf.polynomial_schedule(0.05, 0.25, 1.0, 0.9, 1.0)
+        traj = pf.integrate_fbf(prob, sch, np.array([1.0, 1.0]),
+                                pf.IntegratorSpec(h=0.5, T=20.0))
+        pts = pf.central_path(prob, sch, traj.times[1::4], tol=1e-12)
+        assert pf.tracking_report(prob, traj, pts).mode == "FBF"
+        with pytest.raises(PreconditionError, match="FB mode needs a cocoercive smooth part"):
+            pf.tracking_report(prob, dataclasses.replace(traj, mode="FB"), pts)
 
     def test_grid_mismatch_rejected(self):
         prob = pf.build_canonical("scalar")

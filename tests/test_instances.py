@@ -30,6 +30,36 @@ class TestCanonicalInstances:
         with pytest.raises(ParameterError):
             pf.build_canonical("mystery")
 
+    @pytest.mark.parametrize("name", [["scalar"], None, 1, ("scalar",)])
+    def test_name_that_is_not_a_string(self, name):
+        with pytest.raises(ParameterError, match="unknown canonical instance"):
+            pf.build_canonical(name)
+
+    def test_names_in_order(self):
+        assert pf.CANONICAL_NAMES == ("scalar", "segment", "shifted-segment", "skew-box",
+                                      "sfbp-two-penalty")
+        assert [pf.build_canonical(name).name for name in pf.CANONICAL_NAMES] == list(
+            pf.CANONICAL_NAMES)
+
+    def test_check_mode_returns_the_oracle_the_mode_calls(self):
+        scalar, skew = pf.build_canonical("scalar"), pf.build_canonical("skew-box")
+        assert check_mode("FB", scalar) is scalar.a._resolvent_fn
+        assert check_mode("FBF", skew) is skew.a._resolvent_fn
+        # SFBP gets the combined resolvent, here the clamp to (-inf, 1]
+        oracle = check_mode("SFBP", pf.build_canonical("sfbp-two-penalty"))
+        assert oracle(0.3, 7.0, np.array([4.0])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("mode, name, says", [
+        ("FB", "skew-box", "FB mode needs a cocoercive smooth part; instance 'skew-box' is not"),
+        ("FB", "sfbp-two-penalty", "FB mode cannot handle a second penalty; use SFBP"),
+        ("FBF", "sfbp-two-penalty", "FBF mode cannot handle a second penalty; use SFBP"),
+        ("SFBP", "scalar", "instance has no second penalty operator"),
+    ])
+    def test_check_mode_rejects(self, mode, name, says):
+        with pytest.raises(PreconditionError) as exc:
+            check_mode(mode, pf.build_canonical(name))
+        assert str(exc.value) == says
+
     def test_scalar_penalty_is_cocoercive(self):
         prob = pf.build_canonical("scalar")
         rep = pf.verify_certificate(prob.b1, "cocoercive", modulus=1.0,

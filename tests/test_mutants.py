@@ -45,3 +45,13 @@ def test_snippet_occurs_once(name, path, old, new, killer):
     text = (TESTS.parent / "src" / "penaltyflow" / path).read_text(encoding="utf-8")
     assert text.count(old) == 1
     assert old != new
+
+
+def test_failing_baseline_runs_no_mutant(monkeypatch, capsys):
+    failing = "tests/test_dynamics.py::test_fails_on_the_clean_tree"
+    monkeypatch.setattr(mutants, "baseline", lambda: [failing])
+    monkeypatch.setattr(mutants, "run", lambda *mutant: pytest.fail("a mutant ran"))
+    assert mutants.main([]) == 1
+    assert failing in capsys.readouterr().err
+    # --list runs nothing, the baseline included
+    assert mutants.main(["--list"]) == 0

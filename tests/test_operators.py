@@ -279,6 +279,15 @@ class TestVectors:
         assert norm(v) > 0.0
         assert norm(np.zeros(3)) == 0.0 and math.isnan(norm(np.array([math.nan, 1.0])))
 
+    def test_norm_of_a_finite_vector_whose_squares_overflow(self):
+        # the sum of squares is inf, so the norm takes the rescaled route
+        with np.errstate(over="ignore"):
+            assert norm(np.array([1e200])) == 1e200
+            assert norm(np.array([3e154, 4e154])) == 5e154
+            assert norm(np.array([-math.inf, 1.0])) == math.inf
+            assert math.isnan(norm(np.array([math.nan, 1e200])))
+            assert math.isnan(norm(np.array([math.inf, math.nan])))
+
     def test_norm_rounds_each_square(self):
         # a fused multiply-add, in either order, rounds this sum once and
         # moves its square root by one bit; a BLAS dot may fuse
